@@ -3,7 +3,8 @@
 Library layout:
   calib     calibration data and pinhole projection
   ground    RANSAC ground-plane removal
-  aoi       bounding-box enlargement and AOI point collection
+  classes   per-class parameter table
+  aoi       bounding-box enlargement and pixel-membership masks
   cluster   range-histogram mode clustering
   shape     3x3 shape descriptors, KL similarity, cluster selection
   localize  median-point distance and azimuth
@@ -15,14 +16,12 @@ Library layout:
 """
 
 from .calib import (CalibrationPair, CameraIntrinsics, ExtrinsicTransform,
-                    LidarPoint, ProjectedPoint, load_calibration,
-                    project_cloud, project_point)
+                    load_calibration, project_xyz)
 from .errors import FusionError
 
 __all__ = [
     "CalibrationPair", "CameraIntrinsics", "ExtrinsicTransform",
-    "LidarPoint", "ProjectedPoint", "load_calibration",
-    "project_cloud", "project_point", "FusionError",
+    "load_calibration", "project_xyz", "FusionError",
 ]
 
 __version__ = "0.1.0"

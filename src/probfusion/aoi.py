@@ -1,13 +1,13 @@
-"""Bounding-box enlargement and AOI point collection."""
+"""Bounding boxes: enlargement and pixel-membership masks."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
-from .calib import CameraIntrinsics, LidarPoint, ProjectedPoint
+import numpy as np
 
-CLASS_LABELS = ("car", "pedestrian", "escooter_rider", "other")
+from .calib import CameraIntrinsics
+from .classes import CLASSES
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class BoundingBox:
     v_max: float
 
     def __post_init__(self):
-        if self.class_label not in CLASS_LABELS:
+        if self.class_label not in CLASSES:
             raise ValueError(f"unknown class label {self.class_label!r}")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError("box must have positive extent")
@@ -34,9 +34,12 @@ class BoundingBox:
     def height(self) -> float:
         return self.v_max - self.v_min
 
-    def contains(self, u: float, v: float) -> bool:
-        """Half-open containment: [u_min, u_max) x [v_min, v_max)."""
-        return (self.u_min <= u < self.u_max) and (self.v_min <= v < self.v_max)
+    def mask(self, uv: np.ndarray) -> np.ndarray:
+        """Rows of an (N, 2) pixel array inside [u_min, u_max) x
+        [v_min, v_max); NaN rows are outside."""
+        u, v = uv[:, 0], uv[:, 1]
+        return ((u >= self.u_min) & (u < self.u_max)
+                & (v >= self.v_min) & (v < self.v_max))
 
 
 @dataclass(frozen=True)
@@ -51,12 +54,6 @@ class EnlargeRatios:
             raise ValueError("enlarge ratios must be nonnegative")
 
 
-@dataclass(frozen=True)
-class AoiPointSet:
-    box: BoundingBox
-    members: list  # of (source_index, u, v, LidarPoint)
-
-
 def enlarge_aoi(box: BoundingBox, ratios: EnlargeRatios,
                 intr: CameraIntrinsics) -> BoundingBox:
     """Grow the box by per-side fractions of its size, clamped to the image."""
@@ -69,12 +66,3 @@ def enlarge_aoi(box: BoundingBox, ratios: EnlargeRatios,
         v_min=max(0.0, box.v_min - ratios.up * h),
         v_max=min(float(intr.height), box.v_max + ratios.down * h),
     )
-
-
-def collect_aoi_points(projections: Sequence[ProjectedPoint],
-                       cloud: Sequence[LidarPoint],
-                       box: BoundingBox) -> AoiPointSet:
-    """Gather projections falling inside the box (half-open intervals)."""
-    members = [(pp.source_index, pp.u, pp.v, cloud[pp.source_index])
-               for pp in projections if box.contains(pp.u, pp.v)]
-    return AoiPointSet(box=box, members=members)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,72 +59,18 @@ class ExtrinsicTransform:
 
 
 @dataclass(frozen=True)
-class LidarPoint:
-    x: float
-    y: float
-    z: float
-    intensity: Optional[float] = None
-
-    def __post_init__(self):
-        if not all(np.isfinite([self.x, self.y, self.z])):
-            raise ValueError("LiDAR coordinates must be finite")
-
-
-@dataclass(frozen=True)
-class ProjectedPoint:
-    source_index: int
-    u: float
-    v: float
-    camera_depth: float
-
-
-@dataclass(frozen=True)
 class CalibrationPair:
     intrinsics: CameraIntrinsics
     extrinsic: ExtrinsicTransform
 
 
-def project_point(intr: CameraIntrinsics, extr: ExtrinsicTransform,
-                  p: LidarPoint, source_index: int = 0) -> Optional[ProjectedPoint]:
-    """Pinhole projection of one LiDAR point; None when behind the camera.
-
-    Points that project outside the image rectangle are still returned;
-    callers clip as needed.
-    """
-    pc = extr.rotation @ np.array([p.x, p.y, p.z]) + extr.translation
-    if pc[2] <= DEPTH_EPSILON:
-        return None
-    u = intr.fx * pc[0] / pc[2] + intr.ox
-    v = intr.fy * pc[1] / pc[2] + intr.oy
-    return ProjectedPoint(source_index=source_index, u=float(u), v=float(v),
-                          camera_depth=float(pc[2]))
-
-
-def project_cloud(intr: CameraIntrinsics, extr: ExtrinsicTransform,
-                  cloud: Sequence[LidarPoint]) -> list[ProjectedPoint]:
-    """Project a cloud, keeping only points in front of the camera.
-
-    Output preserves source_index order; source_index refers to the
-    position in the input cloud.
-    """
-    if not cloud:
-        return []
-    xyz = np.array([[p.x, p.y, p.z] for p in cloud])
-    pc = xyz @ extr.rotation.T + extr.translation
-    keep = pc[:, 2] > DEPTH_EPSILON
-    u = intr.fx * pc[keep, 0] / pc[keep, 2] + intr.ox
-    v = intr.fy * pc[keep, 1] / pc[keep, 2] + intr.oy
-    idx = np.nonzero(keep)[0]
-    return [ProjectedPoint(int(i), float(ui), float(vi), float(di))
-            for i, ui, vi, di in zip(idx, u, v, pc[keep, 2])]
-
-
 def project_xyz(intr: CameraIntrinsics, extr: ExtrinsicTransform,
                 xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of an (N, 3) array.
+    """Pinhole projection of an (N, 3) LiDAR array.
 
     Returns (uv, valid): uv is (N, 2) with NaN rows where invalid, valid is
-    a boolean mask of points in front of the camera.
+    a boolean mask of points in front of the camera. Points that project
+    outside the image rectangle stay valid; callers clip as needed.
     """
     xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
     pc = xyz @ extr.rotation.T + extr.translation

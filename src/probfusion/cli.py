@@ -21,8 +21,9 @@ import numpy as np
 
 from .config import load_pipeline_config, write_pipeline_config
 from .errors import ConfigError, EmptySequence, FusionError
-from .io import read_ground_truth, write_report
-from .metrics import mae_axis
+from .io import (read_frame_rate, read_ground_truth, read_trajectory_csv,
+                 write_report)
+from .metrics import align_to_ground_truth, mae_axis
 from .shape import BenchmarkShapeRegistry, build_benchmark, compute_descriptor
 from . import sim as simmod
 from .pipeline import run_sequence
@@ -40,7 +41,8 @@ def main():
 @main.command()
 @click.option("--scene", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Scene spec JSON; default overtaking fixture.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=None,
+              help="Scene rng_seed; default the scene file's, or 0.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @click.option("--ideal", is_flag=True,
               help="Skip error injection (zero-error oracle sequence).")
@@ -49,11 +51,11 @@ def simulate(scene, seed, out, ideal):
     try:
         if scene is not None:
             spec = simmod.load_scene_spec(scene)
-            if seed:
+            if seed is not None:
                 spec = simmod.scene_spec_from_json(
                     {**simmod.scene_spec_to_json(spec), "rng_seed": seed})
         else:
-            spec = simmod.overtaking_scene(rng_seed=seed)
+            spec = simmod.overtaking_scene(rng_seed=seed or 0)
     except (FusionError, json.JSONDecodeError, KeyError, TypeError) as exc:
         click.echo(f"invalid scene spec: {exc}", err=True)
         sys.exit(EXIT_INPUT)
@@ -74,7 +76,7 @@ def simulate(scene, seed, out, ideal):
         out / "config.json",
         calibration="calibration.json",
         benchmark_registry="benchmarks.json",
-        rng_seed=seed,
+        rng_seed=spec.rng_seed,
         enlarge_ratios={"default": {"left": 1.0, "right": 1.0,
                                     "up": 0.5, "down": 0.5}},
         guarantee={"t1": 1.0, "t2": 0.9, "t1_fraction": 0.2},
@@ -154,33 +156,29 @@ def benchmark_shapes(cluster_files, out, min_samples):
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--ground-truth", type=click.Path(exists=True, dir_okay=False),
               required=True, help="ground_truth.jsonl of the sequence.")
-@click.option("--frame-rate", type=float, default=10.0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-def evaluate(trajectory_csvs, ground_truth, frame_rate, out):
-    """Compare trajectory CSVs against ground truth (MAE per axis)."""
-    import csv as csvmod
+def evaluate(trajectory_csvs, ground_truth, out):
+    """Compare trajectory CSVs against ground truth (MAE per axis).
+
+    Timestamps come from the frame rate in the scene.json next to the
+    ground-truth file (10 Hz without one).
+    """
     if not trajectory_csvs:
         click.echo("no trajectories given", err=True)
         sys.exit(EXIT_INPUT)
     gt = read_ground_truth(ground_truth)
+    frame_rate = read_frame_rate(Path(ground_truth).parent)
+    frame_times = {frame_id: frame_id / frame_rate for frame_id in gt}
     report = {}
     for path in trajectory_csvs:
-        obj_id = int(Path(path).stem.split("_")[-1])
-        est = {}
-        with open(path, newline="") as fh:
-            for row in csvmod.DictReader(fh):
-                est[round(float(row["t"]), 9)] = (float(row["x"]),
-                                                  float(row["y"]))
-        ex, ey, gx, gy = [], [], [], []
-        for frame_id, objs in gt.items():
-            if obj_id not in objs:
-                continue
-            key = round(frame_id / frame_rate, 9)
-            if key in est:
-                ex.append(est[key][0])
-                ey.append(est[key][1])
-                gx.append(objs[obj_id]["x"])
-                gy.append(objs[obj_id]["y"])
+        try:
+            obj_id = int(Path(path).stem.rsplit("_", 1)[-1])
+        except ValueError:
+            click.echo(f"no object id in the name of {path}; "
+                       "expected object_<id>.csv", err=True)
+            sys.exit(EXIT_INPUT)
+        ex, ey, gx, gy = align_to_ground_truth(
+            read_trajectory_csv(path), gt, obj_id, frame_times)
         if ex:
             report[str(obj_id)] = {"mae_x": mae_axis(ex, gx),
                                    "mae_y": mae_axis(ey, gy),

@@ -12,15 +12,14 @@ from typing import Optional
 
 import numpy as np
 
+from .classes import CLASSES, class_params
 from .errors import EmptyInput, NoQualifiedCluster
-
-DEFAULT_GRANULARITY = {"pedestrian": 0.5, "escooter_rider": 0.5,
-                       "car": 2.0, "other": 1.0}
 
 
 @dataclass(frozen=True)
 class ClusteringConfig:
-    granularity: dict = field(default_factory=lambda: dict(DEFAULT_GRANULARITY))
+    granularity: dict = field(default_factory=lambda: {
+        label: row.granularity_m for label, row in CLASSES.items()})
     kmeans_k: int = 3
     kmeans_max_iter: int = 50
     min_peak_count: int = 5
@@ -37,7 +36,7 @@ class ClusteringConfig:
 
     def granularity_for(self, class_label: str) -> float:
         return self.granularity.get(class_label,
-                                    DEFAULT_GRANULARITY.get(class_label, 1.0))
+                                    class_params(class_label).granularity_m)
 
 
 @dataclass(frozen=True)

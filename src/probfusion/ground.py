@@ -45,16 +45,8 @@ class GroundPlaneModel:
     inlier_count: int
 
 
-def crop_to_boundary(cloud: np.ndarray, cfg: RansacPlaneConfig) -> np.ndarray:
-    """Keep points in the forward sector x in [0, length], |y| <= width/2."""
-    cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
-    half_w = cfg.boundary_width / 2.0
-    keep = ((cloud[:, 0] >= 0.0) & (cloud[:, 0] <= cfg.boundary_length)
-            & (np.abs(cloud[:, 1]) <= half_w))
-    return cloud[keep]
-
-
 def crop_mask(cloud: np.ndarray, cfg: RansacPlaneConfig) -> np.ndarray:
+    """Mask of points in the forward sector x in [0, length], |y| <= width/2."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
     half_w = cfg.boundary_width / 2.0
     return ((cloud[:, 0] >= 0.0) & (cloud[:, 0] <= cfg.boundary_length)
@@ -142,13 +134,6 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig) -> GroundPlaneMo
         raise NoAcceptablePlane(
             f"refit inlier count {final_count} below floor {floor}")
     return GroundPlaneModel(normal=normal, offset=offset, inlier_count=final_count)
-
-
-def remove_ground(cloud: np.ndarray, model: GroundPlaneModel,
-                  delta: float) -> np.ndarray:
-    """Drop points within delta of the plane; returns the kept subset."""
-    cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
-    return cloud[~ground_mask(cloud, model, delta)]
 
 
 def ground_mask(cloud: np.ndarray, model: GroundPlaneModel,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .aoi import BoundingBox
 from .errors import EmptySequence
+from .smoother import TrackSample
 
 
 @dataclass
@@ -121,6 +122,15 @@ def read_ground_truth(path) -> dict:
     return by_frame
 
 
+def read_frame_rate(seq_dir) -> float:
+    """Frame rate from the sequence's scene.json; 10 Hz when it is absent."""
+    meta_path = Path(seq_dir) / "scene.json"
+    if not meta_path.exists():
+        return 10.0
+    with open(meta_path) as fh:
+        return float(json.load(fh).get("frame_rate", 10.0))
+
+
 def load_sequence(seq_dir) -> tuple[list, Optional[dict]]:
     """All frames of a sequence, sorted by frame id, plus optional GT."""
     seq_dir = Path(seq_dir)
@@ -130,11 +140,7 @@ def load_sequence(seq_dir) -> tuple[list, Optional[dict]]:
         raise EmptySequence(f"no frames found under {seq_dir}")
     det_path = seq_dir / "detections.jsonl"
     detections = read_detections(det_path) if det_path.exists() else {}
-    meta_path = seq_dir / "scene.json"
-    frame_rate = 10.0
-    if meta_path.exists():
-        with open(meta_path) as fh:
-            frame_rate = float(json.load(fh).get("frame_rate", 10.0))
+    frame_rate = read_frame_rate(seq_dir)
     frames = []
     for path in cloud_files:
         frame_id = int(path.stem.split("_")[1])
@@ -149,14 +155,27 @@ def load_sequence(seq_dir) -> tuple[list, Optional[dict]]:
 
 
 def write_trajectory_csv(path, samples) -> None:
-    """Trajectory CSV: t,x,y,z,outlier,interpolated."""
+    """Trajectory CSV: t,x,y,outlier,interpolated."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "z", "outlier", "interpolated"])
+        writer.writerow(["t", "x", "y", "outlier", "interpolated"])
         for s in samples:
-            writer.writerow([repr(s.t), repr(s.x), repr(s.y), repr(s.z),
+            writer.writerow([repr(s.t), repr(s.x), repr(s.y),
                              int(s.outlier), int(s.interpolated)])
+
+
+def read_trajectory_csv(path) -> list:
+    """Trajectory CSV (see write_trajectory_csv) -> [TrackSample, ...].
+
+    Only t, x and y are required; absent flag columns read as 0.
+    """
+    with open(path, newline="") as fh:
+        return [TrackSample(t=float(row["t"]), x=float(row["x"]),
+                            y=float(row["y"]),
+                            outlier=row.get("outlier") == "1",
+                            interpolated=row.get("interpolated") == "1")
+                for row in csv.DictReader(fh)]
 
 
 def write_report(path, report: dict) -> None:

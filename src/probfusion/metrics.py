@@ -14,18 +14,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .classes import CLASSES
 from .errors import EmptyInput, LengthMismatch, TooFewSamples, UnknownClass
 from .stats import student_t_sf
-
-DEFAULT_OBJECT_LENGTHS = {"car": 4.5, "escooter_rider": 1.5,
-                          "pedestrian": 0.6, "other": 1.0}
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
     fraction: float = 0.15
-    object_length_m: dict = field(
-        default_factory=lambda: dict(DEFAULT_OBJECT_LENGTHS))
+    object_length_m: dict = field(default_factory=lambda: {
+        label: row.tolerance_length_m for label, row in CLASSES.items()})
 
     def __post_init__(self):
         if self.fraction <= 0:
@@ -91,6 +89,29 @@ def mae_axis(estimates: Sequence[float],
     return float(np.mean(np.abs(est - gt)))
 
 
+def align_to_ground_truth(samples, gt: dict, object_id: int,
+                          frame_times: dict) -> tuple[list, list, list, list]:
+    """Pair a track's samples with ground-truth poses by time.
+
+    frame_times maps frame id -> timestamp, in the order the pairs are
+    wanted; gt maps frame id -> {object id: pose}. A frame pairs when
+    the ground truth has the object and the track has a sample at the
+    frame's timestamp (to 1e-9 s). Returns (est_x, est_y, gt_x, gt_y).
+    """
+    by_t = {round(s.t, 9): s for s in samples}
+    est_x, est_y, gt_x, gt_y = [], [], [], []
+    for frame_id, t in frame_times.items():
+        pose = gt.get(frame_id, {}).get(object_id)
+        s = by_t.get(round(t, 9))
+        if pose is None or s is None:
+            continue
+        est_x.append(s.x)
+        est_y.append(s.y)
+        gt_x.append(pose["x"])
+        gt_y.append(pose["y"])
+    return est_x, est_y, gt_x, gt_y
+
+
 @dataclass(frozen=True)
 class GuaranteeResult:
     empirical_probability: float
@@ -124,10 +145,6 @@ def selection_completeness(per_frame: Sequence[tuple],
                            per_frame_missed=missed)
 
 
-def _one_sided_p(t_stat: float, dof: int) -> float:
-    return student_t_sf(t_stat, dof)
-
-
 def paired_t_test(before: Sequence[float],
                   after: Sequence[float]) -> tuple[float, float, int]:
     """Paired one-sided t-test of H1: mean(after - before) > 0.
@@ -151,7 +168,7 @@ def paired_t_test(before: Sequence[float],
         t_stat = math.inf if mean > 0 else -math.inf
         return t_stat, (0.0 if mean > 0 else 1.0), n
     t_stat = mean / (sd / math.sqrt(n))
-    return t_stat, _one_sided_p(t_stat, n - 1), n
+    return t_stat, student_t_sf(t_stat, n - 1), n
 
 
 def one_sample_right_tail_t_test(sample: Sequence[float],
@@ -169,4 +186,4 @@ def one_sample_right_tail_t_test(sample: Sequence[float],
         t_stat = math.inf if mean > mu0 else -math.inf
         return t_stat, (0.0 if mean > mu0 else 1.0), n
     t_stat = (mean - mu0) / (sd / math.sqrt(n))
-    return t_stat, _one_sided_p(t_stat, n - 1), n
+    return t_stat, student_t_sf(t_stat, n - 1), n

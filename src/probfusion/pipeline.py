@@ -2,7 +2,7 @@
 
 Stage order per frame: crop -> ground fit/removal (skipped gracefully
 when no acceptable plane exists) -> projection -> per detection:
-enlarge AOI -> collect points -> mode clustering -> shape selection
+enlarge AOI -> box mask -> mode clustering -> shape selection
 (skipped for a single candidate) -> localization. Per-object failures
 are soft: they are recorded in diagnostics and become trajectory gaps.
 """
@@ -26,8 +26,9 @@ from .errors import (EmptyCluster, EmptyInput, EmptySequence,
                      InsufficientPoints, NoAcceptablePlane, NoQualifiedCluster)
 from .io import FrameRecord, load_sequence, write_report, write_trajectory_csv
 from .localize import ObjectLocalization, localize
-from .metrics import (mae_axis, one_sample_right_tail_t_test,
-                      paired_t_test, selection_completeness, tpr)
+from .metrics import (align_to_ground_truth, mae_axis,
+                      one_sample_right_tail_t_test, paired_t_test,
+                      selection_completeness, tpr)
 from .shape import BenchmarkShapeRegistry, select_cluster
 from .smoother import TrackSample, smooth_and_interpolate, detect_outliers
 
@@ -87,7 +88,8 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
         uv_valid = np.asarray(frame.uv_valid, dtype=bool)
     else:
         uv, uv_valid = project_xyz(calib.intrinsics, calib.extrinsic, cloud)
-    diag.projected_count = int((keep & uv_valid).sum())
+    fusable = keep & uv_valid
+    diag.projected_count = int(fusable.sum())
 
     ranges_all = planar_ranges(cloud)
     localizations = []
@@ -97,20 +99,13 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
         diag.objects[det.object_id] = odiag
 
         # Baseline path: raw mapping, original AOI, no preprocessing.
-        base_mask = uv_valid.copy()
-        base_mask[uv_valid] = (
-            (uv[uv_valid, 0] >= det.u_min) & (uv[uv_valid, 0] < det.u_max)
-            & (uv[uv_valid, 1] >= det.v_min) & (uv[uv_valid, 1] < det.v_max))
+        base_mask = uv_valid & det.mask(uv)
         odiag.baseline_indices = np.nonzero(base_mask)[0].tolist()
         odiag.baseline_ranges = ranges_all[base_mask].tolist()
 
         big = enlarge_aoi(det, cfg.ratios_for(det.class_label),
                           calib.intrinsics)
-        member_mask = keep & uv_valid
-        member_mask[member_mask] = (
-            (uv[member_mask, 0] >= big.u_min) & (uv[member_mask, 0] < big.u_max)
-            & (uv[member_mask, 1] >= big.v_min) & (uv[member_mask, 1] < big.v_max))
-        member_idx = np.nonzero(member_mask)[0]
+        member_idx = np.nonzero(fusable & big.mask(uv))[0]
         odiag.aoi_point_count = len(member_idx)
         if len(member_idx) == 0:
             odiag.status = "NoQualifiedCluster"
@@ -161,6 +156,7 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
 def _evaluate(frames, gt, cfg, frame_diags, smoothed) -> dict:
     """Per-object and aggregate metrics against simulator ground truth."""
     per_object: dict = {}
+    frame_times = {frame.frame_id: frame.t for frame in frames}
     for frame, diag in zip(frames, frame_diags):
         gt_frame = gt.get(frame.frame_id, {})
         for obj_id, odiag in diag.objects.items():
@@ -219,16 +215,8 @@ def _evaluate(frames, gt, cfg, frame_diags, smoothed) -> dict:
 
         # MAE against the smoothed trajectory at ground-truth timestamps.
         if obj_id in smoothed:
-            by_t = {round(s.t, 9): s for s in smoothed[obj_id].samples}
-            gt_series = _gt_series(frames, gt, obj_id)
-            est_x, est_y, gx, gy = [], [], [], []
-            for t_val, gxv, gyv in gt_series:
-                s = by_t.get(round(t_val, 9))
-                if s is not None:
-                    est_x.append(s.x)
-                    est_y.append(s.y)
-                    gx.append(gxv)
-                    gy.append(gyv)
+            est_x, est_y, gx, gy = align_to_ground_truth(
+                smoothed[obj_id].samples, gt, obj_id, frame_times)
             if est_x:
                 obj_report["mae_x"] = mae_axis(est_x, gx)
                 obj_report["mae_y"] = mae_axis(est_y, gy)
@@ -265,15 +253,6 @@ def _evaluate(frames, gt, cfg, frame_diags, smoothed) -> dict:
     return {"objects": report_objects, "aggregate": aggregate}
 
 
-def _gt_series(frames, gt, obj_id):
-    series = []
-    for frame in frames:
-        gt_obj = gt.get(frame.frame_id, {}).get(obj_id)
-        if gt_obj is not None:
-            series.append((frame.t, gt_obj["x"], gt_obj["y"]))
-    return series
-
-
 def run_sequence(seq_dir, cfg: PipelineConfig,
                  out_dir=None,
                  baseline_only: bool = False,
@@ -304,7 +283,7 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
             continue
         for loc in locs:
             tracks.setdefault(loc.object_id, []).append(
-                TrackSample(t=frame.t, x=loc.x_m, y=loc.y_m, z=0.0))
+                TrackSample(t=frame.t, x=loc.x_m, y=loc.y_m))
 
     all_times = [f.t for f in frames]
     smoothed: dict = {}

@@ -21,23 +21,12 @@ import numpy as np
 
 from .aoi import BoundingBox
 from .calib import CalibrationPair, CameraIntrinsics, default_extrinsic, project_xyz
+from .classes import CLASSES, class_params
 from .errors import InvalidSpec
 from .shape import build_benchmark, compute_descriptor
 
 GROUND_LABEL = -1
 CLUTTER_LABEL = -2
-
-DEFAULT_OBJECT_SIZES = {
-    # length (along travel), width (lateral), height
-    "car": (4.5, 1.8, 1.5),
-    "pedestrian": (0.6, 0.6, 1.7),
-    "escooter_rider": (0.7, 0.7, 1.8),
-    "other": (1.0, 1.0, 1.0),
-}
-
-# Clearance of the sampled silhouette above the ground plane, meters.
-GROUND_CLEARANCE = {"car": 0.3, "pedestrian": 0.05,
-                    "escooter_rider": 0.05, "other": 0.1}
 
 
 @dataclass(frozen=True)
@@ -73,8 +62,7 @@ class ObjectSpec:
     height: Optional[float] = None
 
     def size(self) -> tuple[float, float, float]:
-        default = DEFAULT_OBJECT_SIZES.get(self.class_label,
-                                           DEFAULT_OBJECT_SIZES["other"])
+        default = class_params(self.class_label).size_m
         return (self.length or default[0],
                 self.width or default[1],
                 self.height or default[2])
@@ -222,7 +210,8 @@ def _object_points(obj: ObjectSpec, pose: tuple[float, float],
     los = np.array([x / r, y / r, 0.0])
     lateral = np.array([-los[1], los[0], 0.0])
     up = np.array([0.0, 0.0, 1.0])
-    base_z = -spec.sensor_height + GROUND_CLEARANCE.get(obj.class_label, 0.1)
+    base_z = (-spec.sensor_height
+              + class_params(obj.class_label).ground_clearance_m)
     center = np.array([x, y, base_z])
     depth = rng.uniform(-0.15, 0.15, size=len(ab))
     pts = (center[None, :]
@@ -396,7 +385,7 @@ def reference_benchmarks(rng_seed: int = 12345,
     rng = np.random.default_rng(rng_seed)
     benchmarks = {}
     for cls in ("car", "pedestrian", "escooter_rider"):
-        length, width, height = DEFAULT_OBJECT_SIZES[cls]
+        length, width, height = CLASSES[cls].size_m
         descs = []
         for _ in range(samples_per_class):
             r = rng.uniform(8.0, 40.0)

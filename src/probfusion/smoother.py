@@ -42,7 +42,6 @@ class TrackSample:
     t: float
     x: float
     y: float
-    z: float = 0.0
     outlier: bool = False
     interpolated: bool = False
 
@@ -56,10 +55,10 @@ class SmoothedTrajectory:
 
 def _as_arrays(track: Sequence[TrackSample]) -> tuple[np.ndarray, np.ndarray]:
     t = np.array([s.t for s in track], dtype=float)
-    xyz = np.array([[s.x, s.y, s.z] for s in track], dtype=float)
+    xy = np.array([[s.x, s.y] for s in track], dtype=float)
     if np.any(np.diff(t) <= 0):
         raise ValueError("timestamps must be strictly increasing")
-    return t, xyz
+    return t, xy
 
 
 def _ransac_best_fit(t: np.ndarray, values: np.ndarray,
@@ -99,12 +98,12 @@ def detect_outliers(track: Sequence[TrackSample],
     if len(track) < cfg.min_samples:
         raise TooFewSamples(
             f"need at least {cfg.min_samples} samples, got {len(track)}")
-    t, xyz = _as_arrays(track)
+    t, xy = _as_arrays(track)
     rng = np.random.default_rng(cfg.rng_seed)
     flags = np.zeros(len(track), dtype=bool)
-    for d in range(3):
-        model = _ransac_best_fit(t, xyz[:, d], cfg, rng)
-        resid = xyz[:, d] - model(t)
+    for d in range(2):
+        model = _ransac_best_fit(t, xy[:, d], cfg, rng)
+        resid = xy[:, d] - model(t)
         sigma = max(float(np.std(resid)), cfg.sigma_floor)
         flags |= np.abs(resid) > cfg.threshold_sigma * sigma
     return flags
@@ -120,15 +119,15 @@ def smooth_and_interpolate(track: Sequence[TrackSample],
     missing-frame timestamps; non-measured grid times are marked
     interpolated.
     """
-    t, xyz = _as_arrays(track)
+    t, xy = _as_arrays(track)
     flags = np.asarray(flags, dtype=bool)
     inlier = ~flags
     if int(inlier.sum()) <= SMOOTH_ORDER + 1:
         raise TooFewInliers(
             f"{int(inlier.sum())} inliers cannot support an order-3 fit")
     models = {}
-    for d, name in enumerate("xyz"):
-        models[name] = Polynomial.fit(t[inlier], xyz[inlier, d], SMOOTH_ORDER)
+    for d, name in enumerate("xy"):
+        models[name] = Polynomial.fit(t[inlier], xy[inlier, d], SMOOTH_ORDER)
 
     if grid is None:
         grid_t = np.union1d(t, np.asarray(list(missing_times), dtype=float))
@@ -139,7 +138,6 @@ def smooth_and_interpolate(track: Sequence[TrackSample],
         TrackSample(t=float(gt),
                     x=float(models["x"](gt)),
                     y=float(models["y"](gt)),
-                    z=float(models["z"](gt)),
                     outlier=False,
                     interpolated=not bool(m))
         for gt, m in zip(grid_t, measured)
@@ -147,11 +145,3 @@ def smooth_and_interpolate(track: Sequence[TrackSample],
     return SmoothedTrajectory(samples=samples, outlier_flags=flags,
                               coefficients=models)
 
-
-def smooth_track(track: Sequence[TrackSample], cfg: SmootherConfig,
-                 grid: Optional[Sequence[float]] = None,
-                 missing_times: Sequence[float] = ()) -> SmoothedTrajectory:
-    """Detect outliers then smooth; the usual two-phase entry point."""
-    flags = detect_outliers(track, cfg)
-    return smooth_and_interpolate(track, flags, grid=grid,
-                                  missing_times=missing_times)

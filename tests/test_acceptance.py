@@ -16,6 +16,7 @@ import pytest
 import scipy.stats
 
 from probfusion.aoi import EnlargeRatios
+from probfusion.classes import CLASSES
 from probfusion.cluster import CandidateCluster
 from probfusion.config import PipelineConfig, load_pipeline_config
 from probfusion.ground import (RansacPlaneConfig, fit_ground_plane,
@@ -28,10 +29,9 @@ from probfusion.metrics import (GuaranteeConfig, ToleranceConfig,
 from probfusion.pipeline import run_fusion_frame, run_sequence
 from probfusion.shape import (ShapeFilterConfig, compute_descriptor, derotate,
                               principal_axis_angle, select_cluster)
-from probfusion.sim import (DEFAULT_ERROR_MODEL, DEFAULT_OBJECT_SIZES,
-                            _sample_silhouette, default_calibration,
-                            overtaking_scene, reference_benchmarks,
-                            simulate_sequence)
+from probfusion.sim import (DEFAULT_ERROR_MODEL, _sample_silhouette,
+                            default_calibration, overtaking_scene,
+                            reference_benchmarks, simulate_sequence)
 from probfusion.shape import BenchmarkShapeRegistry
 from probfusion.smoother import (SmootherConfig, TrackSample, detect_outliers,
                                  smooth_and_interpolate)
@@ -161,7 +161,7 @@ def test_criterion_03_shape_selection():
     for _ in range(trials):
         cands, pts = [], []
         for cls in ("car", "pedestrian", "car"):
-            _, width, height = DEFAULT_OBJECT_SIZES[cls]
+            _, width, height = CLASSES[cls].size_m
             r = rng.uniform(8.0, 20.0) if cls == "pedestrian" \
                 else rng.uniform(8.0, 35.0)
             n = max(30, int(round(15000.0 * width * height / (r * r))))

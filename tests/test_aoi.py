@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probfusion.aoi import (BoundingBox, EnlargeRatios, collect_aoi_points,
-                            enlarge_aoi)
-from probfusion.calib import LidarPoint, ProjectedPoint
+from probfusion.aoi import BoundingBox, EnlargeRatios, enlarge_aoi
 
 from conftest import make_box
 
@@ -62,10 +60,15 @@ class TestEnlargeAoi:
 class TestContainment:
     def test_half_open_edges(self):
         box = make_box(100, 50, 200, 150)
-        assert box.contains(100.0, 50.0)
-        assert not box.contains(200.0, 100.0)
-        assert not box.contains(150.0, 150.0)
-        assert box.contains(199.999, 149.999)
+        uv = np.array([[100.0, 50.0], [200.0, 100.0], [150.0, 150.0],
+                       [199.999, 149.999]])
+        assert box.mask(uv).tolist() == [True, False, False, True]
+
+    def test_nan_rows_outside(self):
+        box = make_box(100, 50, 200, 150)
+        uv = np.array([[np.nan, np.nan], [150.0, np.nan], [np.nan, 100.0],
+                       [150.0, 100.0]])
+        assert box.mask(uv).tolist() == [False, False, False, True]
 
     def test_invalid_box_rejected(self):
         with pytest.raises(ValueError):
@@ -75,44 +78,35 @@ class TestContainment:
 
 
 class TestCollectAoiPoints:
+    """Membership through BoundingBox.mask on a 10 x 10 pixel grid."""
+
     def _grid(self):
-        pts = []
-        cloud = []
-        k = 0
-        for u in np.linspace(32, 608, 10):
-            for v in np.linspace(24, 456, 10):
-                pts.append(ProjectedPoint(source_index=k, u=float(u),
-                                          v=float(v), camera_depth=5.0))
-                cloud.append(LidarPoint(float(u), float(v), 0.0))
-                k += 1
-        return pts, cloud
+        u, v = np.meshgrid(np.linspace(32, 608, 10), np.linspace(24, 456, 10),
+                           indexing="ij")
+        return np.column_stack([u.ravel(), v.ravel()])
 
     def test_empty_membership(self):
-        pts, cloud = self._grid()
-        box = make_box(1000 - 360, 470, 1000, 479)
-        assert collect_aoi_points(pts, cloud, make_box(620, 470, 639, 479)).members == []
+        uv = self._grid()
+        assert not make_box(620, 470, 639, 479).mask(uv).any()
 
     def test_singleton_center(self):
         box = make_box(100, 50, 200, 150)
-        pp = ProjectedPoint(source_index=0, u=150.0, v=100.0, camera_depth=5.0)
-        out = collect_aoi_points([pp], [LidarPoint(1, 2, 3)], box)
-        assert len(out.members) == 1
-        assert out.members[0][0] == 0
+        mask = box.mask(np.array([[150.0, 100.0]]))
+        assert mask.tolist() == [True]
 
     def test_quadrant_brute_force(self):
-        pts, cloud = self._grid()
+        uv = self._grid()
         box = make_box(0.0 + 1e-12, 0.0 + 1e-12, 320.0, 240.0)
-        out = collect_aoi_points(pts, cloud, box)
-        expected = [pp.source_index for pp in pts
-                    if box.u_min <= pp.u < box.u_max
-                    and box.v_min <= pp.v < box.v_max]
-        assert [m[0] for m in out.members] == expected
+        expected = [i for i, (u, v) in enumerate(uv)
+                    if box.u_min <= u < box.u_max
+                    and box.v_min <= v < box.v_max]
+        assert np.nonzero(box.mask(uv))[0].tolist() == expected
         assert len(expected) > 0
 
     def test_monotone_under_enlargement(self, intr):
-        pts, cloud = self._grid()
+        uv = self._grid()
         box = make_box(100, 50, 300, 250)
-        small = collect_aoi_points(pts, cloud, box)
-        big_box = enlarge_aoi(box, EnlargeRatios(0.5, 0.5, 0.5, 0.5), intr)
-        big = collect_aoi_points(pts, cloud, big_box)
-        assert set(m[0] for m in small.members) <= set(m[0] for m in big.members)
+        small = box.mask(uv)
+        big = enlarge_aoi(box, EnlargeRatios(0.5, 0.5, 0.5, 0.5), intr).mask(uv)
+        assert small.any()
+        assert not (small & ~big).any()

@@ -7,37 +7,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probfusion.calib import (CameraIntrinsics, ExtrinsicTransform, LidarPoint,
+from probfusion.calib import (CameraIntrinsics, ExtrinsicTransform,
                               default_extrinsic, load_calibration,
-                              project_cloud, project_point, project_xyz,
-                              save_calibration)
+                              project_xyz, save_calibration)
 from probfusion.errors import CalibrationError
+
+
+def project_one(intr, extr, point):
+    """(u, v) of one point, or None when project_xyz marks it invalid."""
+    uv, valid = project_xyz(intr, extr, np.array([point], dtype=float))
+    return tuple(uv[0]) if valid[0] else None
+
+
+def pinhole_oracle(intr, extr, point):
+    """Scalar pinhole model written out by hand: (u, v) or None."""
+    x, y, z = point
+    r, t = extr.rotation, extr.translation
+    xc = r[0][0] * x + r[0][1] * y + r[0][2] * z + t[0]
+    yc = r[1][0] * x + r[1][1] * y + r[1][2] * z + t[1]
+    zc = r[2][0] * x + r[2][1] * y + r[2][2] * z + t[2]
+    if zc <= 1e-6:
+        return None
+    return intr.fx * xc / zc + intr.ox, intr.fy * yc / zc + intr.oy
 
 
 class TestProjectPoint:
     def test_optical_axis_maps_to_principal_point(self, intr, identity_extr):
-        pp = project_point(intr, identity_extr, LidarPoint(0.0, 0.0, 5.0))
-        assert pp is not None
-        assert pp.u == pytest.approx(320.0)
-        assert pp.v == pytest.approx(240.0)
-        assert pp.camera_depth == pytest.approx(5.0)
+        assert project_one(intr, identity_extr, (0.0, 0.0, 5.0)) == \
+            pytest.approx((320.0, 240.0))
 
     def test_off_axis_point(self, intr, identity_extr):
         # u = 320 + 500 * 1 / 5, v = 240 + 500 * 0.5 / 5
-        pp = project_point(intr, identity_extr, LidarPoint(1.0, 0.5, 5.0))
-        assert pp.u == pytest.approx(420.0)
-        assert pp.v == pytest.approx(290.0)
+        assert project_one(intr, identity_extr, (1.0, 0.5, 5.0)) == \
+            pytest.approx((420.0, 290.0))
 
     def test_behind_camera_is_absent(self, intr, identity_extr):
-        assert project_point(intr, identity_extr, LidarPoint(0.0, 0.0, -1.0)) is None
+        assert project_one(intr, identity_extr, (0.0, 0.0, -1.0)) is None
 
     def test_zero_depth_is_absent(self, intr, identity_extr):
-        assert project_point(intr, identity_extr, LidarPoint(1.0, 1.0, 0.0)) is None
+        assert project_one(intr, identity_extr, (1.0, 1.0, 0.0)) is None
 
     def test_out_of_image_points_still_returned(self, intr, identity_extr):
-        pp = project_point(intr, identity_extr, LidarPoint(50.0, 0.0, 5.0))
-        assert pp is not None
-        assert pp.u > intr.width
+        u, _ = project_one(intr, identity_extr, (50.0, 0.0, 5.0))
+        assert u > intr.width
 
     @given(st.floats(0.01, 1000.0),
            st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(0.1, 200.0))
@@ -46,62 +58,66 @@ class TestProjectPoint:
         intr = CameraIntrinsics(fx=500.0, fy=500.0, ox=320.0, oy=240.0,
                                 width=640, height=480)
         extr = ExtrinsicTransform(rotation=np.eye(3), translation=np.zeros(3))
-        a = project_point(intr, extr, LidarPoint(x, y, z))
-        b = project_point(intr, extr, LidarPoint(lam * x, lam * y, lam * z))
+        a = project_one(intr, extr, (x, y, z))
+        b = project_one(intr, extr, (lam * x, lam * y, lam * z))
         assert a is not None and b is not None
-        assert abs(a.u - b.u) < 1e-9 * max(1.0, abs(a.u))
-        assert abs(a.v - b.v) < 1e-9 * max(1.0, abs(a.v))
+        assert abs(a[0] - b[0]) < 1e-9 * max(1.0, abs(a[0]))
+        assert abs(a[1] - b[1]) < 1e-9 * max(1.0, abs(a[1]))
 
 
 class TestForwardExtrinsic:
     def test_forward_point_hits_principal_point(self, intr, forward_extr):
-        pp = project_point(intr, forward_extr, LidarPoint(10.0, 0.0, 0.0))
-        assert (pp.u, pp.v) == pytest.approx((320.0, 240.0))
+        assert project_one(intr, forward_extr, (10.0, 0.0, 0.0)) == \
+            pytest.approx((320.0, 240.0))
 
     def test_leftward_point_moves_left_in_image(self, intr, forward_extr):
-        pp = project_point(intr, forward_extr, LidarPoint(10.0, 1.0, 0.0))
-        assert pp.u < intr.ox
+        u, _ = project_one(intr, forward_extr, (10.0, 1.0, 0.0))
+        assert u < intr.ox
 
     def test_upward_point_moves_up_in_image(self, intr, forward_extr):
-        pp = project_point(intr, forward_extr, LidarPoint(10.0, 0.0, 1.0))
-        assert pp.v < intr.oy
+        _, v = project_one(intr, forward_extr, (10.0, 0.0, 1.0))
+        assert v < intr.oy
 
 
 class TestProjectCloud:
     def test_empty_cloud(self, intr, identity_extr):
-        assert project_cloud(intr, identity_extr, []) == []
+        uv, valid = project_xyz(intr, identity_extr, np.empty((0, 3)))
+        assert uv.shape == (0, 2)
+        assert valid.shape == (0,)
 
     def test_behind_camera_points_skipped(self, intr, identity_extr):
-        cloud = [LidarPoint(0, 0, 5), LidarPoint(0, 0, -5), LidarPoint(1, 0, 5)]
-        out = project_cloud(intr, identity_extr, cloud)
-        assert [pp.source_index for pp in out] == [0, 2]
+        cloud = np.array([[0, 0, 5], [0, 0, -5], [1, 0, 5]], dtype=float)
+        uv, valid = project_xyz(intr, identity_extr, cloud)
+        assert valid.tolist() == [True, False, True]
+        assert np.all(np.isnan(uv[1]))
 
     def test_lateral_offsets_proportional_at_fixed_depth(self, intr, identity_extr):
-        cloud = [LidarPoint(x, 0.0, 5.0) for x in (0.0, 1.0, 2.0, 3.0)]
-        out = project_cloud(intr, identity_extr, cloud)
-        du = np.diff([pp.u for pp in out])
+        cloud = np.array([[x, 0.0, 5.0] for x in (0.0, 1.0, 2.0, 3.0)])
+        uv, _ = project_xyz(intr, identity_extr, cloud)
+        du = np.diff(uv[:, 0])
         assert np.allclose(du, du[0])
 
     def test_matches_per_point_projection(self, intr, forward_extr):
+        # A point projects the same alone as inside a cloud.
         rng = np.random.default_rng(3)
-        cloud = [LidarPoint(*xyz) for xyz in rng.uniform(-5, 40, size=(30, 3))]
-        out = project_cloud(intr, forward_extr, cloud)
-        for pp in out:
-            single = project_point(intr, forward_extr, cloud[pp.source_index],
-                                   source_index=pp.source_index)
-            assert single.u == pytest.approx(pp.u)
-            assert single.v == pytest.approx(pp.v)
+        cloud = rng.uniform(-5, 40, size=(30, 3))
+        uv, valid = project_xyz(intr, forward_extr, cloud)
+        for i, point in enumerate(cloud):
+            single = project_one(intr, forward_extr, point)
+            assert (single is not None) == valid[i]
+            if single is not None:
+                assert single == pytest.approx(tuple(uv[i]))
 
     def test_vectorized_agrees_with_scalar(self, intr, forward_extr):
         rng = np.random.default_rng(4)
         xyz = rng.uniform(-5, 40, size=(40, 3))
         uv, valid = project_xyz(intr, forward_extr, xyz)
-        cloud = [LidarPoint(*p) for p in xyz]
-        out = {pp.source_index: pp for pp in project_cloud(intr, forward_extr, cloud)}
-        assert set(out) == set(np.nonzero(valid)[0].tolist())
-        for i, pp in out.items():
-            assert uv[i, 0] == pytest.approx(pp.u)
-            assert uv[i, 1] == pytest.approx(pp.v)
+        expected = [pinhole_oracle(intr, forward_extr, p) for p in xyz]
+        assert valid.tolist() == [e is not None for e in expected]
+        assert 0 < valid.sum() < len(xyz)
+        for i, e in enumerate(expected):
+            if e is not None:
+                assert tuple(uv[i]) == pytest.approx(e)
         assert np.all(np.isnan(uv[~valid]))
 
 
@@ -124,10 +140,6 @@ class TestValidation:
         with pytest.raises(CalibrationError):
             CameraIntrinsics(fx=500.0, fy=500.0, ox=700.0, oy=240.0,
                              width=640, height=480)
-
-    def test_nonfinite_lidar_point(self):
-        with pytest.raises(ValueError):
-            LidarPoint(float("nan"), 0.0, 0.0)
 
 
 class TestCalibrationFile:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from probfusion.errors import InsufficientPoints, NoAcceptablePlane
-from probfusion.ground import (RansacPlaneConfig, crop_to_boundary,
-                               fit_ground_plane, ground_mask, min_inlier_count,
-                               remove_ground, required_trials)
+from probfusion.ground import (RansacPlaneConfig, crop_mask, fit_ground_plane,
+                               ground_mask, min_inlier_count, required_trials)
 
 
 def make_plane_scene(n_ground=500, n_object=50, sigma=0.02, seed=0):
@@ -64,13 +63,11 @@ class TestMinInlierCount:
 class TestCrop:
     def test_point_beyond_length_removed(self):
         cfg = RansacPlaneConfig()
-        out = crop_to_boundary(np.array([[100.0, 0.0, 0.0]]), cfg)
-        assert len(out) == 0
+        assert crop_mask(np.array([[100.0, 0.0, 0.0]]), cfg).tolist() == [False]
 
     def test_forward_point_kept(self):
         cfg = RansacPlaneConfig()
-        out = crop_to_boundary(np.array([[10.0, 0.0, 0.0]]), cfg)
-        assert len(out) == 1
+        assert crop_mask(np.array([[10.0, 0.0, 0.0]]), cfg).tolist() == [True]
 
     def test_mixed_cloud_order_preserved(self):
         cfg = RansacPlaneConfig()
@@ -81,8 +78,8 @@ class TestCrop:
             [30.0, 20.0, 0.0],  # beyond lateral bound
             [-1.0, 0.0, 0.0],   # behind the sensor
         ])
-        out = crop_to_boundary(cloud, cfg)
-        assert np.array_equal(out, cloud[[0, 2]])
+        assert crop_mask(cloud, cfg).tolist() == \
+            [True, False, True, False, False]
 
 
 class TestFitGroundPlane:
@@ -140,10 +137,10 @@ class TestRemoveGround:
         cloud, _ = make_plane_scene(seed=3)
         cfg = RansacPlaneConfig(rng_seed=0)
         model = fit_ground_plane(cloud, cfg)
-        kept = remove_ground(cloud, model, cfg.delta)
         mask = ground_mask(cloud, model, cfg.delta)
-        assert len(kept) + int(mask.sum()) == len(cloud)
-        assert np.array_equal(kept, cloud[~mask])
+        kept, removed = cloud[~mask], cloud[mask]
+        assert len(kept) + len(removed) == len(cloud)
+        assert 0 < len(removed) < len(cloud)
 
     def test_distance_predicate(self):
         cloud, _ = make_plane_scene(seed=4)
@@ -159,8 +156,7 @@ class TestRemoveGround:
                              np.zeros(50)]),
             RansacPlaneConfig(rng_seed=0))
         cloud = np.array([[10.0, 0.0, 0.1], [10.0, 0.0, 1.0]])
-        kept = remove_ground(cloud, model, 0.2)
-        assert np.array_equal(kept, cloud[[1]])
+        assert ground_mask(cloud, model, 0.2).tolist() == [True, False]
 
 
 class TestConfigValidation:

@@ -1,5 +1,6 @@
 """Sequence IO, pipeline configuration, frame fusion, and the CLI."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -15,15 +16,17 @@ from probfusion.config import (PipelineConfig, load_pipeline_config,
 from probfusion.errors import ConfigError, EmptySequence
 from probfusion.io import (FrameRecord, dump_simulated_sequence,
                            load_sequence, read_detections, read_frame_cloud,
-                           read_ground_truth, write_detections,
-                           write_frame_cloud, write_ground_truth,
-                           write_report)
+                           read_ground_truth, read_trajectory_csv,
+                           write_detections, write_frame_cloud,
+                           write_ground_truth, write_report,
+                           write_trajectory_csv)
 from probfusion.pipeline import run_fusion_frame, run_sequence
 from probfusion.shape import BenchmarkShapeRegistry
 from probfusion.sim import (DEFAULT_ERROR_MODEL, ObjectSpec, SceneSpec,
                             Trajectory, default_calibration,
                             overtaking_scene, reference_benchmarks,
-                            simulate_sequence)
+                            save_scene_spec, simulate_sequence)
+from probfusion.smoother import TrackSample
 
 
 def small_scene(seed=0, duration=1.2):
@@ -65,6 +68,18 @@ class TestCloudCsv:
         assert np.array_equal(v2, valid)
         assert np.array_equal(uv2[valid], uv[valid])
         assert np.all(np.isnan(uv2[~valid]))
+
+
+class TestTrajectoryCsv:
+    def test_round_trip(self, tmp_path):
+        samples = [TrackSample(t=0.1, x=30.25, y=-3.0),
+                   TrackSample(t=0.2, x=1.0 / 3.0, y=2.5, outlier=True),
+                   TrackSample(t=0.3, x=29.0, y=3.125, interpolated=True)]
+        path = tmp_path / "object_1.csv"
+        write_trajectory_csv(path, samples)
+        assert path.read_text().splitlines()[0] == \
+            "t,x,y,outlier,interpolated"
+        assert read_trajectory_csv(path) == samples
 
 
 class TestDetectionsJsonl:
@@ -326,3 +341,53 @@ class TestCli:
         assert res.exit_code == 0, res.output
         report = json.loads(out.read_text())
         assert report["1"]["mae_x"] <= 0.5
+
+    def test_simulate_seed_zero_overrides_scene_seed(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        save_scene_spec(scene, small_scene(seed=5, duration=0.2))
+        seq = tmp_path / "seq"
+        res = CliRunner().invoke(cli_main, ["simulate", "--scene", str(scene),
+                                            "--seed", "0", "--out", str(seq)])
+        assert res.exit_code == 0, res.output
+        assert json.loads((seq / "scene.json").read_text())["rng_seed"] == 0
+        assert json.loads((seq / "config.json").read_text())["rng_seed"] == 0
+
+    def test_evaluate_reads_frame_rate_from_scene(self, tmp_path):
+        # At 5 Hz, pairing by a fixed 10 Hz would match the wrong frames.
+        runner = CliRunner()
+        scene = tmp_path / "scene.json"
+        save_scene_spec(scene, dataclasses.replace(small_scene(duration=2.0),
+                                                   frame_rate=5.0))
+        seq = tmp_path / "seq"
+        res = runner.invoke(cli_main, ["simulate", "--scene", str(scene),
+                                       "--out", str(seq)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(cli_main, [
+            "fuse", str(seq), "--config", str(seq / "config.json"),
+            "--out", str(tmp_path / "out")])
+        assert res.exit_code == 0, res.output
+        out = tmp_path / "eval.json"
+        res = runner.invoke(cli_main, [
+            "evaluate", str(tmp_path / "out" / "trajectories" / "object_1.csv"),
+            "--ground-truth", str(seq / "ground_truth.jsonl"),
+            "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        evaluation = json.loads(out.read_text())["1"]
+        fused = json.loads((tmp_path / "out" / "report.json").read_text())
+        fused = fused["evaluation"]["objects"]["1"]
+        assert evaluation["n"] == 10
+        assert evaluation["mae_x"] == fused["mae_x"]
+        assert evaluation["mae_y"] == fused["mae_y"]
+
+    def test_evaluate_unnamed_trajectory_exits_1(self, tmp_path):
+        traj = tmp_path / "track.csv"
+        write_trajectory_csv(traj, [TrackSample(t=0.0, x=30.0, y=3.0)])
+        gt = tmp_path / "ground_truth.jsonl"
+        write_ground_truth(tmp_path, [{"frame": 0, "objects": []}])
+        res = CliRunner().invoke(cli_main, [
+            "evaluate", str(traj), "--ground-truth", str(gt),
+            "--out", str(tmp_path / "eval.json")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "object_<id>.csv" in res.output
+        assert len(res.output.strip().splitlines()) == 1

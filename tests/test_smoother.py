@@ -5,14 +5,13 @@ import pytest
 
 from probfusion.errors import TooFewInliers, TooFewSamples
 from probfusion.smoother import (SmootherConfig, TrackSample, detect_outliers,
-                                 smooth_and_interpolate, smooth_track)
+                                 smooth_and_interpolate)
 
 
-def make_track(t, x, y=None, z=None):
+def make_track(t, x, y=None):
     y = np.zeros_like(t) if y is None else y
-    z = np.zeros_like(t) if z is None else z
-    return [TrackSample(t=float(ti), x=float(xi), y=float(yi), z=float(zi))
-            for ti, xi, yi, zi in zip(t, x, y, z)]
+    return [TrackSample(t=float(ti), x=float(xi), y=float(yi))
+            for ti, xi, yi in zip(t, x, y)]
 
 
 def quadratic_track(n=100, noise=0.0, seed=0):
@@ -56,10 +55,11 @@ class TestDetectOutliers:
         assert flags[~injected].mean() <= 0.05
 
     def test_any_dimension_rule(self):
+        # test_single_displaced_sample_flagged puts its spike on y.
         t, x, y = quadratic_track(n=30)
-        z = np.zeros_like(t)
-        z[5] = 4.0
-        flags = detect_outliers(make_track(t, x, y, z), SmootherConfig())
+        x = x.copy()
+        x[5] += 4.0
+        flags = detect_outliers(make_track(t, x, y), SmootherConfig())
         assert flags[5]
 
     def test_too_few_samples(self):
@@ -134,13 +134,17 @@ class TestSmoothAndInterpolate:
 
 
 class TestSmoothTrack:
+    """Outlier detection, then smoothing, as run_sequence calls them."""
+
     def test_end_to_end_quadratic_with_contamination(self):
         t, x, y = quadratic_track(n=100, noise=0.1, seed=5)
         rng = np.random.default_rng(17)
         bad = rng.choice(100, size=10, replace=False)
         x = x.copy()
         x[bad] += rng.choice([-1, 1], 10) * 5.0
-        traj = smooth_track(make_track(t, x, y), SmootherConfig())
+        track = make_track(t, x, y)
+        traj = smooth_and_interpolate(
+            track, detect_outliers(track, SmootherConfig()))
         out_x = np.array([s.x for s in traj.samples])
         true_x = 30.0 - 4.0 * t + 0.2 * t ** 2
         rms = np.sqrt(np.mean((out_x - true_x) ** 2))
@@ -149,10 +153,10 @@ class TestSmoothTrack:
     def test_idempotence_on_clean_data(self):
         t, x, y = quadratic_track(n=50)
         cfg = SmootherConfig()
-        traj1 = smooth_track(make_track(t, x, y), cfg)
-        track2 = [TrackSample(t=s.t, x=s.x, y=s.y, z=s.z)
-                  for s in traj1.samples]
-        traj2 = smooth_track(track2, cfg)
+        track1 = make_track(t, x, y)
+        traj1 = smooth_and_interpolate(track1, detect_outliers(track1, cfg))
+        track2 = [TrackSample(t=s.t, x=s.x, y=s.y) for s in traj1.samples]
+        traj2 = smooth_and_interpolate(track2, detect_outliers(track2, cfg))
         for a, b in zip(traj1.samples, traj2.samples):
             assert abs(a.x - b.x) < 1e-9
             assert abs(a.y - b.y) < 1e-9
