@@ -177,8 +177,13 @@ def evaluate(trajectory_csvs, ground_truth, out):
             click.echo(f"no object id in the name of {path}; "
                        "expected object_<id>.csv", err=True)
             sys.exit(EXIT_INPUT)
-        ex, ey, gx, gy = align_to_ground_truth(
-            read_trajectory_csv(path), gt, obj_id, frame_times)
+        try:
+            samples = read_trajectory_csv(path)
+        except ValueError as exc:
+            click.echo(f"input error: {exc}", err=True)
+            sys.exit(EXIT_INPUT)
+        ex, ey, gx, gy = align_to_ground_truth(samples, gt, obj_id,
+                                               frame_times)
         if ex:
             report[str(obj_id)] = {"mae_x": mae_axis(ex, gx),
                                    "mae_y": mae_axis(ey, gy),

@@ -8,6 +8,17 @@ Layout written by the simulator and consumed by the fusion pipeline:
       detections.jsonl         {"frame","object_id","class","box":[...]}
       ground_truth.jsonl       per-frame object poses and point labels
       scene.json               scene spec echo (simulator provenance)
+
+A cloud CSV is strict: the header is exactly ``index,x,y,z,u,v``, the
+columns come in that order, and lines end in CRLF (LF also reads). Row
+i (counted from 0 after the header) has ``index`` i and finite x, y, z.
+u and v are both finite, or both blank when the point has no valid
+pixel. Floats are written as their shortest round-trip ``repr``. The
+reader raises ``ValueError`` naming the file and the row for a wrong
+header, a wrong column count, a non-numeric or non-finite value, an
+index that is not the row number, or only one of u, v blank;
+``load_sequence`` also rejects detections or ground truth naming a
+frame without a cloud file.
 """
 
 from __future__ import annotations
@@ -35,37 +46,100 @@ class FrameRecord:
     detections: list         # of BoundingBox
 
 
+CLOUD_COLUMNS = ("index", "x", "y", "z", "u", "v")
+CLOUD_HEADER = ",".join(CLOUD_COLUMNS)
+# Rows formatted per write. Formatting a whole 3.3k-point frame at once
+# is no faster and raises the writer's heap peak from 0.24 to 2.0 MB.
+WRITE_BLOCK_ROWS = 256
+
+
 def cloud_csv_path(seq_dir, frame_id: int) -> Path:
     return Path(seq_dir) / "clouds" / f"frame_{frame_id:06d}.csv"
 
 
 def write_frame_cloud(seq_dir, frame_id: int, cloud: np.ndarray,
                       observed_uv: np.ndarray, uv_valid: np.ndarray) -> None:
+    """Write one frame's cloud CSV (format in the module docstring)."""
     path = cloud_csv_path(seq_dir, frame_id)
     path.parent.mkdir(parents=True, exist_ok=True)
+    cloud = np.asarray(cloud, dtype=float)
+    uv = np.asarray(observed_uv, dtype=float)
+    invalid = ~np.asarray(uv_valid, dtype=bool)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "x", "y", "z", "u", "v"])
-        for i, (p, uv, ok) in enumerate(zip(cloud, observed_uv, uv_valid)):
-            u = repr(float(uv[0])) if ok else ""
-            v = repr(float(uv[1])) if ok else ""
-            writer.writerow([i, repr(float(p[0])), repr(float(p[1])),
-                             repr(float(p[2])), u, v])
+        fh.write(CLOUD_HEADER + "\r\n")
+        for start in range(0, len(cloud), WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            x, y, z, u, v = [list(map(float.__repr__, col))
+                             for col in np.column_stack(
+                                 [cloud[block], uv[block]]).T.tolist()]
+            for i in np.flatnonzero(invalid[block]).tolist():
+                u[i] = v[i] = ""
+            index = map(str, range(start, start + len(x)))
+            fh.write("\r\n".join(map(",".join, zip(index, x, y, z, u, v)))
+                     + "\r\n")
 
 
 def read_frame_cloud(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xyz, uv, valid = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            xyz.append([float(row["x"]), float(row["y"]), float(row["z"])])
-            ok = row["u"] != "" and row["v"] != ""
-            valid.append(ok)
-            uv.append([float(row["u"]), float(row["v"])] if ok
-                      else [np.nan, np.nan])
-    return (np.asarray(xyz, dtype=float).reshape(-1, 3),
-            np.asarray(uv, dtype=float).reshape(-1, 2),
-            np.asarray(valid, dtype=bool))
+    """One frame's cloud CSV -> (xyz (N, 3), uv (N, 2), uv_valid (N,)).
+
+    uv rows are NaN where u and v are blank. Raises ValueError naming the
+    file and the row when the file breaks the format in the module
+    docstring.
+    """
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        text = fh.read()
+    if header != CLOUD_HEADER:
+        raise ValueError(f"{path}: header is {header!r}, "
+                         f"expected {CLOUD_HEADER!r}")
+    if not text.strip("\n"):
+        return np.empty((0, 3)), np.empty((0, 2)), np.empty(0, dtype=bool)
+    if not text.endswith("\n"):
+        text += "\n"
+    n_blank = text.count(",,\n")
+    rows = text.replace(",,\n", ",nan,nan\n").splitlines()
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+        if data.shape[1] != len(CLOUD_COLUMNS):
+            raise ValueError(f"{data.shape[1]} columns")
+    except ValueError as exc:
+        raise ValueError(_malformed_row(path, rows, exc)) from None
+
+    index, xyz, uv = data[:, 0], data[:, 1:4], data[:, 4:]
+    blank = np.isnan(uv).all(axis=1)
+    for bad, what in (
+            (index != np.arange(len(data)), "index is not the row number"),
+            (~np.isfinite(xyz).all(axis=1), "x, y or z is not finite"),
+            (~np.isfinite(uv).all(axis=1) & ~blank, "u or v is not finite")):
+        if bad.any():
+            raise ValueError(f"{path}, row {np.flatnonzero(bad)[0]}: {what}")
+    if np.count_nonzero(blank) != n_blank:
+        # A literal "nan,nan" parses like a blank pair.
+        lines = [line for line in text.splitlines() if line]
+        row = next(i for i in np.flatnonzero(blank).tolist()
+                   if not lines[i].endswith(",,"))
+        raise ValueError(f"{path}, row {row}: u and v are not finite")
+    # Contiguous copies: the arrays keep the layout the pipeline was
+    # written and checked against.
+    return (np.ascontiguousarray(xyz), np.ascontiguousarray(uv), ~blank)
+
+
+def _malformed_row(path, rows, exc: ValueError) -> str:
+    """Message naming the first row of a cloud CSV np.loadtxt rejected."""
+    data_rows = (row for row in rows if row)  # np.loadtxt skips empty lines
+    for i, row in enumerate(data_rows):
+        fields = row.split(",")
+        if len(fields) != len(CLOUD_COLUMNS):
+            return (f"{path}, row {i}: {len(fields)} columns, "
+                    f"expected {len(CLOUD_COLUMNS)}")
+        if (fields[4] == "") != (fields[5] == ""):
+            return f"{path}, row {i}: only one of u, v is blank"
+        for name, field in zip(CLOUD_COLUMNS, fields):
+            try:
+                float(field)
+            except ValueError:
+                return f"{path}, row {i}: {name} is {field!r}, not a number"
+    return f"{path}: {exc}"
 
 
 def write_detections(seq_dir, detections_by_frame: dict) -> None:
@@ -151,6 +225,13 @@ def load_sequence(seq_dir) -> tuple[list, Optional[dict]]:
                                   detections=detections.get(frame_id, [])))
     gt_path = seq_dir / "ground_truth.jsonl"
     gt = read_ground_truth(gt_path) if gt_path.exists() else None
+    frame_ids = {frame.frame_id for frame in frames}
+    for path, by_frame in ((det_path, detections), (gt_path, gt or {})):
+        orphans = sorted(set(by_frame) - frame_ids)
+        if orphans:
+            raise ValueError(
+                f"{path}: frame {orphans[0]} has no cloud file "
+                f"{cloud_csv_path(seq_dir, orphans[0])}")
     return frames, gt
 
 
@@ -168,14 +249,27 @@ def write_trajectory_csv(path, samples) -> None:
 def read_trajectory_csv(path) -> list:
     """Trajectory CSV (see write_trajectory_csv) -> [TrackSample, ...].
 
-    Only t, x and y are required; absent flag columns read as 0.
+    Only t, x and y are required; absent flag columns read as 0. Raises
+    ValueError naming the file, and the row (counted from 0 after the
+    header) for a cell that is missing or not a number.
     """
     with open(path, newline="") as fh:
-        return [TrackSample(t=float(row["t"]), x=float(row["x"]),
-                            y=float(row["y"]),
-                            outlier=row.get("outlier") == "1",
-                            interpolated=row.get("interpolated") == "1")
-                for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        missing = [c for c in ("t", "x", "y")
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: no column {', '.join(missing)}")
+        samples = []
+        for i, row in enumerate(reader):
+            try:
+                t, x, y = float(row["t"]), float(row["x"]), float(row["y"])
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}, row {i}: t, x or y is missing "
+                                 "or not a number") from None
+            samples.append(TrackSample(
+                t=t, x=x, y=y, outlier=row.get("outlier") == "1",
+                interpolated=row.get("interpolated") == "1"))
+    return samples
 
 
 def write_report(path, report: dict) -> None:

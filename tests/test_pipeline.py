@@ -1,12 +1,17 @@
 """Sequence IO, pipeline configuration, frame fusion, and the CLI."""
 
+import csv
 import dataclasses
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probfusion.aoi import BoundingBox
 from probfusion.calib import CalibrationPair, save_calibration
@@ -14,7 +19,8 @@ from probfusion.cli import main as cli_main
 from probfusion.config import (PipelineConfig, load_pipeline_config,
                                write_pipeline_config)
 from probfusion.errors import ConfigError, EmptySequence
-from probfusion.io import (FrameRecord, dump_simulated_sequence,
+from probfusion.io import (WRITE_BLOCK_ROWS, FrameRecord,
+                           dump_simulated_sequence,
                            load_sequence, read_detections, read_frame_cloud,
                            read_ground_truth, read_trajectory_csv,
                            write_detections, write_frame_cloud,
@@ -68,6 +74,60 @@ class TestCloudCsv:
         assert np.array_equal(v2, valid)
         assert np.array_equal(uv2[valid], uv[valid])
         assert np.all(np.isnan(uv2[~valid]))
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_exact(self, data):
+        n = data.draw(st.integers(0, 6), label="rows")
+        values = data.draw(st.lists(EDGE_FLOATS, min_size=5 * n,
+                                    max_size=5 * n), label="values")
+        valid = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                            max_size=n), label="valid"),
+                         dtype=bool)
+        table = np.array(values, dtype=float).reshape(n, 5)
+        cloud, uv = table[:, :3], table[:, 3:]
+        with tempfile.TemporaryDirectory() as tmp:
+            write_frame_cloud(tmp, 0, cloud, uv, valid)
+            c2, uv2, v2 = read_frame_cloud(Path(tmp) / "clouds" /
+                                           "frame_000000.csv")
+        assert (c2.shape, uv2.shape, v2.shape) == ((n, 3), (n, 2), (n,))
+        assert c2.tobytes() == cloud.tobytes()
+        assert v2.dtype == bool and np.array_equal(v2, valid)
+        assert uv2[valid].tobytes() == uv[valid].tobytes()
+        assert np.isnan(uv2[~valid]).all()
+
+    @pytest.mark.parametrize("n", [9, 2 * WRITE_BLOCK_ROWS + 3])
+    def test_bytes_match_csv_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        table = rng.uniform(-60, 60, size=(n, 5))
+        table[:9] = [[0.0, -0.0, 5e-324, 1e308, -1e308],
+                     [1 / 3, 1e16, 1e-5, 2.5e-310, 3.0],
+                     [123456789.123, -1e-300, 0.1, 7.0, 1e22]] * 3
+        valid = rng.uniform(size=n) > 0.3
+        valid[:3] = [True, False, True]
+        cloud, uv = table[:, :3], table[:, 3:]
+        write_frame_cloud(tmp_path, 3, cloud, uv, valid)
+        csv_writer_oracle(tmp_path / "oracle.csv", cloud, uv, valid)
+        assert (tmp_path / "clouds" / "frame_000003.csv").read_bytes() == \
+            (tmp_path / "oracle.csv").read_bytes()
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1e308, -1e308, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def csv_writer_oracle(path, cloud, uv, valid):
+    """The cloud CSV as a row-by-row csv.writer writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "x", "y", "z", "u", "v"])
+        for i, (p, q, ok) in enumerate(zip(cloud, uv, valid)):
+            u = repr(float(q[0])) if ok else ""
+            v = repr(float(q[1])) if ok else ""
+            writer.writerow([i, repr(float(p[0])), repr(float(p[1])),
+                             repr(float(p[2])), u, v])
 
 
 class TestTrajectoryCsv:
@@ -391,3 +451,94 @@ class TestCli:
         assert isinstance(res.exception, SystemExit)
         assert "object_<id>.csv" in res.output
         assert len(res.output.strip().splitlines()) == 1
+
+
+def replace_line(path, line_no, text):
+    lines = path.read_text().splitlines()
+    lines[line_no] = text
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+
+
+def cloud_line(line_no, text):
+    """Edit that replaces one line of the second frame's cloud CSV."""
+    return lambda seq: replace_line(seq / "clouds" / "frame_000001.csv",
+                                    line_no, text)
+
+
+def append_line(path, text):
+    with open(path, "a") as fh:
+        fh.write(text + "\n")
+
+
+# (case, edit of a two-frame sequence directory, expected message part)
+BAD_INPUTS = [
+    ("header", cloud_line(0, "index,x,y,z,v,u"),
+     "frame_000001.csv: header is 'index,x,y,z,v,u'"),
+    ("truncated row", cloud_line(6, "5,1.0,2.0"),
+     "frame_000001.csv, row 5: 3 columns, expected 6"),
+    ("extra column", cloud_line(6, "5,1.0,2.0,3.0,4.0,5.0,6.0"),
+     "frame_000001.csv, row 5: 7 columns, expected 6"),
+    ("non-numeric x", cloud_line(6, "5,abc,2.0,3.0,4.0,5.0"),
+     "frame_000001.csv, row 5: x is 'abc', not a number"),
+    ("nan x", cloud_line(6, "5,nan,2.0,3.0,4.0,5.0"),
+     "frame_000001.csv, row 5: x, y or z is not finite"),
+    ("index", cloud_line(6, "7,1.0,2.0,3.0,4.0,5.0"),
+     "frame_000001.csv, row 5: index is not the row number"),
+    ("one of u, v blank", cloud_line(6, "5,1.0,2.0,3.0,4.0,"),
+     "frame_000001.csv, row 5: only one of u, v is blank"),
+    ("inf u", cloud_line(6, "5,1.0,2.0,3.0,inf,5.0"),
+     "frame_000001.csv, row 5: u or v is not finite"),
+    ("nan u and v", cloud_line(6, "5,1.0,2.0,3.0,nan,nan"),
+     "frame_000001.csv, row 5: u and v are not finite"),
+    ("detections without cloud", lambda seq: append_line(
+        seq / "detections.jsonl", json.dumps(
+            {"box": [0, 0, 10, 10], "class": "car", "frame": 9,
+             "object_id": 1})),
+     "detections.jsonl: frame 9 has no cloud file"),
+    ("ground truth without cloud", lambda seq: append_line(
+        seq / "ground_truth.jsonl", json.dumps({"frame": 9, "objects": []})),
+     "ground_truth.jsonl: frame 9 has no cloud file"),
+]
+
+
+@pytest.fixture(scope="module")
+def two_frame_sequence(tmp_path_factory):
+    seq_dir, _, _ = write_sequence(tmp_path_factory.mktemp("clean"),
+                                   small_scene(duration=0.2))
+    return seq_dir
+
+
+@pytest.mark.parametrize("edit, message", [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_fuse_bad_input_exits_1_with_one_line(tmp_path, two_frame_sequence,
+                                              edit, message):
+    seq = tmp_path / "seq"
+    shutil.copytree(two_frame_sequence, seq)
+    edit(seq)
+    res = CliRunner().invoke(cli_main, [
+        "fuse", str(seq), "--config", str(seq / "config.json"),
+        "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    assert message in res.output
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,x,y\r\n0.0,30.0,3.0\r\n0.1,abc,3.0\r\n",
+     "object_1.csv, row 1: t, x or y is missing or not a number"),
+    ("t,x,y\r\n0.0,30.0\r\n", "object_1.csv, row 0: t, x or y is missing"),
+    ("t,x\r\n0.0,30.0\r\n", "object_1.csv: no column y"),
+], ids=["non-numeric", "short row", "missing column"])
+def test_evaluate_bad_trajectory_exits_1(tmp_path, text, message):
+    traj = tmp_path / "object_1.csv"
+    traj.write_text(text)
+    write_ground_truth(tmp_path, [{"frame": 0, "objects": []}])
+    res = CliRunner().invoke(cli_main, [
+        "evaluate", str(traj),
+        "--ground-truth", str(tmp_path / "ground_truth.jsonl"),
+        "--out", str(tmp_path / "eval.json")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    assert message in res.output
