@@ -102,7 +102,7 @@ def fuse(sequence_dir, config_path, seed, out, baseline_only, no_smoother):
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     if seed is not None:
-        cfg = cfg.with_seed(seed)
+        cfg.rng_seed = seed
     try:
         report = run_sequence(sequence_dir, cfg, out_dir=out,
                               baseline_only=baseline_only,
@@ -166,7 +166,11 @@ def evaluate(trajectory_csvs, ground_truth, out):
     if not trajectory_csvs:
         click.echo("no trajectories given", err=True)
         sys.exit(EXIT_INPUT)
-    gt = read_ground_truth(ground_truth)
+    try:
+        gt = read_ground_truth(ground_truth)
+    except ValueError as exc:
+        click.echo(f"input error: {exc}", err=True)
+        sys.exit(EXIT_INPUT)
     frame_rate = read_frame_rate(Path(ground_truth).parent)
     frame_times = {frame_id: frame_id / frame_rate for frame_id in gt}
     report = {}

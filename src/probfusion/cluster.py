@@ -24,7 +24,6 @@ class ClusteringConfig:
     kmeans_max_iter: int = 50
     min_peak_count: int = 5
     peak_ratio: float = 0.3
-    rng_seed: int = 0
 
     def __post_init__(self):
         if any(g <= 0 for g in self.granularity.values()):
@@ -71,8 +70,10 @@ def _kmeans_pp_init(values: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return np.asarray(centers, dtype=float)
 
 
-def seed_bin_centers(ranges: np.ndarray, cfg: ClusteringConfig) -> np.ndarray:
-    """1-D K-Means centers over the range values, sorted ascending."""
+def seed_bin_centers(ranges: np.ndarray, cfg: ClusteringConfig,
+                     seed: int = 0) -> np.ndarray:
+    """1-D K-Means centers over the range values, sorted ascending; seed
+    seeds the k-means++ initialization."""
     values = np.asarray(ranges, dtype=float).ravel()
     if len(values) == 0:
         raise EmptyInput("no ranges to cluster")
@@ -80,7 +81,7 @@ def seed_bin_centers(ranges: np.ndarray, cfg: ClusteringConfig) -> np.ndarray:
     k = min(cfg.kmeans_k, len(distinct))
     if k == 1:
         return np.array([values.mean()])
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(values, k, rng)
     for _ in range(cfg.kmeans_max_iter):
         labels = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1)

@@ -29,24 +29,13 @@ class PipelineConfig:
     tolerance: ToleranceConfig = field(default_factory=ToleranceConfig)
     guarantee: GuaranteeConfig = field(default_factory=GuaranteeConfig)
     target_object_ids: Optional[list] = None  # None = aggregate all objects
-    rng_seed: int = 0
+    rng_seed: int = 0  # seeds ground RANSAC, K-Means and the smoother
     output_dir: Optional[Path] = None
 
     def ratios_for(self, class_label: str) -> EnlargeRatios:
         return self.enlarge_ratios.get(class_label,
                                        self.enlarge_ratios.get(
                                            "default", EnlargeRatios()))
-
-    def with_seed(self, seed: int) -> "PipelineConfig":
-        cfg = PipelineConfig(**{**self.__dict__})
-        cfg.rng_seed = seed
-        cfg.ransac_ground = RansacPlaneConfig(
-            **{**self.ransac_ground.__dict__, "rng_seed": seed})
-        cfg.clustering = ClusteringConfig(
-            **{**self.clustering.__dict__, "rng_seed": seed})
-        cfg.smoother = SmootherConfig(
-            **{**self.smoother.__dict__, "rng_seed": seed})
-        return cfg
 
 
 def _ratios_from_json(raw: dict) -> dict:

@@ -23,7 +23,6 @@ class RansacPlaneConfig:
     boundary_length: float = 70.0
     boundary_width: float = 30.0
     normal_cone_deg: float = 30.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -89,8 +88,10 @@ def _fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float]:
     return normal, float(normal @ centroid)
 
 
-def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig) -> GroundPlaneModel:
-    """RANSAC plane fit constrained to near-vertical normals.
+def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
+                     seed: int = 0) -> GroundPlaneModel:
+    """RANSAC plane fit constrained to near-vertical normals; seed seeds
+    the trial draws.
 
     Raises InsufficientPoints if the cloud is smaller than n_sample and
     NoAcceptablePlane when no trial meets the inlier floor.
@@ -101,7 +102,7 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig) -> GroundPlaneMo
         raise InsufficientPoints(
             f"need at least {cfg.n_sample} points, got {n_points}")
 
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     n_trials = required_trials(cfg.p, cfg.eps, cfg.n_sample)
     floor = min_inlier_count(cfg.eps, n_points)
     cos_cone = math.cos(math.radians(cfg.normal_cone_deg))

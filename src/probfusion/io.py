@@ -16,15 +16,20 @@ u and v are both finite, or both blank when the point has no valid
 pixel. Floats are written as their shortest round-trip ``repr``. The
 reader raises ``ValueError`` naming the file and the row for a wrong
 header, a wrong column count, a non-numeric or non-finite value, an
-index that is not the row number, or only one of u, v blank;
-``load_sequence`` also rejects detections or ground truth naming a
-frame without a cloud file.
+index that is not the row number, or only one of u, v blank.
+``load_sequence`` also rejects, naming the file (and the line, counted
+from 1), a cloud file not named ``frame_<number>.csv``, two cloud files
+of one frame, a JSON line that is not JSON or lacks a key, a detection
+``box`` that is not four numbers, a ground-truth x, y or range that is
+not a number or members that is not a list, and detections or ground
+truth naming a frame without a cloud file.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -155,22 +160,43 @@ def write_detections(seq_dir, detections_by_frame: dict) -> None:
                 }, sort_keys=True) + "\n")
 
 
+def _read_jsonl(path, parse) -> list:
+    """parse(record) of each non-blank line of a JSON-lines file.
+
+    Raises ValueError naming the file and the line (counted from 1) when
+    a line is not JSON, lacks a key, or has a value parse rejects.
+    """
+    parsed = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                parsed.append(parse(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(
+                    f"{path}, line {line_no}: no key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}, line {line_no}: {exc}") from None
+    return parsed
+
+
+def _detection(rec: dict) -> BoundingBox:
+    box = rec["box"]
+    if not (isinstance(box, list) and len(box) == 4):
+        raise ValueError(f"box is {box!r}, not [u_min, v_min, u_max, v_max]")
+    return BoundingBox(frame_id=int(rec["frame"]),
+                       object_id=int(rec["object_id"]),
+                       class_label=rec["class"],
+                       u_min=float(box[0]), v_min=float(box[1]),
+                       u_max=float(box[2]), v_max=float(box[3]))
+
+
 def read_detections(path) -> dict:
     """detections.jsonl -> {frame_id: [BoundingBox, ...]}"""
     by_frame: dict = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            box = rec["box"]
-            det = BoundingBox(frame_id=int(rec["frame"]),
-                              object_id=int(rec["object_id"]),
-                              class_label=rec["class"],
-                              u_min=float(box[0]), v_min=float(box[1]),
-                              u_max=float(box[2]), v_max=float(box[3]))
-            by_frame.setdefault(det.frame_id, []).append(det)
+    for det in _read_jsonl(path, _detection):
+        by_frame.setdefault(det.frame_id, []).append(det)
     return by_frame
 
 
@@ -181,19 +207,30 @@ def write_ground_truth(seq_dir, gt_by_frame: list) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+# Keys of a ground-truth object that fuse and evaluate read.
+GROUND_TRUTH_KEYS = ("object_id", "x", "y", "range", "members")
+
+
+def _ground_truth_frame(rec: dict) -> tuple[int, dict]:
+    poses = {}
+    for obj in rec["objects"]:
+        missing = [key for key in GROUND_TRUTH_KEYS if key not in obj]
+        if missing:
+            raise KeyError(missing[0])
+        if not all(isinstance(obj[key], (int, float))
+                   for key in ("x", "y", "range")):
+            raise ValueError(f"object {obj['object_id']}: x, y or range "
+                             "is not a number")
+        if not isinstance(obj["members"], list):
+            raise ValueError(f"object {obj['object_id']}: members is not "
+                             "a list")
+        poses[int(obj["object_id"])] = obj
+    return int(rec["frame"]), poses
+
+
 def read_ground_truth(path) -> dict:
     """ground_truth.jsonl -> {frame_id: {object_id: {...}}}"""
-    by_frame: dict = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            frame = int(rec["frame"])
-            by_frame[frame] = {int(o["object_id"]): o
-                               for o in rec["objects"]}
-    return by_frame
+    return dict(_read_jsonl(path, _ground_truth_frame))
 
 
 def read_frame_rate(seq_dir) -> float:
@@ -215,9 +252,18 @@ def load_sequence(seq_dir) -> tuple[list, Optional[dict]]:
     det_path = seq_dir / "detections.jsonl"
     detections = read_detections(det_path) if det_path.exists() else {}
     frame_rate = read_frame_rate(seq_dir)
-    frames = []
+    paths: dict = {}
     for path in cloud_files:
-        frame_id = int(path.stem.split("_")[1])
+        name = re.fullmatch(r"frame_([0-9]+)", path.stem)
+        if name is None:
+            raise ValueError(f"{path}: not a frame_<number>.csv name")
+        frame_id = int(name[1])
+        if frame_id in paths:
+            raise ValueError(f"{path}: frame {frame_id} is also "
+                             f"{paths[frame_id]}")
+        paths[frame_id] = path
+    frames = []
+    for frame_id, path in sorted(paths.items()):
         cloud, uv, valid = read_frame_cloud(path)
         frames.append(FrameRecord(frame_id=frame_id,
                                   t=frame_id / frame_rate,
@@ -225,9 +271,8 @@ def load_sequence(seq_dir) -> tuple[list, Optional[dict]]:
                                   detections=detections.get(frame_id, [])))
     gt_path = seq_dir / "ground_truth.jsonl"
     gt = read_ground_truth(gt_path) if gt_path.exists() else None
-    frame_ids = {frame.frame_id for frame in frames}
     for path, by_frame in ((det_path, detections), (gt_path, gt or {})):
-        orphans = sorted(set(by_frame) - frame_ids)
+        orphans = sorted(by_frame.keys() - paths.keys())
         if orphans:
             raise ValueError(
                 f"{path}: frame {orphans[0]} has no cloud file "

@@ -22,8 +22,8 @@ from .calib import CalibrationPair, load_calibration, project_xyz
 from .cluster import (build_range_histogram, planar_ranges,
                       seed_bin_centers, select_candidate_clusters)
 from .config import PipelineConfig
-from .errors import (EmptyCluster, EmptyInput, EmptySequence,
-                     InsufficientPoints, NoAcceptablePlane, NoQualifiedCluster)
+from .errors import (EmptyCluster, EmptyInput, InsufficientPoints,
+                     NoAcceptablePlane, NoQualifiedCluster)
 from .io import FrameRecord, load_sequence, write_report, write_trajectory_csv
 from .localize import ObjectLocalization, localize
 from .metrics import (align_to_ground_truth, mae_axis,
@@ -44,7 +44,6 @@ class ObjectDiagnostics:
     candidate_count: int = 0
     selected_indices: list = field(default_factory=list)  # cloud indices
     selected_ranges: list = field(default_factory=list)
-    baseline_indices: list = field(default_factory=list)
     baseline_ranges: list = field(default_factory=list)
     candidate_scores: list = field(default_factory=list)  # Fig-8 style rows
 
@@ -66,14 +65,14 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
     """Fuse one frame; returns localizations plus stage diagnostics."""
     diag = FrameDiagnostics(frame_id=frame.frame_id)
     cloud = np.asarray(frame.cloud, dtype=float).reshape(-1, 3)
-    n = len(cloud)
 
     crop = ground.crop_mask(cloud, cfg.ransac_ground)
     diag.cropped_count = int(crop.sum())
 
     keep = crop.copy()
     try:
-        model = ground.fit_ground_plane(cloud[crop], cfg.ransac_ground)
+        model = ground.fit_ground_plane(cloud[crop], cfg.ransac_ground,
+                                        cfg.rng_seed)
         removed = ground.ground_mask(cloud, model, cfg.ransac_ground.delta)
         keep &= ~removed
         diag.ground_removed_count = int((crop & removed).sum())
@@ -100,7 +99,6 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
 
         # Baseline path: raw mapping, original AOI, no preprocessing.
         base_mask = uv_valid & det.mask(uv)
-        odiag.baseline_indices = np.nonzero(base_mask)[0].tolist()
         odiag.baseline_ranges = ranges_all[base_mask].tolist()
 
         big = enlarge_aoi(det, cfg.ratios_for(det.class_label),
@@ -114,7 +112,8 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
         member_ranges = ranges_all[member_idx]
         granularity = cfg.clustering.granularity_for(det.class_label)
         try:
-            centers = seed_bin_centers(member_ranges, cfg.clustering)
+            centers = seed_bin_centers(member_ranges, cfg.clustering,
+                                       cfg.rng_seed)
             hist = build_range_histogram(member_ranges, centers,
                                          cfg.clustering, granularity)
             candidates = select_candidate_clusters(hist, cfg.clustering)
@@ -153,10 +152,35 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
     return localizations, diag
 
 
-def _evaluate(frames, gt, cfg, frame_diags, smoothed) -> dict:
-    """Per-object and aggregate metrics against simulator ground truth."""
+def _tpr_block(pairs, guarantee_frames, cfg) -> dict:
+    """TPR means and paired t-test of (baseline, fusion) TPR pairs, and
+    the guarantee over (selected, true members) frames, where defined."""
+    block: dict = {}
+    if pairs:
+        baseline, fusion = zip(*pairs)
+        block["baseline_tpr_mean"] = float(np.mean(baseline))
+        block["fusion_tpr_mean"] = float(np.mean(fusion))
+        if len(pairs) >= 2:
+            t_stat, p_val, n_pairs = paired_t_test(baseline, fusion)
+            block["paired_t"] = {"t": t_stat, "p_value": p_val,
+                                 "n": n_pairs}
+    if guarantee_frames:
+        guard = selection_completeness(guarantee_frames, cfg.guarantee)
+        block["guarantee"] = {"probability": guard.empirical_probability,
+                              "passed": guard.passed}
+    return block
+
+
+def _evaluate(frames, gt, cfg, frame_diags, trajectories) -> dict:
+    """Per-object and aggregate metrics against simulator ground truth.
+
+    A frame counts for an object when the ground truth has the object;
+    it gives a TPR pair when both the baseline and the selected point
+    sets are non-empty. The aggregate takes the target objects (all by
+    default) in id order: TPR and guarantee from those with pairs, MAE
+    from every one.
+    """
     per_object: dict = {}
-    frame_times = {frame.frame_id: frame.t for frame in frames}
     for frame, diag in zip(frames, frame_diags):
         gt_frame = gt.get(frame.frame_id, {})
         for obj_id, odiag in diag.objects.items():
@@ -164,92 +188,52 @@ def _evaluate(frames, gt, cfg, frame_diags, smoothed) -> dict:
             if gt_obj is None:
                 continue
             entry = per_object.setdefault(obj_id, {
-                "class": odiag.class_label,
-                "baseline_tpr": [], "fusion_tpr": [],
-                "guarantee_frames": [],
-                "est_x": [], "est_y": [], "gt_x": [], "gt_y": [], "t": []})
-            gt_range = gt_obj["range"]
-            if odiag.baseline_ranges:
-                entry["baseline_tpr"].append(
-                    tpr(odiag.baseline_ranges, gt_range, odiag.class_label,
-                        cfg.tolerance).rate)
-            else:
-                entry["baseline_tpr"].append(None)
-            if odiag.selected_ranges:
-                entry["fusion_tpr"].append(
-                    tpr(odiag.selected_ranges, gt_range, odiag.class_label,
-                        cfg.tolerance).rate)
-            else:
-                entry["fusion_tpr"].append(None)
+                "class": odiag.class_label, "frames": 0, "pairs": [],
+                "guarantee_frames": []})
+            entry["frames"] += 1
             entry["guarantee_frames"].append(
                 (odiag.selected_indices, gt_obj["members"]))
+            if odiag.baseline_ranges and odiag.selected_ranges:
+                entry["pairs"].append(tuple(
+                    tpr(ranges, gt_obj["range"], odiag.class_label,
+                        cfg.tolerance).rate
+                    for ranges in (odiag.baseline_ranges,
+                                   odiag.selected_ranges)))
 
+    frame_times = {frame.frame_id: frame.t for frame in frames}
     targets = cfg.target_object_ids or sorted(per_object)
     report_objects = {}
-    paired_baseline, paired_fusion = [], []
-    mae_rows = {"x": ([], []), "y": ([], [])}
-    guarantee_frames_all = []
-
+    target_pairs, target_guarantee_frames = [], []
+    target_mae_rows = ([], [], [], [])  # est_x, est_y, gt_x, gt_y
     for obj_id, entry in sorted(per_object.items()):
-        pairs = [(b, f) for b, f in zip(entry["baseline_tpr"],
-                                        entry["fusion_tpr"])
-                 if b is not None and f is not None]
-        obj_report = {"class": entry["class"], "frames": len(entry["fusion_tpr"])}
-        if pairs:
-            b_vals = [p[0] for p in pairs]
-            f_vals = [p[1] for p in pairs]
-            obj_report["baseline_tpr_mean"] = float(np.mean(b_vals))
-            obj_report["fusion_tpr_mean"] = float(np.mean(f_vals))
-            if len(pairs) >= 2:
-                t_stat, p_val, n_pairs = paired_t_test(b_vals, f_vals)
-                obj_report["paired_t"] = {"t": t_stat, "p_value": p_val,
-                                          "n": n_pairs}
-        try:
-            guard = selection_completeness(entry["guarantee_frames"],
-                                           cfg.guarantee)
-            obj_report["guarantee"] = {
-                "probability": guard.empirical_probability,
-                "passed": guard.passed}
-        except EmptyInput:
-            pass
-
-        # MAE against the smoothed trajectory at ground-truth timestamps.
-        if obj_id in smoothed:
-            est_x, est_y, gx, gy = align_to_ground_truth(
-                smoothed[obj_id].samples, gt, obj_id, frame_times)
-            if est_x:
-                obj_report["mae_x"] = mae_axis(est_x, gx)
-                obj_report["mae_y"] = mae_axis(est_y, gy)
-                if obj_id in targets:
-                    mae_rows["x"][0].extend(est_x)
-                    mae_rows["x"][1].extend(gx)
-                    mae_rows["y"][0].extend(est_y)
-                    mae_rows["y"][1].extend(gy)
-        if obj_id in targets and pairs:
-            paired_baseline.extend(b_vals)
-            paired_fusion.extend(f_vals)
-            guarantee_frames_all.extend(entry["guarantee_frames"])
+        obj_report = {"class": entry["class"], "frames": entry["frames"],
+                      **_tpr_block(entry["pairs"], entry["guarantee_frames"],
+                                   cfg)}
+        # MAE against the trajectory at ground-truth timestamps.
+        mae_rows = align_to_ground_truth(trajectories.get(obj_id, ()), gt,
+                                         obj_id, frame_times)
+        est_x, est_y, gt_x, gt_y = mae_rows
+        if est_x:
+            obj_report["mae_x"] = mae_axis(est_x, gt_x)
+            obj_report["mae_y"] = mae_axis(est_y, gt_y)
+        if obj_id in targets:
+            for rows, obj_rows in zip(target_mae_rows, mae_rows):
+                rows.extend(obj_rows)
+            if entry["pairs"]:
+                target_pairs.extend(entry["pairs"])
+                target_guarantee_frames.extend(entry["guarantee_frames"])
         report_objects[str(obj_id)] = obj_report
 
-    aggregate: dict = {"target_object_ids": list(targets)}
-    if paired_baseline:
-        aggregate["baseline_tpr_mean"] = float(np.mean(paired_baseline))
-        aggregate["fusion_tpr_mean"] = float(np.mean(paired_fusion))
-        if len(paired_baseline) >= 2:
-            t_stat, p_val, n_pairs = paired_t_test(paired_baseline,
-                                                   paired_fusion)
-            aggregate["paired_t"] = {"t": t_stat, "p_value": p_val,
-                                     "n": n_pairs}
-            t1, p1, n1 = one_sample_right_tail_t_test(paired_fusion, 0.5)
-            aggregate["one_sample_t_vs_0.5"] = {"t": t1, "p_value": p1,
-                                                "n": n1}
-    if guarantee_frames_all:
-        guard = selection_completeness(guarantee_frames_all, cfg.guarantee)
-        aggregate["guarantee"] = {"probability": guard.empirical_probability,
-                                  "passed": guard.passed}
-    if mae_rows["x"][0]:
-        aggregate["mae_x"] = mae_axis(*mae_rows["x"])
-        aggregate["mae_y"] = mae_axis(*mae_rows["y"])
+    aggregate = {"target_object_ids": list(targets),
+                 **_tpr_block(target_pairs, target_guarantee_frames, cfg)}
+    if len(target_pairs) >= 2:
+        t1, p1, n1 = one_sample_right_tail_t_test(
+            [fusion for _, fusion in target_pairs], 0.5)
+        aggregate["one_sample_t_vs_0.5"] = {"t": t1, "p_value": p1, "n": n1}
+    est_x, est_y, gt_x, gt_y = target_mae_rows
+    if est_x:
+        aggregate["mae_x"] = mae_axis(est_x, gt_x)
+        aggregate["mae_y"] = mae_axis(est_y, gt_y)
     return {"objects": report_objects, "aggregate": aggregate}
 
 
@@ -266,9 +250,7 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
         (cfg.output_dir or seq_dir / "output")
     out.mkdir(parents=True, exist_ok=True)
 
-    frames, gt = load_sequence(seq_dir)
-    if not frames:
-        raise EmptySequence(str(seq_dir))
+    frames, gt = load_sequence(seq_dir)  # raises EmptySequence
     calib = load_calibration(cfg.calibration_path)
     benchmarks = None
     if cfg.benchmark_registry_path is not None:
@@ -285,20 +267,18 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
             tracks.setdefault(loc.object_id, []).append(
                 TrackSample(t=frame.t, x=loc.x_m, y=loc.y_m))
 
-    all_times = [f.t for f in frames]
-    smoothed: dict = {}
-    if not baseline_only:
-        for obj_id, samples in sorted(tracks.items()):
-            if no_smoother or len(samples) < cfg.smoother.min_samples:
-                smoothed[obj_id] = _raw_trajectory(samples)
-            else:
-                flags = detect_outliers(samples, cfg.smoother)
-                measured = {s.t for s in samples}
-                missing = [t for t in all_times if t not in measured]
-                smoothed[obj_id] = smooth_and_interpolate(
-                    samples, flags, missing_times=missing)
-            write_trajectory_csv(out / "trajectories" / f"object_{obj_id}.csv",
-                                 smoothed[obj_id].samples)
+    # Smoothed tracks are evaluated at every frame time; a track too
+    # short to smooth, or any track under no_smoother, is kept raw.
+    frame_times = [frame.t for frame in frames]
+    trajectories: dict = {}
+    for obj_id, samples in sorted(tracks.items()):
+        if not no_smoother and len(samples) >= cfg.smoother.min_samples:
+            flags = detect_outliers(samples, cfg.smoother, cfg.rng_seed)
+            samples = smooth_and_interpolate(samples, flags,
+                                             grid=frame_times).samples
+        trajectories[obj_id] = samples
+        write_trajectory_csv(out / "trajectories" / f"object_{obj_id}.csv",
+                             samples)
 
     report: dict = {
         "sequence": seq_dir.name,
@@ -314,13 +294,7 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
     }
     if gt is not None:
         report["evaluation"] = _evaluate(frames, gt, cfg, frame_diags,
-                                         smoothed)
+                                         trajectories)
     write_report(out / "report.json", report)
     return report
 
-
-def _raw_trajectory(samples):
-    from .smoother import SmoothedTrajectory
-    return SmoothedTrajectory(samples=list(samples),
-                              outlier_flags=np.zeros(len(samples), dtype=bool),
-                              coefficients={})

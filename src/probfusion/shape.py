@@ -45,7 +45,6 @@ class RotationEstimate:
 class ShapeFilterConfig:
     sigmoid_gain: float = 1.0
     kl_smoothing: float = 1e-6
-    benchmark_min_samples: int = 10
 
     def __post_init__(self):
         if self.sigmoid_gain <= 0:

@@ -7,7 +7,7 @@ fits order-3 polynomials on the inliers and interpolates gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ class SmootherConfig:
     ransac_subset: int = DETECT_ORDER + 2
     min_samples: int = 8
     sigma_floor: float = 0.05  # meters
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.threshold_sigma <= 0:
@@ -49,8 +48,6 @@ class TrackSample:
 @dataclass(frozen=True)
 class SmoothedTrajectory:
     samples: list  # of TrackSample
-    outlier_flags: np.ndarray  # over the raw input samples
-    coefficients: dict = field(default_factory=dict)  # dim -> Polynomial
 
 
 def _as_arrays(track: Sequence[TrackSample]) -> tuple[np.ndarray, np.ndarray]:
@@ -90,16 +87,17 @@ def _ransac_best_fit(t: np.ndarray, values: np.ndarray,
     return best_model
 
 
-def detect_outliers(track: Sequence[TrackSample],
-                    cfg: SmootherConfig) -> np.ndarray:
+def detect_outliers(track: Sequence[TrackSample], cfg: SmootherConfig,
+                    seed: int = 0) -> np.ndarray:
     """Outlier flags: a sample is flagged when any dimension's residual
     against its best order-2 model exceeds threshold_sigma times the
-    model's residual deviation (floored at sigma_floor)."""
+    model's residual deviation (floored at sigma_floor). seed seeds the
+    RANSAC subsets."""
     if len(track) < cfg.min_samples:
         raise TooFewSamples(
             f"need at least {cfg.min_samples} samples, got {len(track)}")
     t, xy = _as_arrays(track)
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     flags = np.zeros(len(track), dtype=bool)
     for d in range(2):
         model = _ransac_best_fit(t, xy[:, d], cfg, rng)
@@ -109,15 +107,14 @@ def detect_outliers(track: Sequence[TrackSample],
     return flags
 
 
-def smooth_and_interpolate(track: Sequence[TrackSample],
-                           flags: np.ndarray,
+def smooth_and_interpolate(track: Sequence[TrackSample], flags: np.ndarray,
                            grid: Optional[Sequence[float]] = None,
-                           missing_times: Sequence[float] = ()) -> SmoothedTrajectory:
+                           ) -> SmoothedTrajectory:
     """Order-3 per-dimension fit on inliers, evaluated on the grid.
 
-    The grid defaults to the union of input timestamps and declared
-    missing-frame timestamps; non-measured grid times are marked
-    interpolated.
+    The grid defaults to the track's timestamps. Grid times at a flagged
+    sample are marked outlier; grid times without an inlier sample are
+    marked interpolated.
     """
     t, xy = _as_arrays(track)
     flags = np.asarray(flags, dtype=bool)
@@ -125,23 +122,12 @@ def smooth_and_interpolate(track: Sequence[TrackSample],
     if int(inlier.sum()) <= SMOOTH_ORDER + 1:
         raise TooFewInliers(
             f"{int(inlier.sum())} inliers cannot support an order-3 fit")
-    models = {}
-    for d, name in enumerate("xy"):
-        models[name] = Polynomial.fit(t[inlier], xy[inlier, d], SMOOTH_ORDER)
-
-    if grid is None:
-        grid_t = np.union1d(t, np.asarray(list(missing_times), dtype=float))
-    else:
-        grid_t = np.asarray(list(grid), dtype=float)
+    fit_x, fit_y = (Polynomial.fit(t[inlier], xy[inlier, d], SMOOTH_ORDER)
+                    for d in range(2))
+    grid_t = t if grid is None else np.asarray(list(grid), dtype=float)
     measured = np.isin(grid_t, t[inlier])
-    samples = [
-        TrackSample(t=float(gt),
-                    x=float(models["x"](gt)),
-                    y=float(models["y"](gt)),
-                    outlier=False,
-                    interpolated=not bool(m))
-        for gt, m in zip(grid_t, measured)
-    ]
-    return SmoothedTrajectory(samples=samples, outlier_flags=flags,
-                              coefficients=models)
-
+    outlier = np.isin(grid_t, t[flags])
+    return SmoothedTrajectory(samples=[
+        TrackSample(t=float(gt), x=float(fit_x(gt)), y=float(fit_y(gt)),
+                    outlier=bool(o), interpolated=not bool(m))
+        for gt, m, o in zip(grid_t, measured, outlier)])

@@ -142,8 +142,8 @@ def test_criterion_02_ground_removal():
     oxy = rng.uniform([5, -5], [40, 5], size=(50, 2))
     objects = np.column_stack([oxy, rng.uniform(0.5, 2.0, 50)])
     cloud = np.vstack([ground, objects])
-    cfg = RansacPlaneConfig(rng_seed=0)
-    model = fit_ground_plane(cloud, cfg)
+    cfg = RansacPlaneConfig()
+    model = fit_ground_plane(cloud, cfg, seed=0)
     removed = ground_mask(cloud, model, cfg.delta)
     angle = math.degrees(math.acos(min(1.0, abs(model.normal[2]))))
     ok = removed[:500].mean() >= 0.95
@@ -267,7 +267,7 @@ def test_criterion_06_smoother():
     kept = [TrackSample(t=float(ti), x=float(cubic(ti)), y=0.0)
             for ti in t_full[keep]]
     traj2 = smooth_and_interpolate(kept, np.zeros(keep.sum(), dtype=bool),
-                                   missing_times=t_full[~keep])
+                                   grid=t_full)
     interp_ok = all(abs(s.x - cubic(s.t)) <= 1e-6
                     for s in traj2.samples if s.interpolated)
     ok = detection_ok and false_ok and rms_ok and interp_ok

@@ -87,22 +87,22 @@ class TestFitGroundPlane:
         rng = np.random.default_rng(1)
         xy = rng.uniform([0, -10], [50, 10], size=(100, 2))
         cloud = np.column_stack([xy, np.zeros(100)])
-        model = fit_ground_plane(cloud, RansacPlaneConfig(rng_seed=0))
+        model = fit_ground_plane(cloud, RansacPlaneConfig(), seed=0)
         assert abs(model.offset) < 1e-9
         assert np.allclose(model.normal, [0, 0, 1], atol=1e-9)
         assert model.inlier_count == 100
 
     def test_noisy_scene_recovers_plane(self):
         cloud, labels = make_plane_scene()
-        model = fit_ground_plane(cloud, RansacPlaneConfig(rng_seed=0))
+        model = fit_ground_plane(cloud, RansacPlaneConfig(), seed=0)
         angle = np.degrees(np.arccos(np.clip(model.normal[2], -1, 1)))
         assert angle < 1.0
         assert abs(model.offset) <= 0.05
 
     def test_removal_counts(self):
         cloud, labels = make_plane_scene()
-        cfg = RansacPlaneConfig(rng_seed=0)
-        model = fit_ground_plane(cloud, cfg)
+        cfg = RansacPlaneConfig()
+        model = fit_ground_plane(cloud, cfg, seed=0)
         removed = ground_mask(cloud, model, cfg.delta)
         ground_removed = removed[labels == 0].mean()
         object_kept = (~removed[labels == 1]).mean()
@@ -120,13 +120,13 @@ class TestFitGroundPlane:
         xy = rng.uniform([0, -10], [50, 10], size=(200, 2))
         cloud = np.column_stack([xy, np.repeat([0.0, 10.0], 100)])
         with pytest.raises(NoAcceptablePlane):
-            fit_ground_plane(cloud, RansacPlaneConfig(rng_seed=0))
+            fit_ground_plane(cloud, RansacPlaneConfig(), seed=0)
 
     def test_determinism(self):
         cloud, _ = make_plane_scene(seed=5)
-        cfg = RansacPlaneConfig(rng_seed=42)
-        m1 = fit_ground_plane(cloud, cfg)
-        m2 = fit_ground_plane(cloud, cfg)
+        cfg = RansacPlaneConfig()
+        m1 = fit_ground_plane(cloud, cfg, seed=42)
+        m2 = fit_ground_plane(cloud, cfg, seed=42)
         assert np.array_equal(m1.normal, m2.normal)
         assert m1.offset == m2.offset
         assert m1.inlier_count == m2.inlier_count
@@ -135,8 +135,8 @@ class TestFitGroundPlane:
 class TestRemoveGround:
     def test_partition(self):
         cloud, _ = make_plane_scene(seed=3)
-        cfg = RansacPlaneConfig(rng_seed=0)
-        model = fit_ground_plane(cloud, cfg)
+        cfg = RansacPlaneConfig()
+        model = fit_ground_plane(cloud, cfg, seed=0)
         mask = ground_mask(cloud, model, cfg.delta)
         kept, removed = cloud[~mask], cloud[mask]
         assert len(kept) + len(removed) == len(cloud)
@@ -144,8 +144,8 @@ class TestRemoveGround:
 
     def test_distance_predicate(self):
         cloud, _ = make_plane_scene(seed=4)
-        cfg = RansacPlaneConfig(rng_seed=0)
-        model = fit_ground_plane(cloud, cfg)
+        cfg = RansacPlaneConfig()
+        model = fit_ground_plane(cloud, cfg, seed=0)
         mask = ground_mask(cloud, model, cfg.delta)
         dist = np.abs(cloud @ model.normal - model.offset)
         assert np.array_equal(mask, dist <= cfg.delta)
@@ -154,7 +154,7 @@ class TestRemoveGround:
         model = fit_ground_plane(
             np.column_stack([np.random.default_rng(0).uniform(0, 50, (50, 2)),
                              np.zeros(50)]),
-            RansacPlaneConfig(rng_seed=0))
+            RansacPlaneConfig(), seed=0)
         cloud = np.array([[10.0, 0.0, 0.1], [10.0, 0.0, 1.0]])
         assert ground_mask(cloud, model, 0.2).tolist() == [True, False]
 

@@ -32,7 +32,7 @@ from probfusion.sim import (DEFAULT_ERROR_MODEL, ObjectSpec, SceneSpec,
                             Trajectory, default_calibration,
                             overtaking_scene, reference_benchmarks,
                             save_scene_spec, simulate_sequence)
-from probfusion.smoother import TrackSample
+from probfusion.smoother import TrackSample, detect_outliers
 
 
 def small_scene(seed=0, duration=1.2):
@@ -213,15 +213,16 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             load_pipeline_config(path)
 
-    def test_with_seed_propagates(self, tmp_path):
-        calib = default_calibration()
-        save_calibration(tmp_path / "calibration.json", calib)
-        write_pipeline_config(tmp_path / "config.json")
-        cfg = load_pipeline_config(tmp_path / "config.json").with_seed(42)
-        assert cfg.rng_seed == 42
-        assert cfg.clustering.rng_seed == 42
-        assert cfg.smoother.rng_seed == 42
-        assert cfg.ransac_ground.rng_seed == 42
+    @pytest.mark.parametrize("stage",
+                             ["ransac_ground", "clustering", "smoother"])
+    def test_stage_seed_rejected(self, tmp_path, stage):
+        # The one seed is the top-level rng_seed.
+        save_calibration(tmp_path / "calibration.json",
+                         default_calibration())
+        write_pipeline_config(tmp_path / "config.json",
+                              **{stage: {"rng_seed": 7}})
+        with pytest.raises(ConfigError, match="rng_seed"):
+            load_pipeline_config(tmp_path / "config.json")
 
 
 class TestRunFusionFrame:
@@ -309,6 +310,28 @@ class TestRunSequence:
         assert (tmp_path / "a" / "report.json").read_bytes() == \
             (tmp_path / "b" / "report.json").read_bytes()
 
+    def test_trajectories_mark_outliers(self, tmp_path):
+        # Smoothed samples at the times detect_outliers flags in the raw
+        # track are outliers, and interpolated: no inlier is there.
+        seq_dir, _, _ = write_sequence(tmp_path, small_scene(duration=2.0),
+                                       err=DEFAULT_ERROR_MODEL)
+        cfg = load_pipeline_config(seq_dir / "config.json")
+        run_sequence(seq_dir, cfg, out_dir=tmp_path / "raw", no_smoother=True)
+        run_sequence(seq_dir, cfg, out_dir=tmp_path / "smooth")
+        n_flagged = 0
+        for raw_path in sorted((tmp_path / "raw" / "trajectories").iterdir()):
+            raw = read_trajectory_csv(raw_path)
+            smooth = read_trajectory_csv(
+                tmp_path / "smooth" / "trajectories" / raw_path.name)
+            flagged = set()
+            if len(raw) >= cfg.smoother.min_samples:
+                flags = detect_outliers(raw, cfg.smoother, cfg.rng_seed)
+                flagged = {s.t for s, f in zip(raw, flags) if f}
+            assert {s.t for s in smooth if s.outlier} == flagged
+            assert all(s.interpolated for s in smooth if s.outlier)
+            n_flagged += len(flagged)
+        assert n_flagged > 0
+
     def test_empty_sequence_raises(self, tmp_path):
         seq_dir, _, _ = write_sequence(tmp_path, small_scene())
         cfg = load_pipeline_config(seq_dir / "config.json")
@@ -345,6 +368,22 @@ class TestCli:
         res = runner.invoke(cli_main, ["fuse", str(seq),
                                        "--config", str(bad)])
         assert res.exit_code == 2
+
+    def test_fuse_seed_matches_config_seed(self, tmp_path):
+        # A seed-7 sequence's config says rng_seed 7, so --seed 7 must
+        # change nothing: the config seed reaches every stage.
+        runner = CliRunner()
+        seq = tmp_path / "seq"
+        res = runner.invoke(cli_main, ["simulate", "--seed", "7",
+                                       "--out", str(seq)])
+        assert res.exit_code == 0, res.output
+        for name, seed_args in (("plain", []), ("seeded", ["--seed", "7"])):
+            res = runner.invoke(cli_main, [
+                "fuse", str(seq), "--config", str(seq / "config.json"),
+                "--out", str(tmp_path / name), *seed_args])
+            assert res.exit_code == 0, res.output
+        assert (tmp_path / "plain" / "report.json").read_bytes() == \
+            (tmp_path / "seeded" / "report.json").read_bytes()
 
     def test_fuse_empty_sequence_exits_1(self, tmp_path):
         runner = CliRunner()
@@ -470,6 +509,18 @@ def append_line(path, text):
         fh.write(text + "\n")
 
 
+def first_json_line(name, edit):
+    """Edit that rewrites the first record of a JSON-lines file."""
+    def apply(seq):
+        path = seq / name
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[0])
+        edit(rec)
+        lines[0] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+    return apply
+
+
 # (case, edit of a two-frame sequence directory, expected message part)
 BAD_INPUTS = [
     ("header", cloud_line(0, "index,x,y,z,v,u"),
@@ -498,6 +549,32 @@ BAD_INPUTS = [
     ("ground truth without cloud", lambda seq: append_line(
         seq / "ground_truth.jsonl", json.dumps({"frame": 9, "objects": []})),
      "ground_truth.jsonl: frame 9 has no cloud file"),
+    ("detection without box",
+     first_json_line("detections.jsonl", lambda rec: rec.pop("box")),
+     "detections.jsonl, line 1: no key 'box'"),
+    ("three-number box",
+     first_json_line("detections.jsonl",
+                     lambda rec: rec.update(box=[0, 0, 10])),
+     "detections.jsonl, line 1: box is [0, 0, 10], not [u_min, v_min, "
+     "u_max, v_max]"),
+    ("ground truth without range",
+     first_json_line("ground_truth.jsonl",
+                     lambda rec: rec["objects"][0].pop("range")),
+     "ground_truth.jsonl, line 1: no key 'range'"),
+    ("non-numeric ground truth x",
+     first_json_line("ground_truth.jsonl",
+                     lambda rec: rec["objects"][0].update(x="abc")),
+     "ground_truth.jsonl, line 1: object 1: x, y or range is not a number"),
+    ("ground truth members not a list",
+     first_json_line("ground_truth.jsonl",
+                     lambda rec: rec["objects"][0].update(members=5)),
+     "ground_truth.jsonl, line 1: object 1: members is not a list"),
+    ("stray cloud file", lambda seq: shutil.copy(
+        seq / "clouds" / "frame_000000.csv", seq / "clouds" / "frame_abc.csv"),
+     "frame_abc.csv: not a frame_<number>.csv name"),
+    ("two clouds of one frame", lambda seq: shutil.copy(
+        seq / "clouds" / "frame_000001.csv", seq / "clouds" / "frame_1.csv"),
+     "frame 1 is also"),
 ]
 
 
@@ -542,3 +619,17 @@ def test_evaluate_bad_trajectory_exits_1(tmp_path, text, message):
     assert isinstance(res.exception, SystemExit)
     assert len(res.output.strip().splitlines()) == 1
     assert message in res.output
+
+
+def test_evaluate_bad_ground_truth_exits_1(tmp_path):
+    traj = tmp_path / "object_1.csv"
+    write_trajectory_csv(traj, [TrackSample(t=0.0, x=30.0, y=3.0)])
+    write_ground_truth(tmp_path, [{"frame": 0, "objects": [{"object_id": 1}]}])
+    res = CliRunner().invoke(cli_main, [
+        "evaluate", str(traj),
+        "--ground-truth", str(tmp_path / "ground_truth.jsonl"),
+        "--out", str(tmp_path / "eval.json")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    assert "ground_truth.jsonl, line 1: no key 'x'" in res.output

@@ -70,9 +70,9 @@ class TestDetectOutliers:
     def test_determinism(self):
         t, x, y = quadratic_track(n=60, noise=0.1, seed=7)
         track = make_track(t, x, y)
-        cfg = SmootherConfig(rng_seed=11)
-        assert np.array_equal(detect_outliers(track, cfg),
-                              detect_outliers(track, cfg))
+        cfg = SmootherConfig()
+        assert np.array_equal(detect_outliers(track, cfg, seed=11),
+                              detect_outliers(track, cfg, seed=11))
 
     def test_constant_track_stable(self):
         t = np.linspace(0, 5, 20)
@@ -99,7 +99,7 @@ class TestSmoothAndInterpolate:
         t = t_full[keep]
         traj = smooth_and_interpolate(make_track(t, cubic(t)),
                                       np.zeros(keep.sum(), dtype=bool),
-                                      missing_times=t_full[~keep])
+                                      grid=t_full)
         interp = [s for s in traj.samples if s.interpolated]
         assert len(interp) == 3
         for s in interp:
@@ -131,6 +131,21 @@ class TestSmoothAndInterpolate:
         traj = smooth_and_interpolate(make_track(t, x),
                                       np.zeros(12, dtype=bool), grid=grid)
         assert [s.t for s in traj.samples] == list(grid)
+
+    def test_flagged_times_marked_outlier(self):
+        # A grid of frame times with gaps: only the flagged measured
+        # times are outliers; they and the gaps are interpolated.
+        t_full = np.linspace(0, 5, 24)
+        keep = np.ones(24, dtype=bool)
+        keep[[6, 12]] = False
+        t = t_full[keep]
+        flags = np.zeros(len(t), dtype=bool)
+        flags[[3, 15]] = True
+        traj = smooth_and_interpolate(make_track(t, 2.0 * t), flags,
+                                      grid=t_full)
+        assert [s.t for s in traj.samples if s.outlier] == [t[3], t[15]]
+        assert [s.t for s in traj.samples if s.interpolated] == \
+            sorted([t[3], t[15], t_full[6], t_full[12]])
 
 
 class TestSmoothTrack:
