@@ -66,3 +66,21 @@ def enlarge_aoi(box: BoundingBox, ratios: EnlargeRatios,
         v_min=max(0.0, box.v_min - ratios.up * h),
         v_max=min(float(intr.height), box.v_max + ratios.down * h),
     )
+
+
+def candidate_rows(uv: np.ndarray, valid: np.ndarray,
+                   boxes: list[BoundingBox]) -> np.ndarray:
+    """Ascending indices of the valid rows of an (N, 2) pixel array that
+    lie in the bounding rectangle of boxes (none without boxes).
+
+    Boxes are half-open, so every box's mask is False off these rows:
+    ``valid & box.mask(uv)`` is True exactly on ``rows[box.mask(uv[rows])]``.
+    """
+    if not boxes:
+        return np.empty(0, dtype=np.intp)
+    hull = replace(boxes[0],
+                   u_min=min(b.u_min for b in boxes),
+                   v_min=min(b.v_min for b in boxes),
+                   u_max=max(b.u_max for b in boxes),
+                   v_max=max(b.v_max for b in boxes))
+    return np.flatnonzero(valid & hull.mask(uv))

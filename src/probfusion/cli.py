@@ -168,10 +168,10 @@ def evaluate(trajectory_csvs, ground_truth, out):
         sys.exit(EXIT_INPUT)
     try:
         gt = read_ground_truth(ground_truth)
+        frame_rate = read_frame_rate(Path(ground_truth).parent)
     except ValueError as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
-    frame_rate = read_frame_rate(Path(ground_truth).parent)
     frame_times = {frame_id: frame_id / frame_rate for frame_id in gt}
     report = {}
     for path in trajectory_csvs:

@@ -76,16 +76,32 @@ def min_inlier_count(eps: float, total: int) -> int:
 
 
 def _fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares plane through points; returns (unit normal, offset)."""
-    centroid = points.mean(axis=0)
-    centered = points - centroid
-    # Smallest singular vector of the centered points is the plane normal.
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    normal = vt[-1]
-    normal = normal / np.linalg.norm(normal)
+    """Least-squares plane through points; returns (unit normal, offset).
+
+    The normal is the eigenvector of the smallest eigenvalue of the 3x3
+    scatter matrix of the centered points, built as ``R.T @ R - n m m^T``
+    from the points R relative to the first one and their mean m: two
+    BLAS products, no centered copy. Identical points give an exactly
+    zero scatter, whose first eigenvector (1, 0, 0) lies outside any
+    cone around the vertical.
+    """
+    n = len(points)
+    rel = points - points[0]
+    mean = np.ones(n) @ rel / n
+    scatter = rel.T @ rel - n * np.outer(mean, mean)
+    _, vecs = np.linalg.eigh(scatter)  # ascending eigenvalues
+    normal = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     if normal[2] < 0:
         normal = -normal
-    return normal, float(normal @ centroid)
+    return normal, float(normal @ (points[0] + mean))
+
+
+def _plane_distances(cloud: np.ndarray, normal: np.ndarray, offset: float,
+                     out: np.ndarray) -> None:
+    """|cloud . normal - offset| written into out."""
+    np.matmul(cloud, normal, out=out)
+    out -= offset
+    np.abs(out, out=out)
 
 
 def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
@@ -107,30 +123,32 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
     floor = min_inlier_count(cfg.eps, n_points)
     cos_cone = math.cos(math.radians(cfg.normal_cone_deg))
 
+    # Each trial's distances go to dist; the winner's are kept in
+    # best_dist by swapping the two buffers, so no trial allocates.
+    dist, best_dist = np.empty(n_points), np.empty(n_points)
     best_count = -1
-    best_inliers = None
     for _ in range(n_trials):
         sample = rng.choice(n_points, size=cfg.n_sample, replace=False)
         normal, offset = _fit_plane_lsq(cloud[sample])
         if normal[2] < cos_cone:
             continue
-        dist = np.abs(cloud @ normal - offset)
-        inliers = dist <= cfg.delta
-        count = int(inliers.sum())
+        _plane_distances(cloud, normal, offset, out=dist)
+        count = int(np.count_nonzero(dist <= cfg.delta))
         if count > best_count:
             best_count = count
-            best_inliers = inliers
+            dist, best_dist = best_dist, dist
 
-    if best_inliers is None or best_count < max(floor, 3):
+    if best_count < max(floor, 3):
         raise NoAcceptablePlane(
             f"best inlier count {max(best_count, 0)} below floor {floor}")
 
     # Refit on the winning inlier set; keep the cone constraint.
-    normal, offset = _fit_plane_lsq(cloud[best_inliers])
+    normal, offset = _fit_plane_lsq(
+        np.compress(best_dist <= cfg.delta, cloud, axis=0))
     if normal[2] < cos_cone:
         raise NoAcceptablePlane("refit normal left the allowed cone")
-    dist = np.abs(cloud @ normal - offset)
-    final_count = int((dist <= cfg.delta).sum())
+    _plane_distances(cloud, normal, offset, out=dist)
+    final_count = int(np.count_nonzero(dist <= cfg.delta))
     if final_count < floor:
         raise NoAcceptablePlane(
             f"refit inlier count {final_count} below floor {floor}")
@@ -141,4 +159,6 @@ def ground_mask(cloud: np.ndarray, model: GroundPlaneModel,
                 delta: float) -> np.ndarray:
     """Boolean mask of points within delta of the plane (the removed set)."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
-    return np.abs(cloud @ model.normal - model.offset) <= delta
+    dist = np.empty(len(cloud))
+    _plane_distances(cloud, model.normal, model.offset, out=dist)
+    return dist <= delta

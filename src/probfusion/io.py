@@ -21,8 +21,9 @@ index that is not the row number, or only one of u, v blank.
 from 1), a cloud file not named ``frame_<number>.csv``, two cloud files
 of one frame, a JSON line that is not JSON or lacks a key, a detection
 ``box`` that is not four numbers, a ground-truth x, y or range that is
-not a number or members that is not a list, and detections or ground
-truth naming a frame without a cloud file.
+not a number or members that is not a list, detections or ground
+truth naming a frame without a cloud file, and a scene.json that is not
+a JSON object or whose frame_rate is not a finite positive number.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -234,12 +236,28 @@ def read_ground_truth(path) -> dict:
 
 
 def read_frame_rate(seq_dir) -> float:
-    """Frame rate from the sequence's scene.json; 10 Hz when it is absent."""
+    """Frame rate from the sequence's scene.json; 10 Hz when the file or
+    its frame_rate is absent.
+
+    Raises ValueError naming the file when it is not a JSON object or
+    frame_rate is not a finite positive number.
+    """
     meta_path = Path(seq_dir) / "scene.json"
     if not meta_path.exists():
         return 10.0
     with open(meta_path) as fh:
-        return float(json.load(fh).get("frame_rate", 10.0))
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{meta_path}: not a JSON object ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: not a JSON object")
+    rate = meta.get("frame_rate", 10.0)
+    if type(rate) not in (int, float) or not 0 < rate <= sys.float_info.max:
+        raise ValueError(f"{meta_path}: frame_rate is {rate!r}, not a finite "
+                         "positive number")
+    return float(rate)
 
 
 def load_sequence(seq_dir) -> tuple[list, Optional[dict]]:

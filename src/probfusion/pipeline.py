@@ -17,13 +17,13 @@ from typing import Optional
 import numpy as np
 
 from . import ground
-from .aoi import enlarge_aoi
+from .aoi import candidate_rows, enlarge_aoi
 from .calib import CalibrationPair, load_calibration, project_xyz
 from .cluster import (build_range_histogram, planar_ranges,
                       seed_bin_centers, select_candidate_clusters)
 from .config import PipelineConfig
 from .errors import (EmptyCluster, EmptyInput, InsufficientPoints,
-                     NoAcceptablePlane, NoQualifiedCluster)
+                     NoAcceptablePlane, NoQualifiedCluster, TooFewInliers)
 from .io import FrameRecord, load_sequence, write_report, write_trajectory_csv
 from .localize import ObjectLocalization, localize
 from .metrics import (align_to_ground_truth, mae_axis,
@@ -67,15 +67,16 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
     cloud = np.asarray(frame.cloud, dtype=float).reshape(-1, 3)
 
     crop = ground.crop_mask(cloud, cfg.ransac_ground)
-    diag.cropped_count = int(crop.sum())
+    diag.cropped_count = int(np.count_nonzero(crop))
 
     keep = crop.copy()
     try:
-        model = ground.fit_ground_plane(cloud[crop], cfg.ransac_ground,
-                                        cfg.rng_seed)
+        model = ground.fit_ground_plane(np.compress(crop, cloud, axis=0),
+                                        cfg.ransac_ground, cfg.rng_seed)
         removed = ground.ground_mask(cloud, model, cfg.ransac_ground.delta)
         keep &= ~removed
-        diag.ground_removed_count = int((crop & removed).sum())
+        diag.ground_removed_count = (diag.cropped_count
+                                     - int(np.count_nonzero(keep)))
     except (InsufficientPoints, NoAcceptablePlane) as exc:
         diag.ground_skipped = True
         log.info("frame %d: ground removal skipped (%s)", frame.frame_id, exc)
@@ -87,29 +88,36 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
         uv_valid = np.asarray(frame.uv_valid, dtype=bool)
     else:
         uv, uv_valid = project_xyz(calib.intrinsics, calib.extrinsic, cloud)
-    fusable = keep & uv_valid
-    diag.projected_count = int(fusable.sum())
+    diag.projected_count = int(np.count_nonzero(keep & uv_valid))
 
-    ranges_all = planar_ranges(cloud)
+    # Box masks, ranges and indices are taken on the valid rows inside
+    # the rectangle around all boxes, which hold every member of every
+    # box; rows is ascending, so every index list keeps cloud order.
+    # rows_uv is column-major, so that a box mask reads u and v
+    # contiguously.
+    bigs = [enlarge_aoi(det, cfg.ratios_for(det.class_label),
+                        calib.intrinsics) for det in frame.detections]
+    rows = candidate_rows(uv, uv_valid, [*frame.detections, *bigs])
+    rows_uv = np.asfortranarray(uv[rows])
+    rows_keep = keep[rows]
+    rows_ranges = planar_ranges(cloud[rows])
     localizations = []
-    for det in frame.detections:
+    for det, big in zip(frame.detections, bigs):
         odiag = ObjectDiagnostics(object_id=det.object_id,
                                   class_label=det.class_label)
         diag.objects[det.object_id] = odiag
 
         # Baseline path: raw mapping, original AOI, no preprocessing.
-        base_mask = uv_valid & det.mask(uv)
-        odiag.baseline_ranges = ranges_all[base_mask].tolist()
+        odiag.baseline_ranges = rows_ranges[det.mask(rows_uv)].tolist()
 
-        big = enlarge_aoi(det, cfg.ratios_for(det.class_label),
-                          calib.intrinsics)
-        member_idx = np.nonzero(fusable & big.mask(uv))[0]
+        members = np.flatnonzero(rows_keep & big.mask(rows_uv))
+        member_idx = rows[members]
         odiag.aoi_point_count = len(member_idx)
         if len(member_idx) == 0:
             odiag.status = "NoQualifiedCluster"
             continue
 
-        member_ranges = ranges_all[member_idx]
+        member_ranges = rows_ranges[members]
         granularity = cfg.clustering.granularity_for(det.class_label)
         try:
             centers = seed_bin_centers(member_ranges, cfg.clustering,
@@ -141,7 +149,7 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
 
         chosen_cloud_idx = member_idx[chosen.member_indices]
         odiag.selected_indices = chosen_cloud_idx.tolist()
-        odiag.selected_ranges = ranges_all[chosen_cloud_idx].tolist()
+        odiag.selected_ranges = member_ranges[chosen.member_indices].tolist()
         try:
             loc = localize(frame.frame_id, det.object_id, det.class_label,
                            cloud[chosen_cloud_idx])
@@ -268,14 +276,18 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
                 TrackSample(t=frame.t, x=loc.x_m, y=loc.y_m))
 
     # Smoothed tracks are evaluated at every frame time; a track too
-    # short to smooth, or any track under no_smoother, is kept raw.
+    # short to smooth, one left with too few inliers to fit, or any
+    # track under no_smoother, is kept raw.
     frame_times = [frame.t for frame in frames]
     trajectories: dict = {}
     for obj_id, samples in sorted(tracks.items()):
         if not no_smoother and len(samples) >= cfg.smoother.min_samples:
             flags = detect_outliers(samples, cfg.smoother, cfg.rng_seed)
-            samples = smooth_and_interpolate(samples, flags,
-                                             grid=frame_times).samples
+            try:
+                samples = smooth_and_interpolate(samples, flags,
+                                                 grid=frame_times).samples
+            except TooFewInliers as exc:
+                log.info("object %d: raw track kept (%s)", obj_id, exc)
         trajectories[obj_id] = samples
         write_trajectory_csv(out / "trajectories" / f"object_{obj_id}.csv",
                              samples)

@@ -1,11 +1,14 @@
 """RANSAC ground-plane fitting and removal."""
 
+import math
+
 import numpy as np
 import pytest
 
 from probfusion.errors import InsufficientPoints, NoAcceptablePlane
-from probfusion.ground import (RansacPlaneConfig, crop_mask, fit_ground_plane,
-                               ground_mask, min_inlier_count, required_trials)
+from probfusion.ground import (RansacPlaneConfig, _fit_plane_lsq, crop_mask,
+                               fit_ground_plane, ground_mask, min_inlier_count,
+                               required_trials)
 
 
 def make_plane_scene(n_ground=500, n_object=50, sigma=0.02, seed=0):
@@ -80,6 +83,49 @@ class TestCrop:
         ])
         assert crop_mask(cloud, cfg).tolist() == \
             [True, False, True, False, False]
+
+
+def svd_plane(points):
+    """Reference least-squares plane: the smallest right singular vector
+    of the centered points, pointing up."""
+    centroid = points.mean(axis=0)
+    _, _, vt = np.linalg.svd(points - centroid, full_matrices=False)
+    normal = vt[-1] / np.linalg.norm(vt[-1])
+    if normal[2] < 0:
+        normal = -normal
+    return normal, float(normal @ centroid)
+
+
+class TestFitPlaneLsq:
+    @pytest.mark.parametrize("n", [6, 120_000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_svd_oracle(self, n, seed):
+        # A tilted plane with noise near the inlier band's edge.
+        rng = np.random.default_rng(seed)
+        xy = rng.uniform([0, -15], [70, 15], size=(n, 2))
+        z = 0.03 * xy[:, 0] - 0.02 * xy[:, 1] - 1.7 + rng.normal(0, 0.15, n)
+        cloud = np.column_stack([xy, z])
+        delta = RansacPlaneConfig().delta
+        normal, offset = _fit_plane_lsq(cloud)
+        ref_normal, ref_offset = svd_plane(cloud)
+        assert np.max(np.abs(normal - ref_normal)) <= 1e-12
+        assert abs(offset - ref_offset) <= 1e-10
+        count = np.count_nonzero(np.abs(cloud @ normal - offset) <= delta)
+        ref_count = np.count_nonzero(
+            np.abs(cloud @ ref_normal - ref_offset) <= delta)
+        assert count == ref_count
+
+    def test_identical_points_fail_cone(self):
+        # No plane runs through one point; the normal it gets must not
+        # pass for a ground normal, whether or not the mean of the
+        # coordinates rounds.
+        cone = math.cos(math.radians(RansacPlaneConfig().normal_cone_deg))
+        points = np.random.default_rng(0).uniform([0, -15, -2], [70, 15, 1],
+                                                  size=(300, 3))
+        for point in [[12.0, -3.0, 0.5], *points]:
+            normal, _ = _fit_plane_lsq(np.tile(point, (6, 1)))
+            assert np.isfinite(normal).all()
+            assert normal[2] < cone
 
 
 class TestFitGroundPlane:

@@ -26,6 +26,7 @@ from probfusion.io import (WRITE_BLOCK_ROWS, FrameRecord,
                            write_detections, write_frame_cloud,
                            write_ground_truth, write_report,
                            write_trajectory_csv)
+from probfusion import pipeline as pipeline_module
 from probfusion.pipeline import run_fusion_frame, run_sequence
 from probfusion.shape import BenchmarkShapeRegistry
 from probfusion.sim import (DEFAULT_ERROR_MODEL, ObjectSpec, SceneSpec,
@@ -270,6 +271,17 @@ class TestRunFusionFrame:
         # Other objects are unaffected by the soft failure.
         assert any(loc.object_id == 1 for loc in locs)
 
+    def test_frame_without_detections(self, tmp_path):
+        loaded, gt, cfg, calib, benchmarks = self._setup(tmp_path)
+        frame = dataclasses.replace(loaded[0], detections=[])
+        locs, diag = run_fusion_frame(frame, calib, cfg, benchmarks)
+        _, full = run_fusion_frame(loaded[0], calib, cfg, benchmarks)
+        assert locs == [] and diag.objects == {}
+        assert (diag.cropped_count, diag.ground_removed_count,
+                diag.projected_count) == (full.cropped_count,
+                                          full.ground_removed_count,
+                                          full.projected_count)
+
     def test_diagnostics_counts(self, tmp_path):
         loaded, gt, cfg, calib, benchmarks = self._setup(tmp_path)
         _, diag = run_fusion_frame(loaded[0], calib, cfg, benchmarks)
@@ -331,6 +343,24 @@ class TestRunSequence:
             assert all(s.interpolated for s in smooth if s.outlier)
             n_flagged += len(flagged)
         assert n_flagged > 0
+
+    def test_too_few_inliers_keeps_raw_track(self, tmp_path, monkeypatch):
+        # With all but 4 samples flagged, no order-3 fit is possible:
+        # each smoothed track is written raw, as under no_smoother.
+        seq_dir, _, _ = write_sequence(tmp_path, small_scene(),
+                                       err=DEFAULT_ERROR_MODEL)
+        cfg = load_pipeline_config(seq_dir / "config.json")
+        run_sequence(seq_dir, cfg, out_dir=tmp_path / "raw", no_smoother=True)
+        monkeypatch.setattr(pipeline_module, "detect_outliers",
+                            lambda track, cfg, seed=0:
+                            np.arange(len(track)) >= 4)
+        run_sequence(seq_dir, cfg, out_dir=tmp_path / "out")
+        raw_paths = sorted((tmp_path / "raw" / "trajectories").iterdir())
+        assert any(len(read_trajectory_csv(path)) >= cfg.smoother.min_samples
+                   for path in raw_paths)
+        for raw_path in raw_paths:
+            assert (tmp_path / "out" / "trajectories" / raw_path.name
+                    ).read_bytes() == raw_path.read_bytes()
 
     def test_empty_sequence_raises(self, tmp_path):
         seq_dir, _, _ = write_sequence(tmp_path, small_scene())
@@ -521,6 +551,20 @@ def first_json_line(name, edit):
     return apply
 
 
+def scene_json(text):
+    """Edit that replaces the sequence's scene.json."""
+    return lambda seq: (seq / "scene.json").write_text(text)
+
+
+def scene_frame_rate(rate):
+    """Edit that sets frame_rate in the sequence's scene.json."""
+    def apply(seq):
+        meta = json.loads((seq / "scene.json").read_text())
+        meta["frame_rate"] = rate
+        (seq / "scene.json").write_text(json.dumps(meta))
+    return apply
+
+
 # (case, edit of a two-frame sequence directory, expected message part)
 BAD_INPUTS = [
     ("header", cloud_line(0, "index,x,y,z,v,u"),
@@ -575,6 +619,15 @@ BAD_INPUTS = [
     ("two clouds of one frame", lambda seq: shutil.copy(
         seq / "clouds" / "frame_000001.csv", seq / "clouds" / "frame_1.csv"),
      "frame 1 is also"),
+    ("scene not JSON", scene_json("{bad"), "scene.json: not a JSON object"),
+    ("scene not an object", scene_json("[10]"),
+     "scene.json: not a JSON object"),
+    ("zero frame rate", scene_frame_rate(0),
+     "scene.json: frame_rate is 0, not a finite positive number"),
+    ("negative frame rate", scene_frame_rate(-5),
+     "scene.json: frame_rate is -5, not a finite positive number"),
+    ("text frame rate", scene_frame_rate("10"),
+     "scene.json: frame_rate is '10', not a finite positive number"),
 ]
 
 
@@ -619,6 +672,22 @@ def test_evaluate_bad_trajectory_exits_1(tmp_path, text, message):
     assert isinstance(res.exception, SystemExit)
     assert len(res.output.strip().splitlines()) == 1
     assert message in res.output
+
+
+def test_evaluate_bad_scene_exits_1(tmp_path):
+    traj = tmp_path / "object_1.csv"
+    write_trajectory_csv(traj, [TrackSample(t=0.0, x=30.0, y=3.0)])
+    write_ground_truth(tmp_path, [{"frame": 0, "objects": []}])
+    (tmp_path / "scene.json").write_text('{"frame_rate": 0}')
+    res = CliRunner().invoke(cli_main, [
+        "evaluate", str(traj),
+        "--ground-truth", str(tmp_path / "ground_truth.jsonl"),
+        "--out", str(tmp_path / "eval.json")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    assert "scene.json: frame_rate is 0, not a finite positive number" \
+        in res.output
 
 
 def test_evaluate_bad_ground_truth_exits_1(tmp_path):
