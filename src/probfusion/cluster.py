@@ -60,40 +60,54 @@ def planar_ranges(xyz: np.ndarray) -> np.ndarray:
 
 def _kmeans_pp_init(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = [values[rng.integers(len(values))]]
+    d2 = (values - centers[0]) ** 2  # squared distance to the nearest center
     for _ in range(1, k):
-        d2 = np.min((values[:, None] - np.asarray(centers)[None, :]) ** 2, axis=1)
         total = d2.sum()
         if total <= 0:
             centers.append(values[rng.integers(len(values))])
-            continue
-        centers.append(values[rng.choice(len(values), p=d2 / total)])
+        else:
+            centers.append(values[rng.choice(len(values), p=d2 / total)])
+        np.minimum(d2, (values - centers[-1]) ** 2, out=d2)
     return np.asarray(centers, dtype=float)
 
 
 def seed_bin_centers(ranges: np.ndarray, cfg: ClusteringConfig,
                      seed: int = 0) -> np.ndarray:
     """1-D K-Means centers over the range values, sorted ascending; seed
-    seeds the k-means++ initialization."""
+    seeds the k-means++ initialization.
+
+    k is kmeans_k capped by the number of distinct values. Iteration
+    stops when the labels repeat (the means would repeat too) or when
+    every center moved by at most 1e-12 + 1e-5 * |old center|, the test
+    of np.allclose(new, old, atol=1e-12).
+    """
     values = np.asarray(ranges, dtype=float).ravel()
     if len(values) == 0:
         raise EmptyInput("no ranges to cluster")
-    distinct = np.unique(values)
-    k = min(cfg.kmeans_k, len(distinct))
+    ordered = np.sort(values)
+    n_distinct = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+    k = min(cfg.kmeans_k, n_distinct)
     if k == 1:
         return np.array([values.mean()])
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(values, k, rng)
+    labels = None
     for _ in range(cfg.kmeans_max_iter):
-        labels = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1)
+        new_labels = np.argmin(np.abs(values[:, None] - centers), axis=1)
+        if labels is not None and (new_labels == labels).all():
+            break
+        labels = new_labels
         new_centers = centers.copy()
         for j in range(k):
             members = values[labels == j]
             if len(members):
-                new_centers[j] = members.mean()
-        if np.allclose(new_centers, centers, atol=1e-12):
-            centers = new_centers
-            break
+                new_centers[j] = members.sum() / len(members)  # == mean()
+        converged = all(abs(new - old) <= 1e-12 + 1e-5 * abs(old)
+                        for new, old in zip(new_centers.tolist(),
+                                            centers.tolist()))
         centers = new_centers
+        if converged:
+            break
     return np.sort(centers)
 
 
@@ -103,7 +117,9 @@ def merge_close_centers(centers: np.ndarray, granularity: float,
 
     Two anchors inside the same granularity window would split a single
     object's points across bins; they are replaced by their (optionally
-    weighted) mean.
+    weighted) mean. Scanning in ascending order, an anchor joins the
+    current group when it lies less than one granularity above the
+    group's mean.
     """
     centers = np.asarray(centers, dtype=float).ravel()
     order = np.argsort(centers)
@@ -112,16 +128,45 @@ def merge_close_centers(centers: np.ndarray, granularity: float,
         weights = np.ones_like(centers)
     else:
         weights = np.asarray(weights, dtype=float).ravel()[order]
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(centers)):
-        g = groups[-1]
-        mean = np.average(centers[g], weights=weights[g])
-        if centers[i] - mean < granularity:
-            g.append(i)
+    cs, ws = centers.tolist(), weights.tolist()
+    means: list[float] = []  # the last one is the open group's
+    for i, (c, w) in enumerate(zip(cs, ws)):
+        if means and c - means[-1] < granularity:
+            means.pop()
         else:
-            groups.append([i])
-    return np.array([np.average(centers[g], weights=weights[g])
-                     for g in groups])
+            start, sum_cw, sum_w = i, 0.0, 0.0
+        sum_cw += c * w
+        sum_w += w
+        # np.average adds fewer than 8 terms in order, as the running
+        # sums do; from 8 terms on it sums pairwise.
+        means.append(sum_cw / sum_w if i - start < 7 else
+                     float(np.average(centers[start:i + 1],
+                                      weights=weights[start:i + 1])))
+    return np.array(means)
+
+
+def _nearest_center(centers: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of each value's nearest center in ascending centers, ties to
+    the lower index: np.argmin(|values[:, None] - centers|, axis=1).
+
+    Only the centers on either side of a value can be nearest. Padded
+    with -inf below and +inf above, they are ext[above - 1] < v <=
+    ext[above], and their distances need no abs.
+    """
+    ext = np.concatenate(([-np.inf, -np.inf], centers, [np.inf]))
+    above = ext.searchsorted(values)
+    d_lo = values - ext[above - 1]
+    d_hi = ext[above] - values
+    pick_hi = d_hi < d_lo
+    nearest = np.where(pick_hi, above, above - 1)
+    dist = np.where(pick_hi, d_hi, d_lo)
+    # A center further down whose distance rounds to the same value
+    # (or a repeated center) also ties, and the lower index wins.
+    while True:
+        tie = values - ext[nearest - 1] == dist
+        if not tie.any():
+            return nearest - 2
+        nearest -= tie
 
 
 def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
@@ -137,14 +182,15 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
     if len(values) == 0:
         raise EmptyInput("no ranges to histogram")
     raw_anchors = np.sort(np.asarray(centers, dtype=float).ravel())
-    nearest = np.argmin(np.abs(values[:, None] - raw_anchors[None, :]), axis=1)
+    nearest = np.argmin(np.abs(values[:, None] - raw_anchors), axis=1)
     anchor_weights = np.bincount(nearest, minlength=len(raw_anchors)) + 1.0
-    anchors = merge_close_centers(raw_anchors, granularity, anchor_weights)
+    anchors = merge_close_centers(raw_anchors, granularity,
+                                  anchor_weights).tolist()
     g = float(granularity)
+    lo, hi = float(values.min()), float(values.max())
 
     bin_centers: list[float] = []
     anchor_flags: list[bool] = []
-    lo, hi = values.min(), values.max()
 
     # Extend to the left of the first anchor.
     left = []
@@ -165,7 +211,7 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
                 bin_centers.append(c)
                 anchor_flags.append(False)
                 c += g
-        bin_centers.append(float(a))
+        bin_centers.append(a)
         anchor_flags.append(True)
 
     # Extend to the right of the last anchor.
@@ -175,14 +221,13 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
         anchor_flags.append(False)
         c += g
 
-    centers_arr = np.asarray(bin_centers)
-    dist = np.abs(values[:, None] - centers_arr[None, :])
-    assignments = np.argmin(dist, axis=1)  # argmin takes the lower index on ties
+    centers_arr = np.array(bin_centers)
+    assignments = _nearest_center(centers_arr, values)
     counts = np.bincount(assignments, minlength=len(centers_arr))
     return RangeHistogram(bin_centers=centers_arr,
                           counts=counts,
                           assignments=assignments,
-                          anchor_mask=np.asarray(anchor_flags))
+                          anchor_mask=np.array(anchor_flags))
 
 
 def select_candidate_clusters(hist: RangeHistogram,

@@ -277,17 +277,22 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
 
     # Smoothed tracks are evaluated at every frame time; a track too
     # short to smooth, one left with too few inliers to fit, or any
-    # track under no_smoother, is kept raw.
+    # track under no_smoother, is kept raw. raw_track_ids lists the
+    # tracks kept raw although the smoother is on.
     frame_times = [frame.t for frame in frames]
     trajectories: dict = {}
+    raw_track_ids = []
     for obj_id, samples in sorted(tracks.items()):
-        if not no_smoother and len(samples) >= cfg.smoother.min_samples:
+        if not no_smoother and len(samples) < cfg.smoother.min_samples:
+            raw_track_ids.append(obj_id)
+        elif not no_smoother:
             flags = detect_outliers(samples, cfg.smoother, cfg.rng_seed)
             try:
                 samples = smooth_and_interpolate(samples, flags,
                                                  grid=frame_times).samples
             except TooFewInliers as exc:
                 log.info("object %d: raw track kept (%s)", obj_id, exc)
+                raw_track_ids.append(obj_id)
         trajectories[obj_id] = samples
         write_trajectory_csv(out / "trajectories" / f"object_{obj_id}.csv",
                              samples)
@@ -298,6 +303,7 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
         "rng_seed": cfg.rng_seed,
         "baseline_only": baseline_only,
         "smoother": not no_smoother,
+        "raw_track_ids": raw_track_ids,
         "soft_failures": sum(
             1 for d in frame_diags for o in d.objects.values()
             if o.status != "ok"),

@@ -84,8 +84,17 @@ def principal_axis_angle(points_2d: np.ndarray) -> RotationEstimate:
     rejected and no rotation is applied downstream.
     """
     pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
-    if len(np.unique(pts, axis=0)) < 2:
+    if _all_coincide(pts):
         raise DegenerateCluster("need at least 2 distinct points for PCA")
+    return _axis_estimate(pts)
+
+
+def _all_coincide(pts: np.ndarray) -> bool:
+    """True when the (n, 2) points hold fewer than 2 distinct rows."""
+    return len(pts) == 0 or not (pts != pts[0]).any()
+
+
+def _axis_estimate(pts: np.ndarray) -> RotationEstimate:
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / len(pts)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -115,6 +124,17 @@ def derotate(points_2d: np.ndarray, est: RotationEstimate) -> np.ndarray:
     return (pts - centroid) @ rot.T + centroid
 
 
+def _cell_weights(pts: np.ndarray) -> np.ndarray:
+    """compute_descriptor's 9 weights of n >= 1 points, unvalidated."""
+    lo = pts.min(axis=0)
+    span = pts.max(axis=0) - lo
+    scaled = np.zeros(pts.shape)
+    np.divide(3 * (pts - lo), span, out=scaled, where=span > 0)
+    idx = np.minimum(scaled.astype(int), 2)
+    cells = idx[:, 1] * 3 + idx[:, 0]  # row from v, column from u
+    return np.bincount(cells, minlength=9) / len(pts)
+
+
 def compute_descriptor(points_2d: np.ndarray) -> ShapeDescriptor:
     """3x3 occupancy fractions over the points' bounding rectangle.
 
@@ -124,25 +144,23 @@ def compute_descriptor(points_2d: np.ndarray) -> ShapeDescriptor:
     pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         raise DegenerateCluster("cannot describe an empty point set")
-    lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
-    idx = np.zeros_like(pts, dtype=int)
-    for d in range(2):
-        if span[d] > 0:
-            idx[:, d] = np.minimum((3 * (pts[:, d] - lo[d]) / span[d]).astype(int), 2)
-    cells = idx[:, 1] * 3 + idx[:, 0]  # row from v, column from u
-    weights = np.bincount(cells, minlength=9).astype(float) / len(pts)
-    return ShapeDescriptor(weights=weights)
+    return ShapeDescriptor(weights=_cell_weights(pts))
+
+
+def _smoothed(weights: np.ndarray, smoothing: float) -> np.ndarray:
+    w = weights + smoothing
+    return w / w.sum()
+
+
+def _kl(pw: np.ndarray, qw: np.ndarray) -> float:
+    return float(np.sum(pw * np.log(pw / qw)))
 
 
 def kl_divergence(p: ShapeDescriptor, q: ShapeDescriptor,
                   smoothing: float = 1e-6) -> float:
     """KL(P || Q) in nats after additive smoothing of both distributions."""
-    pw = p.weights + smoothing
-    qw = q.weights + smoothing
-    pw = pw / pw.sum()
-    qw = qw / qw.sum()
-    return float(np.sum(pw * np.log(pw / qw)))
+    return _kl(_smoothed(p.weights, smoothing),
+               _smoothed(q.weights, smoothing))
 
 
 def similarity_score(d_kl: float, k: float = 1.0) -> float:
@@ -179,22 +197,30 @@ class CandidateScore:
 def score_candidate(points_2d: np.ndarray, center_range: float,
                     benchmark: ShapeDescriptor, cfg: ShapeFilterConfig,
                     cluster: CandidateCluster) -> CandidateScore:
-    try:
-        pre = compute_descriptor(points_2d)
-        est = principal_axis_angle(points_2d)
-        post = compute_descriptor(derotate(points_2d, est))
-    except DegenerateCluster:
+    """Similarity to the benchmark before and after de-rotation.
+
+    A candidate without 2 distinct points is degenerate and scores 0.
+    """
+    pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
+    if _all_coincide(pts):
         return CandidateScore(cluster=cluster, pre_rotation_score=0.0,
                               post_rotation_score=0.0, distance_m=center_range,
                               rotation_deg=0.0, rotation_rejected=False,
                               degenerate=True)
+    pre = _cell_weights(pts)
+    est = _axis_estimate(pts)
+    if est.rejected or est.angle_deg == 0.0:
+        post = pre  # derotate would return the points unchanged
+    else:
+        post = _cell_weights(derotate(pts, est))
+    qw = _smoothed(benchmark.weights, cfg.kl_smoothing)
     k = cfg.sigmoid_gain
     return CandidateScore(
         cluster=cluster,
         pre_rotation_score=similarity_score(
-            kl_divergence(pre, benchmark, cfg.kl_smoothing), k),
+            _kl(_smoothed(pre, cfg.kl_smoothing), qw), k),
         post_rotation_score=similarity_score(
-            kl_divergence(post, benchmark, cfg.kl_smoothing), k),
+            _kl(_smoothed(post, cfg.kl_smoothing), qw), k),
         distance_m=center_range,
         rotation_deg=est.angle_deg,
         rotation_rejected=est.rejected,

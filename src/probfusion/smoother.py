@@ -65,26 +65,61 @@ def _ransac_best_fit(t: np.ndarray, values: np.ndarray,
 
     Trials are ranked by the median of squared residuals (least-median-
     of-squares), which needs no noise-scale estimate and tolerates up to
-    half the samples being contaminated; ties break by lower RMS.
+    half the samples being contaminated; ties break by lower RMS, then
+    by the earlier trial.
+
+    Each trial is the fit Polynomial.fit(t[subset], values[subset], 2)
+    makes, step by step: its subset's times are mapped from their
+    [min, max] domain onto the window [-1, 1], the Vandermonde columns
+    are scaled to unit norm, and np.linalg.lstsq solves the system. The
+    subsets, the scaling and the residuals of all trials are stacked; a
+    trial whose solve raises LinAlgError is skipped.
     """
     n = len(t)
-    best_key = None
-    best_model = None
-    for _ in range(cfg.ransac_iterations):
-        subset = rng.choice(n, size=min(cfg.ransac_subset, n), replace=False)
+    size = min(cfg.ransac_subset, n)
+    subsets = np.array([rng.choice(n, size=size, replace=False)
+                        for _ in range(cfg.ransac_iterations)],
+                       dtype=np.intp).reshape(-1, size)
+    ts = t[subsets]
+    lo, hi = ts.min(axis=1), ts.max(axis=1)
+    span = hi - lo
+    # pu.mapparms(domain, window) and pu.mapdomain, window [-1, 1].
+    off = (-hi - lo) / span
+    scl = 2.0 / span
+    x = off[:, None] + scl[:, None] * ts
+    # Transposed Vandermonde matrices, (trial, power, sample), so that
+    # each column norm sums its samples in the order np.sum does.
+    van = np.empty((len(x), DETECT_ORDER + 1, x.shape[1]))
+    van[:, 0] = x * 0 + 1
+    for i in range(1, DETECT_ORDER + 1):
+        van[:, i] = van[:, i - 1] * x
+    col_norm = np.sqrt(np.square(van).sum(axis=2))
+    col_norm[col_norm == 0] = 1
+    lhs = van / col_norm[:, :, None]
+    rhs = values[subsets] + 0.0
+    rcond = x.shape[1] * np.finfo(float).eps
+    coefs = np.full((len(x), DETECT_ORDER + 1), np.nan)
+    valid = np.zeros(len(x), dtype=bool)
+    for i in range(len(x)):
         try:
-            model = Polynomial.fit(t[subset], values[subset], DETECT_ORDER)
+            coefs[i] = np.linalg.lstsq(lhs[i].T, rhs[i], rcond)[0]
         except np.linalg.LinAlgError:
             continue
-        resid = np.abs(values - model(t))
-        key = (float(np.median(resid ** 2)),
-               float(np.sqrt(np.mean(resid ** 2))))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_model = model
-    if best_model is None:
+        valid[i] = True
+    if not valid.any():
         raise TooFewSamples("no valid RANSAC trial")
-    return best_model
+    coefs /= col_norm
+    # Each trial's model at every sample time, by Horner's rule as
+    # Polynomial.__call__ evaluates it.
+    xt = off[:, None] + scl[:, None] * t
+    fitted = coefs[:, -1:] + xt * 0
+    for i in range(DETECT_ORDER - 1, -1, -1):
+        fitted = coefs[:, i:i + 1] + fitted * xt
+    sq = np.abs(values - fitted) ** 2
+    keys = list(zip(np.median(sq, axis=1).tolist(),
+                    np.sqrt(np.mean(sq, axis=1)).tolist()))
+    best = min(np.flatnonzero(valid).tolist(), key=keys.__getitem__)
+    return Polynomial(coefs[best], domain=[lo[best], hi[best]])
 
 
 def detect_outliers(track: Sequence[TrackSample], cfg: SmootherConfig,

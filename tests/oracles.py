@@ -1,0 +1,265 @@
+"""Reference versions of the per-detection stages and the smoother's
+RANSAC, for equivalence tests.
+
+These are the straightforward implementations the library replaced
+with cheaper ones (np.unique, np.allclose, np.average, an (n, bins)
+argmin, a Polynomial.fit per RANSAC trial). The library must return
+exactly what they return: the same floats, bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+import numpy as np
+from numpy.polynomial import Polynomial
+
+from probfusion.cluster import ClusteringConfig, RangeHistogram
+from probfusion.errors import DegenerateCluster, EmptyInput, TooFewSamples
+from probfusion.shape import (MAX_ROTATION_DEG, CandidateScore,
+                              RotationEstimate, ShapeDescriptor,
+                              ShapeFilterConfig, derotate, similarity_score)
+from probfusion.smoother import DETECT_ORDER, SmootherConfig
+
+
+def _kmeans_pp_init(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    centers = [values[rng.integers(len(values))]]
+    for _ in range(1, k):
+        d2 = np.min((values[:, None] - np.asarray(centers)[None, :]) ** 2, axis=1)
+        total = d2.sum()
+        if total <= 0:
+            centers.append(values[rng.integers(len(values))])
+            continue
+        centers.append(values[rng.choice(len(values), p=d2 / total)])
+    return np.asarray(centers, dtype=float)
+
+
+def seed_bin_centers(ranges: np.ndarray, cfg: ClusteringConfig,
+                     seed: int = 0) -> np.ndarray:
+    """1-D K-Means centers over the range values, sorted ascending; seed
+    seeds the k-means++ initialization."""
+    values = np.asarray(ranges, dtype=float).ravel()
+    if len(values) == 0:
+        raise EmptyInput("no ranges to cluster")
+    distinct = np.unique(values)
+    k = min(cfg.kmeans_k, len(distinct))
+    if k == 1:
+        return np.array([values.mean()])
+    rng = np.random.default_rng(seed)
+    centers = _kmeans_pp_init(values, k, rng)
+    for _ in range(cfg.kmeans_max_iter):
+        labels = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            members = values[labels == j]
+            if len(members):
+                new_centers[j] = members.mean()
+        if np.allclose(new_centers, centers, atol=1e-12):
+            centers = new_centers
+            break
+        centers = new_centers
+    return np.sort(centers)
+
+
+def merge_close_centers(centers: np.ndarray, granularity: float,
+                        weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Collapse anchor centers closer than one bin width.
+
+    Two anchors inside the same granularity window would split a single
+    object's points across bins; they are replaced by their (optionally
+    weighted) mean.
+    """
+    centers = np.asarray(centers, dtype=float).ravel()
+    order = np.argsort(centers)
+    centers = centers[order]
+    if weights is None:
+        weights = np.ones_like(centers)
+    else:
+        weights = np.asarray(weights, dtype=float).ravel()[order]
+    groups: list[list[int]] = [[0]]
+    for i in range(1, len(centers)):
+        g = groups[-1]
+        mean = np.average(centers[g], weights=weights[g])
+        if centers[i] - mean < granularity:
+            g.append(i)
+        else:
+            groups.append([i])
+    return np.array([np.average(centers[g], weights=weights[g])
+                     for g in groups])
+
+
+def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
+                          cfg: ClusteringConfig,
+                          granularity: float) -> RangeHistogram:
+    """Bins anchored at K-Means centers, filled outward at fixed width.
+
+    Anchors closer than one granularity are merged first. Every point is
+    assigned to exactly one bin: the nearest center, ties to the lower
+    bin index.
+    """
+    values = np.asarray(ranges, dtype=float).ravel()
+    if len(values) == 0:
+        raise EmptyInput("no ranges to histogram")
+    raw_anchors = np.sort(np.asarray(centers, dtype=float).ravel())
+    nearest = np.argmin(np.abs(values[:, None] - raw_anchors[None, :]), axis=1)
+    anchor_weights = np.bincount(nearest, minlength=len(raw_anchors)) + 1.0
+    anchors = merge_close_centers(raw_anchors, granularity, anchor_weights)
+    g = float(granularity)
+
+    bin_centers: list[float] = []
+    anchor_flags: list[bool] = []
+    lo, hi = values.min(), values.max()
+
+    # Extend to the left of the first anchor.
+    left = []
+    c = anchors[0] - g
+    while c + g / 2.0 > lo:
+        left.append(c)
+        c -= g
+    bin_centers.extend(reversed(left))
+    anchor_flags.extend([False] * len(left))
+
+    for j, a in enumerate(anchors):
+        if j > 0:
+            # Fill the gap after the previous anchor at fixed width,
+            # stopping half a bin short of the next anchor so no filler
+            # lands (nearly) on top of it.
+            c = anchors[j - 1] + g
+            while c < a - g / 2.0:
+                bin_centers.append(c)
+                anchor_flags.append(False)
+                c += g
+        bin_centers.append(float(a))
+        anchor_flags.append(True)
+
+    # Extend to the right of the last anchor.
+    c = anchors[-1] + g
+    while c - g / 2.0 < hi:
+        bin_centers.append(c)
+        anchor_flags.append(False)
+        c += g
+
+    centers_arr = np.asarray(bin_centers)
+    dist = np.abs(values[:, None] - centers_arr[None, :])
+    assignments = np.argmin(dist, axis=1)  # argmin takes the lower index on ties
+    counts = np.bincount(assignments, minlength=len(centers_arr))
+    return RangeHistogram(bin_centers=centers_arr,
+                          counts=counts,
+                          assignments=assignments,
+                          anchor_mask=np.asarray(anchor_flags))
+
+
+
+def principal_axis_angle(points_2d: np.ndarray) -> RotationEstimate:
+    """Signed angle between the first principal axis and the vertical.
+
+    Mapped to (-90, 90]; estimates beyond +-40 degrees are marked
+    rejected and no rotation is applied downstream.
+    """
+    pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
+    if len(np.unique(pts, axis=0)) < 2:
+        raise DegenerateCluster("need at least 2 distinct points for PCA")
+    centered = pts - pts.mean(axis=0)
+    cov = centered.T @ centered / len(pts)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    major = eigvecs[:, np.argmax(eigvals)]  # (e_u, e_v)
+    # Counter-clockwise rotation (in u-v) that tilted the axis off vertical;
+    # the eigenvector's sign ambiguity cancels under the mod-180 mapping.
+    angle = math.degrees(math.atan2(-major[0], major[1]))
+    if angle <= -90.0:
+        angle += 180.0
+    elif angle > 90.0:
+        angle -= 180.0
+    # Tiny epsilon keeps an exactly-40-degree tilt on the accepted side
+    # despite eigensolver rounding.
+    return RotationEstimate(angle_deg=angle,
+                            rejected=abs(angle) > MAX_ROTATION_DEG + 1e-9)
+
+
+
+def compute_descriptor(points_2d: np.ndarray) -> ShapeDescriptor:
+    """3x3 occupancy fractions over the points' bounding rectangle.
+
+    Cells are half-open except the final row/column; rows follow the
+    second coordinate, columns the first.
+    """
+    pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
+    if len(pts) == 0:
+        raise DegenerateCluster("cannot describe an empty point set")
+    lo = pts.min(axis=0)
+    span = pts.max(axis=0) - lo
+    idx = np.zeros_like(pts, dtype=int)
+    for d in range(2):
+        if span[d] > 0:
+            idx[:, d] = np.minimum((3 * (pts[:, d] - lo[d]) / span[d]).astype(int), 2)
+    cells = idx[:, 1] * 3 + idx[:, 0]  # row from v, column from u
+    weights = np.bincount(cells, minlength=9).astype(float) / len(pts)
+    return ShapeDescriptor(weights=weights)
+
+
+def kl_divergence(p: ShapeDescriptor, q: ShapeDescriptor,
+                  smoothing: float = 1e-6) -> float:
+    """KL(P || Q) in nats after additive smoothing of both distributions."""
+    pw = p.weights + smoothing
+    qw = q.weights + smoothing
+    pw = pw / pw.sum()
+    qw = qw / qw.sum()
+    return float(np.sum(pw * np.log(pw / qw)))
+
+
+
+def score_candidate(points_2d: np.ndarray, center_range: float,
+                    benchmark: ShapeDescriptor, cfg: ShapeFilterConfig,
+                    cluster) -> CandidateScore:
+    try:
+        pre = compute_descriptor(points_2d)
+        est = principal_axis_angle(points_2d)
+        post = compute_descriptor(derotate(points_2d, est))
+    except DegenerateCluster:
+        return CandidateScore(cluster=cluster, pre_rotation_score=0.0,
+                              post_rotation_score=0.0, distance_m=center_range,
+                              rotation_deg=0.0, rotation_rejected=False,
+                              degenerate=True)
+    k = cfg.sigmoid_gain
+    return CandidateScore(
+        cluster=cluster,
+        pre_rotation_score=similarity_score(
+            kl_divergence(pre, benchmark, cfg.kl_smoothing), k),
+        post_rotation_score=similarity_score(
+            kl_divergence(post, benchmark, cfg.kl_smoothing), k),
+        distance_m=center_range,
+        rotation_deg=est.angle_deg,
+        rotation_rejected=est.rejected,
+        degenerate=False,
+    )
+
+
+
+def _ransac_best_fit(t: np.ndarray, values: np.ndarray,
+                     cfg: SmootherConfig,
+                     rng: np.random.Generator) -> Polynomial:
+    """Best order-2 model over RANSAC trials.
+
+    Trials are ranked by the median of squared residuals (least-median-
+    of-squares), which needs no noise-scale estimate and tolerates up to
+    half the samples being contaminated; ties break by lower RMS.
+    """
+    n = len(t)
+    best_key = None
+    best_model = None
+    for _ in range(cfg.ransac_iterations):
+        subset = rng.choice(n, size=min(cfg.ransac_subset, n), replace=False)
+        try:
+            model = Polynomial.fit(t[subset], values[subset], DETECT_ORDER)
+        except np.linalg.LinAlgError:
+            continue
+        resid = np.abs(values - model(t))
+        key = (float(np.median(resid ** 2)),
+               float(np.sqrt(np.mean(resid ** 2))))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_model = model
+    if best_model is None:
+        raise TooFewSamples("no valid RANSAC trial")
+    return best_model

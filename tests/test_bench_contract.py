@@ -2,10 +2,12 @@
 
 The benchmark writes its overtaking sequences with its own copy of what
 ``probfusion simulate`` does, and its traced run rebinds names of
-``probfusion.pipeline``. Both break silently when the program changes,
-so both are pinned here.
+``probfusion.pipeline``. Both break silently when the program changes:
+a rebound name that is gone, or one the pipeline no longer calls,
+reports no time. So both are pinned here.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from click.testing import CliRunner
 
 from probfusion import pipeline
 from probfusion.cli import main as cli_main
+from probfusion.config import load_pipeline_config
 from probfusion.sim import default_calibration
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -54,3 +57,30 @@ def test_traced_names_resolve():
     missing += [f"ground.{name}" for name, _ in spans.GROUND_NAMES
                 if not callable(getattr(pipeline.ground, name, None))]
     assert missing == []
+
+
+def test_traced_names_are_called(tmp_path):
+    # One crowd frame without observed pixels (so that it is projected)
+    # and one fused sequence call every traced stage at least once.
+    spans, workloads = load_bench_module("spans"), load_bench_module("workloads")
+    calib = default_calibration()
+    spec = workloads.crowd_spec(workloads.op_seed("crowd", 0, 0), 21,
+                                duration=0.1, near_car=False)
+    frame = workloads.simulate_frames([spec], calib)[0].record
+    frame = dataclasses.replace(frame, observed_uv=None, uv_valid=None)
+    workloads.simulate_to_dir(tmp_path / "seq", 7,
+                              workloads.reference_registry(), calib,
+                              duration=1.0)
+    cfg = load_pipeline_config(tmp_path / "seq" / "config.json")
+    tracer = spans.Tracer()
+    restore = spans.install(tracer, pipeline, workloads)
+    try:
+        pipeline.run_fusion_frame(frame, calib, workloads.in_memory_config(),
+                                  workloads.reference_registry())
+        pipeline.run_sequence(tmp_path / "seq", cfg, out_dir=tmp_path / "out")
+    finally:
+        restore()
+    _, _, counts = tracer.totals([spans.SETUP_OP])
+    names = [span for _, span, _ in spans.PIPELINE_NAMES]
+    names += [span for _, span in spans.GROUND_NAMES]
+    assert [name for name in names if counts[name]["calls"] == 0] == []

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from probfusion.cluster import (ClusteringConfig, RangeHistogram,
-                                build_range_histogram, merge_close_centers,
-                                planar_ranges, seed_bin_centers,
-                                select_candidate_clusters)
+                                _nearest_center, build_range_histogram,
+                                merge_close_centers, planar_ranges,
+                                seed_bin_centers, select_candidate_clusters)
 from probfusion.errors import EmptyInput, NoQualifiedCluster
 
 
@@ -204,3 +205,119 @@ class TestConfigValidation:
         assert cfg.granularity_for("car") == 2.0
         assert cfg.granularity_for("pedestrian") == 0.5
         assert cfg.granularity_for("unknown_label") == 1.0
+
+
+def same_array(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+# Exact binary fractions: a value at base + k * g / 2 with a
+# power-of-two g is exact, so anchors taken from the values put bin
+# centers and midpoints exactly on values; k in {-1, 0, 1} is a span
+# of one bin, and repeated k are duplicate values.
+GRANULARITY = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def half_bin_values(draw, max_size=60):
+    g = draw(GRANULARITY)
+    base = draw(st.integers(16, 480)) / 8.0
+    ks = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=max_size))
+    return g, np.array([base + k * g / 2.0 for k in ks])
+
+
+class TestMatchesOracle:
+    """The stages equal, bit for bit, the reference versions in
+    oracles.py on values at bin midpoints, duplicates, one-bin spans and
+    few distinct values."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=half_bin_values(), k=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(data=(0.5, np.array([20.0] * 7)), k=3, seed=0)
+    @example(data=(0.5, np.array([20.0, 20.5, 20.0, 20.5])), k=3, seed=1)
+    def test_seed_bin_centers(self, data, k, seed):
+        _, values = data
+        cfg = ClusteringConfig(kmeans_k=k)
+        assert same_array(seed_bin_centers(values, cfg, seed),
+                          oracles.seed_bin_centers(values, cfg, seed))
+
+    @settings(deadline=None, max_examples=200)
+    @given(base=st.floats(1.0, 60.0),
+           offsets=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12),
+           weights=st.none() | st.lists(st.floats(1.0, 400.0),
+                                        min_size=12, max_size=12),
+           g=st.floats(0.1, 4.0))
+    @example(base=-0.0, offsets=[-0.0, 2.0], weights=None, g=1.0)
+    def test_merge_close_centers(self, base, offsets, weights, g):
+        # Offsets within 3 m and bins up to 4 m wide make groups of 8
+        # and more anchors, whose means numpy sums pairwise.
+        centers = np.array(offsets) + base
+        if weights is not None:
+            weights = np.array(weights[:len(centers)])
+        assert same_array(merge_close_centers(centers, g, weights),
+                          oracles.merge_close_centers(centers, g, weights))
+
+    def test_merge_group_of_ten(self):
+        # A group of 10 anchors: its mean is np.average's pairwise sum,
+        # which here differs from the sum taken in order.
+        centers = np.array([10.1, 10.2, 10.3, 10.3, 10.4, 10.5, 10.5, 10.8,
+                            11.0, 11.0])
+        weights = np.array([1.0, 7.0, 3.0, 5.0, 9.0, 3.0, 7.0, 2.0, 3.0, 9.0])
+        assert len(merge_close_centers(centers, 5.0, weights)) == 1
+        assert same_array(merge_close_centers(centers, 5.0, weights),
+                          oracles.merge_close_centers(centers, 5.0, weights))
+        cw = w = 0.0
+        for c, wi in zip(centers.tolist(), weights.tolist()):
+            cw += c * wi
+            w += wi
+        assert cw / w != merge_close_centers(centers, 5.0, weights)[0]
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=half_bin_values(),
+           picks=st.lists(st.integers(0, 59), min_size=1, max_size=4),
+           shift=st.sampled_from([0.0, 0.5]))
+    @example(data=(0.5, np.array([20.0, 20.25, 19.75])), picks=[0],
+             shift=0.0)
+    def test_build_range_histogram(self, data, picks, shift):
+        # Anchors on values (or half a bin off them) put values exactly
+        # on bin centers and bin midpoints; repeated picks are equal
+        # anchors.
+        g, values = data
+        centers = values[[i % len(values) for i in picks]] + shift * g
+        cfg = ClusteringConfig()
+        hist = build_range_histogram(values, centers, cfg, g)
+        ref = oracles.build_range_histogram(values, centers, cfg, g)
+        for name in ("bin_centers", "counts", "assignments", "anchor_mask"):
+            assert same_array(getattr(hist, name), getattr(ref, name)), name
+
+    @settings(deadline=None, max_examples=100)
+    @given(values=st.lists(st.floats(0.5, 80.0), min_size=1, max_size=80),
+           seed=st.integers(0, 2 ** 32 - 1),
+           label=st.sampled_from(["car", "pedestrian", "other"]))
+    def test_kmeans_then_histogram(self, values, seed, label):
+        values = np.array(values)
+        cfg = ClusteringConfig()
+        g = cfg.granularity_for(label)
+        centers = oracles.seed_bin_centers(values, cfg, seed)
+        assert same_array(seed_bin_centers(values, cfg, seed), centers)
+        hist = build_range_histogram(values, centers, cfg, g)
+        ref = oracles.build_range_histogram(values, centers, cfg, g)
+        for name in ("bin_centers", "counts", "assignments", "anchor_mask"):
+            assert same_array(getattr(hist, name), getattr(ref, name)), name
+
+    @settings(deadline=None, max_examples=200)
+    @given(centers=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+           copies=st.integers(1, 3),
+           values=st.lists(st.floats(-2e3, 2e3), min_size=1, max_size=40))
+    @example(centers=[1.0, 1.0 + 2 ** -40], copies=2, values=[3e4, -3e4])
+    def test_nearest_center(self, centers, copies, values):
+        # Repeated centers, and centers so close that distances to them
+        # round to the same value, tie: the lowest index wins, as in
+        # np.argmin.
+        centers = np.sort(np.repeat(centers, copies))
+        values = np.array(values + centers.tolist())
+        expected = np.argmin(np.abs(values[:, None] - centers), axis=1)
+        assert same_array(_nearest_center(centers, values), expected)

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probfusion.aoi import BoundingBox
+from probfusion.aoi import BoundingBox, EnlargeRatios
 from probfusion.calib import CalibrationPair, save_calibration
 from probfusion.cli import main as cli_main
 from probfusion.config import (PipelineConfig, load_pipeline_config,
@@ -26,7 +26,10 @@ from probfusion.io import (WRITE_BLOCK_ROWS, FrameRecord,
                            write_detections, write_frame_cloud,
                            write_ground_truth, write_report,
                            write_trajectory_csv)
+import oracles
 from probfusion import pipeline as pipeline_module
+from probfusion import shape as shape_module
+from probfusion import smoother as smoother_module
 from probfusion.pipeline import run_fusion_frame, run_sequence
 from probfusion.shape import BenchmarkShapeRegistry
 from probfusion.sim import (DEFAULT_ERROR_MODEL, ObjectSpec, SceneSpec,
@@ -346,21 +349,32 @@ class TestRunSequence:
 
     def test_too_few_inliers_keeps_raw_track(self, tmp_path, monkeypatch):
         # With all but 4 samples flagged, no order-3 fit is possible:
-        # each smoothed track is written raw, as under no_smoother.
+        # each smoothed track is written raw, as under no_smoother, and
+        # the report lists every track as raw; the no_smoother and
+        # baseline_only reports list none.
         seq_dir, _, _ = write_sequence(tmp_path, small_scene(),
                                        err=DEFAULT_ERROR_MODEL)
         cfg = load_pipeline_config(seq_dir / "config.json")
-        run_sequence(seq_dir, cfg, out_dir=tmp_path / "raw", no_smoother=True)
+        raw_report = run_sequence(seq_dir, cfg, out_dir=tmp_path / "raw",
+                                  no_smoother=True)
+        baseline_report = run_sequence(seq_dir, cfg,
+                                       out_dir=tmp_path / "baseline",
+                                       baseline_only=True)
         monkeypatch.setattr(pipeline_module, "detect_outliers",
                             lambda track, cfg, seed=0:
                             np.arange(len(track)) >= 4)
-        run_sequence(seq_dir, cfg, out_dir=tmp_path / "out")
+        report = run_sequence(seq_dir, cfg, out_dir=tmp_path / "out")
         raw_paths = sorted((tmp_path / "raw" / "trajectories").iterdir())
         assert any(len(read_trajectory_csv(path)) >= cfg.smoother.min_samples
                    for path in raw_paths)
         for raw_path in raw_paths:
             assert (tmp_path / "out" / "trajectories" / raw_path.name
                     ).read_bytes() == raw_path.read_bytes()
+        track_ids = sorted(int(path.stem.split("_")[1]) for path in raw_paths)
+        written = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["raw_track_ids"] == written["raw_track_ids"] == track_ids
+        assert raw_report["raw_track_ids"] == []
+        assert baseline_report["raw_track_ids"] == []
 
     def test_empty_sequence_raises(self, tmp_path):
         seq_dir, _, _ = write_sequence(tmp_path, small_scene())
@@ -369,6 +383,86 @@ class TestRunSequence:
         empty.mkdir()
         with pytest.raises(EmptySequence):
             run_sequence(empty, cfg, out_dir=tmp_path / "out")
+
+
+def crowd_scene(seed=3, n_objects=15, duration=2.0):
+    """Mostly pedestrians, some cars, 8-50 m out (uniform over the ground
+    area) and slow enough to stay in the camera's field of view: many
+    small AOIs with several range peaks, so that K-Means, the histogram
+    and shape scoring all run."""
+    rng = np.random.default_rng(seed)
+    objects = []
+    for i in range(n_objects):
+        x0 = float(np.sqrt(rng.uniform(8.0 ** 2, 50.0 ** 2)))
+        y_lim = min(12.0, 0.6 * x0)
+        car = i % 5 == 0
+        vx, vy = ((float(rng.uniform(-3.0, 3.0)), 0.0) if car else
+                  tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=2)))
+        objects.append(ObjectSpec(
+            object_id=i + 1, class_label="car" if car else "pedestrian",
+            trajectory=Trajectory(x_coeffs=(x0, vx),
+                                  y_coeffs=(float(rng.uniform(-y_lim, y_lim)),
+                                            vy))))
+    return SceneSpec(duration=duration, frame_rate=10.0,
+                     objects=tuple(objects), rng_seed=seed)
+
+
+class TestStageOracles:
+    """Fusing with the library's stages gives what fusing with the
+    reference versions in oracles.py gives: the same localizations and
+    diagnostics, float for float, and the same sequence outputs."""
+
+    @staticmethod
+    def use_oracles(monkeypatch):
+        monkeypatch.setattr(pipeline_module, "seed_bin_centers",
+                            oracles.seed_bin_centers)
+        monkeypatch.setattr(pipeline_module, "build_range_histogram",
+                            oracles.build_range_histogram)
+        monkeypatch.setattr(shape_module, "score_candidate",
+                            oracles.score_candidate)
+        monkeypatch.setattr(smoother_module, "_ransac_best_fit",
+                            oracles._ransac_best_fit)
+
+    def test_crowd_frames(self, monkeypatch):
+        calib = default_calibration()
+        frames = simulate_sequence(crowd_scene(), calib, DEFAULT_ERROR_MODEL)
+        records = [FrameRecord(frame_id=fr.frame_id, t=fr.t, cloud=fr.cloud,
+                               observed_uv=fr.observed_uv,
+                               uv_valid=fr.uv_valid,
+                               detections=fr.detections) for fr in frames]
+        registry = BenchmarkShapeRegistry(shapes=reference_benchmarks(),
+                                          sample_counts={})
+        cfg = PipelineConfig(
+            calibration_path=Path("unused"),
+            enlarge_ratios={"default": EnlargeRatios(left=1.0, right=1.0,
+                                                     up=0.5, down=0.5)})
+        got = [run_fusion_frame(rec, calib, cfg, registry) for rec in records]
+        self.use_oracles(monkeypatch)
+        ref = [run_fusion_frame(rec, calib, cfg, registry) for rec in records]
+        assert len(records) == 20
+        assert sum(len(o.candidate_scores) for _, diag in got
+                   for o in diag.objects.values()) > 100
+        for (locs, diag), (ref_locs, ref_diag) in zip(got, ref):
+            assert repr(locs) == repr(ref_locs)
+            assert repr(diag) == repr(ref_diag)
+
+    def test_sequence(self, tmp_path, monkeypatch):
+        seq_dir, frames, _ = write_sequence(tmp_path,
+                                            small_scene(seed=2, duration=1.0),
+                                            err=DEFAULT_ERROR_MODEL)
+        cfg = load_pipeline_config(seq_dir / "config.json")
+        report = run_sequence(seq_dir, cfg, out_dir=tmp_path / "got")
+        self.use_oracles(monkeypatch)
+        run_sequence(seq_dir, cfg, out_dir=tmp_path / "ref")
+        assert len(frames) == 10
+        smoothed = set(report["evaluation"]["objects"]) - {
+            str(i) for i in report["raw_track_ids"]}
+        assert smoothed
+        got = {p.relative_to(tmp_path / "got"): p.read_bytes()
+               for p in (tmp_path / "got").rglob("*") if p.is_file()}
+        ref = {p.relative_to(tmp_path / "ref"): p.read_bytes()
+               for p in (tmp_path / "ref").rglob("*") if p.is_file()}
+        assert got == ref
 
 
 class TestCli:

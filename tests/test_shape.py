@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from probfusion.cluster import CandidateCluster
 from probfusion.errors import DegenerateCluster, EmptyInput
 from probfusion.shape import (BenchmarkShapeRegistry, RotationEstimate,
                               ShapeDescriptor, ShapeFilterConfig,
                               build_benchmark, compute_descriptor, derotate,
                               kl_divergence, principal_axis_angle,
-                              select_cluster, similarity_score)
+                              score_candidate, select_cluster,
+                              similarity_score)
 
 
 def one_hot(i):
@@ -337,3 +339,54 @@ class TestDescriptorValidation:
             ShapeFilterConfig(sigmoid_gain=0.0)
         with pytest.raises(ValueError):
             ShapeFilterConfig(kl_smoothing=0.0)
+
+
+def score_fields(score):
+    return repr((score.pre_rotation_score, score.post_rotation_score,
+                 score.distance_m, score.rotation_deg,
+                 score.rotation_rejected, score.degenerate))
+
+
+@st.composite
+def pixel_sets(draw):
+    """All-identical sets, two-point sets, sets on a coarse grid (many
+    duplicates, exactly symmetric shapes) and tilted ellipses (accepted
+    rotations)."""
+    kind = draw(st.sampled_from(["identical", "two", "grid", "ellipse"]))
+    if kind == "identical":
+        u, v = draw(st.floats(0, 640)), draw(st.floats(0, 480))
+        return np.tile([[u, v]], (draw(st.integers(1, 6)), 1))
+    if kind == "two":
+        return np.array([[draw(st.floats(0, 640)), draw(st.floats(0, 480))]
+                         for _ in range(2)])
+    if kind == "grid":
+        cells = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)),
+                              min_size=1, max_size=40))
+        return 100.0 + 3.0 * np.array(cells, dtype=float)
+    pts = vertical_ellipse(n=draw(st.integers(3, 120)),
+                           seed=draw(st.integers(0, 1000)))
+    return 300.0 + 20.0 * rotate(pts, draw(st.floats(-80.0, 80.0)))
+
+
+class TestScoreCandidateMatchesOracle:
+    """score_candidate equals the reference version in oracles.py, float
+    for float, including degenerate and rejected candidates."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(pts=pixel_sets(),
+           weights=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+           gain=st.sampled_from([0.5, 1.0, 2.0]))
+    @example(pts=np.array([[1.0, 1.0], [1.0, 1.0]]), weights=[1.0] * 9,
+             gain=1.0)
+    @example(pts=np.array([[1.0, 1.0], [1.0, 5.0]]), weights=[1.0] * 9,
+             gain=1.0)
+    def test_matches_oracle(self, pts, weights, gain):
+        w = np.array(weights) + 1e-3
+        bench = ShapeDescriptor(weights=w / w.sum())
+        cfg = ShapeFilterConfig(sigmoid_gain=gain)
+        cand = CandidateCluster(member_indices=np.arange(len(pts)),
+                                center_range=12.5, count=len(pts))
+        got = score_candidate(pts, 12.5, bench, cfg, cand)
+        ref = oracles.score_candidate(pts, 12.5, bench, cfg, cand)
+        assert score_fields(got) == score_fields(ref)
+        assert got.cluster is cand

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from probfusion.errors import TooFewInliers, TooFewSamples
-from probfusion.smoother import (SmootherConfig, TrackSample, detect_outliers,
-                                 smooth_and_interpolate)
+from probfusion.smoother import (SmootherConfig, TrackSample, _ransac_best_fit,
+                                 detect_outliers, smooth_and_interpolate)
 
 
 def make_track(t, x, y=None):
@@ -197,3 +200,29 @@ class TestConfigValidation:
     def test_bad_subset(self):
         with pytest.raises(ValueError):
             SmootherConfig(ransac_subset=2)
+
+
+class TestRansacMatchesOracle:
+    """_ransac_best_fit returns the model of the reference version in
+    oracles.py (one Polynomial.fit per trial), bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(8, 60), seed=st.integers(0, 2 ** 32 - 1),
+           subset=st.integers(3, 9), outliers=st.floats(0.0, 0.5),
+           steps=st.sampled_from(["regular", "irregular"]))
+    def test_matches_oracle(self, n, seed, subset, outliers, steps):
+        rng = np.random.default_rng(seed)
+        if steps == "regular":
+            t = np.arange(n) / 10.0
+        else:
+            t = np.cumsum(rng.uniform(0.01, 1.0, n))
+        values = 20.0 - 3.0 * t + 0.1 * t ** 2 + rng.normal(0, 0.05, n)
+        hit = rng.random(n) < outliers
+        values[hit] += rng.normal(0, 4.0, int(hit.sum()))
+        cfg = SmootherConfig(ransac_subset=subset)
+        got = _ransac_best_fit(t, values, cfg, np.random.default_rng(seed))
+        ref = oracles._ransac_best_fit(t, values, cfg,
+                                       np.random.default_rng(seed))
+        for name in ("coef", "domain", "window"):
+            assert getattr(got, name).tobytes() == \
+                getattr(ref, name).tobytes(), name
