@@ -38,10 +38,6 @@ class PipelineConfig:
                                            "default", EnlargeRatios()))
 
 
-def _ratios_from_json(raw: dict) -> dict:
-    return {cls: EnlargeRatios(**vals) for cls, vals in raw.items()}
-
-
 def load_pipeline_config(path) -> PipelineConfig:
     """Load a JSON pipeline config; relative paths resolve next to it."""
     path = Path(path)
@@ -51,6 +47,8 @@ def load_pipeline_config(path) -> PipelineConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
+    if not isinstance(raw, dict):
+        raise ConfigError(f"invalid config {path}: not a JSON object")
     base = path.parent
 
     def resolve(key):
@@ -69,24 +67,37 @@ def load_pipeline_config(path) -> PipelineConfig:
     if registry is not None and not registry.exists():
         raise ConfigError(f"benchmark registry {registry} does not exist")
 
-    try:
-        cfg = PipelineConfig(
-            calibration_path=calib_path,
-            benchmark_registry_path=registry,
-            ransac_ground=RansacPlaneConfig(**raw.get("ransac_ground", {})),
-            clustering=ClusteringConfig(**raw.get("clustering", {})),
-            enlarge_ratios=_ratios_from_json(
-                raw.get("enlarge_ratios", {"default": {}})),
-            shape_filter=ShapeFilterConfig(**raw.get("shape_filter", {})),
-            smoother=SmootherConfig(**raw.get("smoother", {})),
-            tolerance=ToleranceConfig(**raw.get("tolerance", {})),
-            guarantee=GuaranteeConfig(**raw.get("guarantee", {})),
-            target_object_ids=raw.get("target_object_ids"),
-            rng_seed=int(raw.get("rng_seed", 0)),
-            output_dir=resolve("output_dir"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config {path}: {exc}") from exc
+    def build(key, cls, value):
+        """cls(**value); a bad value is a ConfigError that names key."""
+        try:
+            return cls(**value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config {path}: {key}: {exc}") from exc
+
+    stages = {key: build(key, cls, raw.get(key, {})) for key, cls in (
+        ("ransac_ground", RansacPlaneConfig), ("clustering", ClusteringConfig),
+        ("shape_filter", ShapeFilterConfig), ("smoother", SmootherConfig),
+        ("tolerance", ToleranceConfig), ("guarantee", GuaranteeConfig))}
+    ratios = raw.get("enlarge_ratios", {"default": {}})
+    if not isinstance(ratios, dict):
+        raise ConfigError(f"invalid config {path}: enlarge_ratios must map "
+                          "class labels to ratios")
+    seed = raw.get("rng_seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"invalid config {path}: rng_seed must be a "
+                          f"non-negative integer, got {seed!r}")
+
+    cfg = PipelineConfig(
+        calibration_path=calib_path,
+        benchmark_registry_path=registry,
+        enlarge_ratios={label: build(f"enlarge_ratios.{label}",
+                                     EnlargeRatios, vals)
+                        for label, vals in ratios.items()},
+        target_object_ids=raw.get("target_object_ids"),
+        rng_seed=seed,
+        output_dir=resolve("output_dir"),
+        **stages,
+    )
     if "default" not in cfg.enlarge_ratios:
         cfg.enlarge_ratios["default"] = EnlargeRatios()
     return cfg

@@ -7,6 +7,7 @@ z up). Cropping keeps a forward sector anchored at the sensor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,18 @@ class RansacPlaneConfig:
             raise ValueError("p must lie in (0, 1)")
         if not 0.0 <= self.eps < 1.0:
             raise ValueError("eps must lie in [0, 1)")
-        if self.n_sample < 3:
-            raise ValueError("n_sample must be at least 3")
+        if (isinstance(self.n_sample, bool)
+                or not isinstance(self.n_sample, numbers.Integral)
+                or self.n_sample < 3):
+            raise ValueError("n_sample must be an integer of at least 3, "
+                             f"got {self.n_sample!r}")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.boundary_length <= 0 or self.boundary_width <= 0:
             raise ValueError("boundary extents must be positive")
+        if not 0.0 < self.normal_cone_deg <= 90.0:
+            raise ValueError("normal_cone_deg must lie in (0, 90], got "
+                             f"{self.normal_cone_deg!r}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,8 @@ def min_inlier_count(eps: float, total: int) -> int:
     return math.floor((1.0 - eps) * total)
 
 
-def _fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float]:
+def _fit_plane_lsq(points: np.ndarray,
+                   in_place: bool = False) -> tuple[np.ndarray, float]:
     """Least-squares plane through points; returns (unit normal, offset).
 
     The normal is the eigenvector of the smallest eigenvalue of the 3x3
@@ -84,16 +92,27 @@ def _fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float]:
     BLAS products, no centered copy. Identical points give an exactly
     zero scatter, whose first eigenvector (1, 0, 0) lies outside any
     cone around the vertical.
+
+    With in_place, R overwrites points; the result is the same.
     """
     n = len(points)
-    rel = points - points[0]
+    if in_place:
+        # Column by column: numpy's broadcast loop over rows of 3 is
+        # twice as slow, and the differences are the same.
+        p0 = points[0].copy()
+        for j in range(3):
+            points[:, j] -= p0[j]
+        rel = points
+    else:
+        p0 = points[0]
+        rel = points - p0
     mean = np.ones(n) @ rel / n
     scatter = rel.T @ rel - n * np.outer(mean, mean)
     _, vecs = np.linalg.eigh(scatter)  # ascending eigenvalues
     normal = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     if normal[2] < 0:
         normal = -normal
-    return normal, float(normal @ (points[0] + mean))
+    return normal, float(normal @ (p0 + mean))
 
 
 def _plane_distances(cloud: np.ndarray, normal: np.ndarray, offset: float,
@@ -104,10 +123,57 @@ def _plane_distances(cloud: np.ndarray, normal: np.ndarray, offset: float,
     np.abs(out, out=out)
 
 
+# Machine epsilon, for the rounding bound of the trial bail-out.
+_EPS = float(np.finfo(float).eps)
+
+
+def _worth_testing(n_points: int, n_suspects: int) -> bool:
+    """Whether a bail-out test costs at most a quarter of a full trial
+    pass: its numpy calls cost about a pass over 4096 points, and each
+    suspect about 4 points of a pass."""
+    return 4 * (4096 + 4 * n_suspects) <= n_points
+
+
+def _cannot_win(suspects: np.ndarray, reach: float, normal: np.ndarray,
+                offset: float, delta: float, out: np.ndarray) -> bool:
+    """True when every suspect is certainly outside the trial's band.
+
+    suspects are the best plane's outliers, and reach bounds |p|_1 over
+    them. The distance of a point p computed here can differ from the
+    full pass's, because the two gemvs may order or fuse the three
+    products differently: by less than 4 eps (S + |offset|), where
+    S = sum_j |p_j n_j| <= |p|_1 for a unit normal n. A suspect counts
+    as certainly out only when its distance exceeds delta by
+    16 eps (reach + |offset| + delta), which also covers the rounding
+    of that sum, so a point the full pass counts in is never counted
+    out here.
+    """
+    if len(suspects) == 0:
+        return True
+    _plane_distances(suspects, normal, offset, out=out)
+    slack = 16.0 * _EPS * (reach + abs(offset) + delta)
+    return float(out.min()) > delta + slack
+
+
 def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
                      seed: int = 0) -> GroundPlaneModel:
     """RANSAC plane fit constrained to near-vertical normals; seed seeds
     the trial draws.
+
+    A trial wins when it has strictly more inliers than the best trial
+    so far. Before its pass over the whole cloud, a trial is scored on
+    the best plane's outliers (the suspects): when all of them are
+    certainly outside the trial's band, the trial has at most the best
+    count of inliers and cannot win, so its full pass is skipped. What
+    "certainly" means is given by the rounding bound in _cannot_win, so
+    a skip never drops a trial that would have won; the winner and the
+    returned model are those of trying every trial in full. The test
+    runs only where it is cheap next to a full pass (_worth_testing):
+    on large clouds with few outliers.
+
+    The refit gathers the winner's inliers into the buffer the trials'
+    distances used and centers them there (_fit_plane_lsq in place), so
+    no N x 3 array is allocated.
 
     Raises InsufficientPoints if the cloud is smaller than n_sample and
     NoAcceptablePlane when no trial meets the inlier floor.
@@ -123,28 +189,45 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
     floor = min_inlier_count(cfg.eps, n_points)
     cos_cone = math.cos(math.radians(cfg.normal_cone_deg))
 
-    # Each trial's distances go to dist; the winner's are kept in
-    # best_dist by swapping the two buffers, so no trial allocates.
-    dist, best_dist = np.empty(n_points), np.empty(n_points)
-    best_count = -1
+    # The trials' distances use the first n_points floats of work; the
+    # refit gathers the winner's inliers (3 floats each) into it.
+    work = np.empty(3 * n_points)
+    dist = work[:n_points]
+    best_count, best_inside = -1, None
+    suspects = None   # the best plane's outliers, gathered when tested
     for _ in range(n_trials):
         sample = rng.choice(n_points, size=cfg.n_sample, replace=False)
         normal, offset = _fit_plane_lsq(cloud[sample])
         if normal[2] < cos_cone:
             continue
+        if best_count >= 0 and _worth_testing(n_points,
+                                              n_points - best_count):
+            if suspects is None:
+                suspects = np.compress(~best_inside, cloud, axis=0)
+                reach = (float(np.abs(suspects).sum(axis=1).max())
+                         if len(suspects) else 0.0)
+                suspect_dist = np.empty(len(suspects))
+            if _cannot_win(suspects, reach, normal, offset, cfg.delta,
+                           out=suspect_dist):
+                continue
         _plane_distances(cloud, normal, offset, out=dist)
-        count = int(np.count_nonzero(dist <= cfg.delta))
+        inside = dist <= cfg.delta
+        count = int(np.count_nonzero(inside))
         if count > best_count:
-            best_count = count
-            dist, best_dist = best_dist, dist
+            best_count, best_inside = count, inside
+            suspects = None
 
     if best_count < max(floor, 3):
         raise NoAcceptablePlane(
             f"best inlier count {max(best_count, 0)} below floor {floor}")
 
-    # Refit on the winning inlier set; keep the cone constraint.
-    normal, offset = _fit_plane_lsq(
-        np.compress(best_dist <= cfg.delta, cloud, axis=0))
+    # Refit on the winning inlier set, gathered into work and centered
+    # there; keep the cone constraint. (take with mode "clip" writes
+    # straight into out; the default mode would gather into a copy.)
+    points = work[:3 * best_count].reshape(best_count, 3)
+    np.take(cloud, np.flatnonzero(best_inside), axis=0, out=points,
+            mode="clip")
+    normal, offset = _fit_plane_lsq(points, in_place=True)
     if normal[2] < cos_cone:
         raise NoAcceptablePlane("refit normal left the allowed cone")
     _plane_distances(cloud, normal, offset, out=dist)

@@ -69,10 +69,16 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
     crop = ground.crop_mask(cloud, cfg.ransac_ground)
     diag.cropped_count = int(np.count_nonzero(crop))
 
+    # A crop that keeps every point of a contiguous cloud would copy it
+    # unchanged; the fit then reads the cloud itself.
+    if diag.cropped_count == len(cloud) and cloud.flags.c_contiguous:
+        cropped = cloud
+    else:
+        cropped = np.compress(crop, cloud, axis=0)
     keep = crop.copy()
     try:
-        model = ground.fit_ground_plane(np.compress(crop, cloud, axis=0),
-                                        cfg.ransac_ground, cfg.rng_seed)
+        model = ground.fit_ground_plane(cropped, cfg.ransac_ground,
+                                        cfg.rng_seed)
         removed = ground.ground_mask(cloud, model, cfg.ransac_ground.delta)
         keep &= ~removed
         diag.ground_removed_count = (diag.cropped_count

@@ -7,6 +7,7 @@ fits order-3 polynomials on the inliers and interpolates gaps.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,6 +35,11 @@ class SmootherConfig:
             raise ValueError("min_samples must exceed smooth_order + 1")
         if self.ransac_subset < DETECT_ORDER + 1:
             raise ValueError("ransac_subset too small for an order-2 fit")
+        if (isinstance(self.ransac_iterations, bool)
+                or not isinstance(self.ransac_iterations, numbers.Integral)
+                or self.ransac_iterations < 1):
+            raise ValueError("ransac_iterations must be an integer of at "
+                             f"least 1, got {self.ransac_iterations!r}")
 
 
 @dataclass(frozen=True)

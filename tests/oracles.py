@@ -1,10 +1,11 @@
-"""Reference versions of the per-detection stages and the smoother's
-RANSAC, for equivalence tests.
+"""Reference versions of the per-detection stages, the smoother's
+RANSAC and the ground-plane fit, for equivalence tests.
 
 These are the straightforward implementations the library replaced
 with cheaper ones (np.unique, np.allclose, np.average, an (n, bins)
-argmin, a Polynomial.fit per RANSAC trial). The library must return
-exactly what they return: the same floats, bit for bit.
+argmin, a Polynomial.fit per RANSAC trial, a full pass over the cloud
+for every ground trial). The library must return exactly what they
+return: the same floats, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from probfusion.cluster import ClusteringConfig, RangeHistogram
-from probfusion.errors import DegenerateCluster, EmptyInput, TooFewSamples
+from probfusion.errors import (DegenerateCluster, EmptyInput,
+                               InsufficientPoints, NoAcceptablePlane,
+                               TooFewSamples)
+from probfusion.ground import (GroundPlaneModel, RansacPlaneConfig,
+                               min_inlier_count, required_trials)
 from probfusion.shape import (MAX_ROTATION_DEG, CandidateScore,
                               RotationEstimate, ShapeDescriptor,
                               ShapeFilterConfig, derotate, similarity_score)
@@ -263,3 +268,83 @@ def _ransac_best_fit(t: np.ndarray, values: np.ndarray,
     if best_model is None:
         raise TooFewSamples("no valid RANSAC trial")
     return best_model
+
+
+def _fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares plane through points; returns (unit normal, offset).
+
+    The normal is the eigenvector of the smallest eigenvalue of the 3x3
+    scatter matrix of the centered points, built as ``R.T @ R - n m m^T``
+    from the points R relative to the first one and their mean m: two
+    BLAS products, no centered copy. Identical points give an exactly
+    zero scatter, whose first eigenvector (1, 0, 0) lies outside any
+    cone around the vertical.
+    """
+    n = len(points)
+    rel = points - points[0]
+    mean = np.ones(n) @ rel / n
+    scatter = rel.T @ rel - n * np.outer(mean, mean)
+    _, vecs = np.linalg.eigh(scatter)  # ascending eigenvalues
+    normal = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    if normal[2] < 0:
+        normal = -normal
+    return normal, float(normal @ (points[0] + mean))
+
+
+def _plane_distances(cloud: np.ndarray, normal: np.ndarray, offset: float,
+                     out: np.ndarray) -> None:
+    """|cloud . normal - offset| written into out."""
+    np.matmul(cloud, normal, out=out)
+    out -= offset
+    np.abs(out, out=out)
+
+
+def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
+                     seed: int = 0) -> GroundPlaneModel:
+    """RANSAC plane fit constrained to near-vertical normals; seed seeds
+    the trial draws.
+
+    Raises InsufficientPoints if the cloud is smaller than n_sample and
+    NoAcceptablePlane when no trial meets the inlier floor.
+    """
+    cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    n_points = len(cloud)
+    if n_points < cfg.n_sample:
+        raise InsufficientPoints(
+            f"need at least {cfg.n_sample} points, got {n_points}")
+
+    rng = np.random.default_rng(seed)
+    n_trials = required_trials(cfg.p, cfg.eps, cfg.n_sample)
+    floor = min_inlier_count(cfg.eps, n_points)
+    cos_cone = math.cos(math.radians(cfg.normal_cone_deg))
+
+    # Each trial's distances go to dist; the winner's are kept in
+    # best_dist by swapping the two buffers, so no trial allocates.
+    dist, best_dist = np.empty(n_points), np.empty(n_points)
+    best_count = -1
+    for _ in range(n_trials):
+        sample = rng.choice(n_points, size=cfg.n_sample, replace=False)
+        normal, offset = _fit_plane_lsq(cloud[sample])
+        if normal[2] < cos_cone:
+            continue
+        _plane_distances(cloud, normal, offset, out=dist)
+        count = int(np.count_nonzero(dist <= cfg.delta))
+        if count > best_count:
+            best_count = count
+            dist, best_dist = best_dist, dist
+
+    if best_count < max(floor, 3):
+        raise NoAcceptablePlane(
+            f"best inlier count {max(best_count, 0)} below floor {floor}")
+
+    # Refit on the winning inlier set; keep the cone constraint.
+    normal, offset = _fit_plane_lsq(
+        np.compress(best_dist <= cfg.delta, cloud, axis=0))
+    if normal[2] < cos_cone:
+        raise NoAcceptablePlane("refit normal left the allowed cone")
+    _plane_distances(cloud, normal, offset, out=dist)
+    final_count = int(np.count_nonzero(dist <= cfg.delta))
+    if final_count < floor:
+        raise NoAcceptablePlane(
+            f"refit inlier count {final_count} below floor {floor}")
+    return GroundPlaneModel(normal=normal, offset=offset, inlier_count=final_count)

@@ -1,10 +1,15 @@
 """RANSAC ground-plane fitting and removal."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from probfusion import ground as ground_module
 from probfusion.errors import InsufficientPoints, NoAcceptablePlane
 from probfusion.ground import (RansacPlaneConfig, _fit_plane_lsq, crop_mask,
                                fit_ground_plane, ground_mask, min_inlier_count,
@@ -213,3 +218,176 @@ class TestConfigValidation:
     def test_bad_n_sample(self):
         with pytest.raises(ValueError):
             RansacPlaneConfig(n_sample=2)
+
+    def test_fractional_n_sample(self):
+        with pytest.raises(ValueError, match="n_sample"):
+            RansacPlaneConfig(n_sample=4.5)
+
+    @pytest.mark.parametrize("cone", [-30.0, 0.0, 90.5, float("nan")])
+    def test_cone_outside_0_90(self, cone):
+        with pytest.raises(ValueError, match="normal_cone_deg"):
+            RansacPlaneConfig(normal_cone_deg=cone)
+
+    def test_right_angle_cone_allowed(self):
+        assert RansacPlaneConfig(normal_cone_deg=90).normal_cone_deg == 90
+
+
+def fit_outcome(fit, cloud, cfg, seed):
+    """(normal bytes, offset, inlier count) of a fit, or its exception type."""
+    try:
+        model = fit(cloud, cfg, seed)
+    except (InsufficientPoints, NoAcceptablePlane) as exc:
+        return type(exc)
+    return model.normal.tobytes(), model.offset, model.inlier_count
+
+
+def trial_planes(cloud, cfg, seed):
+    """The (sample, normal, offset) of every trial of a fit of cloud, in
+    draw order: the draws depend only on the cloud's size and the seed."""
+    rng = np.random.default_rng(seed)
+    planes = []
+    for _ in range(required_trials(cfg.p, cfg.eps, cfg.n_sample)):
+        sample = rng.choice(len(cloud), size=cfg.n_sample, replace=False)
+        planes.append((sample, *oracles._fit_plane_lsq(cloud[sample])))
+    return planes
+
+
+def place_at_band_edge(cloud, row, normal, offset, delta, inside):
+    """Move cloud[row] along z to the last computed distance <= delta
+    (inside) or the first one > delta from the plane, within 16 ulps."""
+    x, y = cloud[row, :2]
+    for sign in (1.0, -1.0):
+        z0 = ((offset + sign * delta - normal[0] * x - normal[1] * y)
+              / normal[2])
+        zs = z0 + np.arange(-16, 17) * np.spacing(z0)
+        dist = np.abs(np.column_stack([np.full(33, x), np.full(33, y), zs])
+                      @ normal - offset)
+        pick = np.flatnonzero(dist <= delta if inside else dist > delta)
+        if len(pick):
+            # The candidate nearest delta on the wanted side.
+            cloud[row, 2] = zs[pick[np.argmin(np.abs(dist[pick] - delta))]]
+            return
+
+
+@st.composite
+def ground_clouds(draw):
+    """A tilted ground plane with objects above it, and the seed to fit it."""
+    n = draw(st.integers(6, 5_000))
+    share = draw(st.floats(0.0, 0.6))
+    placement = draw(st.sampled_from(["first", "last", "interleaved"]))
+    extent = draw(st.sampled_from([70.0, 1e3, 1e4]))
+    noise = draw(st.sampled_from([0.0, 0.02, 0.1]))
+    repeats = draw(st.sampled_from([0.0, 0.3]))
+    n_sample = draw(st.sampled_from([3, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = RansacPlaneConfig(n_sample=n_sample)
+    n_out = min(round(share * n), n)
+    xy = rng.uniform([0.0, -extent / 4], [extent, extent / 4], size=(n, 2))
+    z = 0.01 * xy[:, 0] - 0.02 * xy[:, 1] - 1.7 + rng.normal(0, noise, n)
+    cloud = np.column_stack([xy, z])
+    objects = {"first": np.arange(n_out), "last": np.arange(n - n_out, n),
+               "interleaved": np.linspace(0, n - 1, n_out).astype(int)}
+    cloud[objects[placement], 2] += rng.uniform(0.5, 3.0, n_out)
+    if repeats:
+        copies = rng.choice(n, size=int(repeats * n), replace=True)
+        cloud[copies] = cloud[rng.choice(n, size=len(copies))]
+    seed = draw(st.integers(0, 1000))
+    # Points at the band edge of a few trial planes, the oracle's winner
+    # among them, off the trial samples so the planes stay as they are.
+    planes = trial_planes(cloud, cfg, seed)
+    drawn = np.concatenate([s for s, _, _ in planes])
+    free = np.setdiff1d(np.arange(n), drawn)
+    edge = rng.permutation(free)[:draw(st.integers(0, 24))]
+    cone = math.cos(math.radians(cfg.normal_cone_deg))
+    upright = [(nrm, off) for _, nrm, off in planes if nrm[2] >= cone]
+    for i, row in enumerate(edge):
+        if upright:
+            nrm, off = upright[i % len(upright)]
+            place_at_band_edge(cloud, row, nrm, off, cfg.delta,
+                               inside=bool(rng.integers(2)))
+    return cloud, cfg, seed
+
+
+class TestFitMatchesOracle:
+    """fit_ground_plane returns what the plain full-pass fit in oracles.py
+    returns, bit for bit, or raises the same exception."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(ground_clouds())
+    def test_random_clouds(self, case):
+        cloud, cfg, seed = case
+        want = fit_outcome(oracles.fit_ground_plane, cloud, cfg, seed)
+        assert fit_outcome(fit_ground_plane, cloud, cfg, seed) == want
+        # The bail-out runs only on large clouds; run it on these too.
+        with mock.patch.object(ground_module, "_worth_testing",
+                               lambda n_points, n_suspects: True):
+            assert fit_outcome(fit_ground_plane, cloud, cfg, seed) == want
+
+    def test_full_sweep(self):
+        cloud, _ = make_plane_scene(n_ground=120_000, n_object=300, seed=7)
+        cfg = RansacPlaneConfig()
+        for seed in (0, 1):
+            assert fit_outcome(fit_ground_plane, cloud, cfg, seed) == \
+                fit_outcome(oracles.fit_ground_plane, cloud, cfg, seed)
+
+    def test_suspect_on_the_band_edge_of_a_later_trial(self):
+        # Trial 0 fits z = 0 and trial 5 fits z = 0.125, exactly. Every
+        # ground point lies in both bands; one more point lies 0.25 above
+        # trial 5's plane, on its band edge, so trial 5 has one inlier
+        # more and wins. A bail-out that took that point for certainly
+        # out would keep trial 0's plane. One ulp higher, it is out.
+        cfg = RansacPlaneConfig(delta=0.25)
+        n, seed = 20_000, 0
+        rng = np.random.default_rng(1)
+        cloud = np.column_stack([rng.uniform(0, 60, n),
+                                 rng.uniform(-10, 10, n),
+                                 rng.uniform(-0.125, 0.25, n)])
+        samples = [s for s, _, _ in trial_planes(cloud, cfg, seed)]
+        drawn = np.concatenate(samples)
+        others = np.concatenate(samples[:5] + samples[6:])
+        assert len(np.intersect1d(samples[5], others)) == 0
+        cloud[drawn, 2] = 0.0
+        cloud[samples[5], 2] = 0.125
+        free = np.setdiff1d(np.arange(n), drawn)
+        cloud[free[:10], 2] += 2.0
+        edge = free[10]
+        planes = trial_planes(cloud, cfg, seed)
+        for trial, offset in ((0, 0.0), (5, 0.125)):
+            assert planes[trial][1].tolist() == [0.0, 0.0, 1.0]
+            assert planes[trial][2] == offset
+        outcomes = []
+        for z in (0.375, np.nextafter(0.375, 1.0)):
+            cloud[edge, 2] = z
+            want = fit_outcome(oracles.fit_ground_plane, cloud, cfg, seed)
+            assert fit_outcome(fit_ground_plane, cloud, cfg, seed) == want
+            outcomes.append(want)
+        # The edge point is refitted with trial 5's inliers, or not at all.
+        assert outcomes[0][:2] != outcomes[1][:2]
+
+    def test_full_sweep_trials_mostly_skip_their_pass(self, monkeypatch):
+        # 16 trials, each a pass over the whole cloud without the
+        # bail-out; counted up to the refit, the first fit of more points
+        # than a trial sample.
+        cloud, _ = make_plane_scene(n_ground=120_000, n_object=300, seed=7)
+        cfg = RansacPlaneConfig()
+        events = []
+        distances, fit_lsq = (ground_module._plane_distances,
+                              ground_module._fit_plane_lsq)
+
+        def counting_distances(points, *args, **kwargs):
+            if len(points) == len(cloud):
+                events.append("pass")
+            return distances(points, *args, **kwargs)
+
+        def marking_fit(points, *args, **kwargs):
+            if len(points) > cfg.n_sample:
+                events.append("refit")
+            return fit_lsq(points, *args, **kwargs)
+
+        monkeypatch.setattr(ground_module, "_plane_distances",
+                            counting_distances)
+        monkeypatch.setattr(ground_module, "_fit_plane_lsq", marking_fit)
+        fit_ground_plane(cloud, cfg, seed=0)
+        assert required_trials(cfg.p, cfg.eps, cfg.n_sample) == 16
+        assert "refit" in events
+        assert events[:events.index("refit")].count("pass") <= 4

@@ -27,6 +27,7 @@ from probfusion.io import (WRITE_BLOCK_ROWS, FrameRecord,
                            write_ground_truth, write_report,
                            write_trajectory_csv)
 import oracles
+from probfusion import ground as ground_module
 from probfusion import pipeline as pipeline_module
 from probfusion import shape as shape_module
 from probfusion import smoother as smoother_module
@@ -414,6 +415,8 @@ class TestStageOracles:
 
     @staticmethod
     def use_oracles(monkeypatch):
+        monkeypatch.setattr(ground_module, "fit_ground_plane",
+                            oracles.fit_ground_plane)
         monkeypatch.setattr(pipeline_module, "seed_bin_centers",
                             oracles.seed_bin_centers)
         monkeypatch.setattr(pipeline_module, "build_range_histogram",
@@ -423,13 +426,16 @@ class TestStageOracles:
         monkeypatch.setattr(smoother_module, "_ransac_best_fit",
                             oracles._ransac_best_fit)
 
-    def test_crowd_frames(self, monkeypatch):
+    def fuse_both_ways(self, spec, monkeypatch):
+        """Every frame of spec fused with the library, then with the
+        oracles: two lists of (localizations, diagnostics)."""
         calib = default_calibration()
-        frames = simulate_sequence(crowd_scene(), calib, DEFAULT_ERROR_MODEL)
         records = [FrameRecord(frame_id=fr.frame_id, t=fr.t, cloud=fr.cloud,
                                observed_uv=fr.observed_uv,
                                uv_valid=fr.uv_valid,
-                               detections=fr.detections) for fr in frames]
+                               detections=fr.detections)
+                   for fr in simulate_sequence(spec, calib,
+                                               DEFAULT_ERROR_MODEL)]
         registry = BenchmarkShapeRegistry(shapes=reference_benchmarks(),
                                           sample_counts={})
         cfg = PipelineConfig(
@@ -439,12 +445,26 @@ class TestStageOracles:
         got = [run_fusion_frame(rec, calib, cfg, registry) for rec in records]
         self.use_oracles(monkeypatch)
         ref = [run_fusion_frame(rec, calib, cfg, registry) for rec in records]
-        assert len(records) == 20
-        assert sum(len(o.candidate_scores) for _, diag in got
-                   for o in diag.objects.values()) > 100
         for (locs, diag), (ref_locs, ref_diag) in zip(got, ref):
             assert repr(locs) == repr(ref_locs)
             assert repr(diag) == repr(ref_diag)
+        return got, ref
+
+    def test_crowd_frames(self, monkeypatch):
+        got, _ = self.fuse_both_ways(crowd_scene(), monkeypatch)
+        assert len(got) == 20
+        assert sum(len(o.candidate_scores) for _, diag in got
+                   for o in diag.objects.values()) > 100
+
+    def test_dense_frames(self, monkeypatch):
+        # Full 120k-point sweeps, where the ground fit skips the passes of
+        # trials that cannot win and refits in its own buffer.
+        spec = dataclasses.replace(overtaking_scene(rng_seed=3),
+                                   n_ground_points=120_000, frame_rate=1.0,
+                                   duration=3.0)
+        got, _ = self.fuse_both_ways(spec, monkeypatch)
+        assert len(got) == 3
+        assert all(diag.ground_removed_count > 100_000 for _, diag in got)
 
     def test_sequence(self, tmp_path, monkeypatch):
         seq_dir, frames, _ = write_sequence(tmp_path,
@@ -746,6 +766,46 @@ def test_fuse_bad_input_exits_1_with_one_line(tmp_path, two_frame_sequence,
     assert isinstance(res.exception, SystemExit)
     assert len(res.output.strip().splitlines()) == 1
     assert message in res.output
+
+
+# (test id, config entries to overwrite, what the one-line message names)
+BAD_CONFIG_KEYS = [
+    ("ransac-iterations-zero", {"smoother": {"ransac_iterations": 0}},
+     "smoother: ransac_iterations"),
+    ("ransac-iterations-negative", {"smoother": {"ransac_iterations": -2}},
+     "smoother: ransac_iterations"),
+    ("n-sample-fraction", {"ransac_ground": {"n_sample": 4.5}},
+     "ransac_ground: n_sample"),
+    ("cone-negative", {"ransac_ground": {"normal_cone_deg": -30}},
+     "ransac_ground: normal_cone_deg"),
+    ("cone-zero", {"ransac_ground": {"normal_cone_deg": 0}},
+     "ransac_ground: normal_cone_deg"),
+    ("cone-above-90", {"ransac_ground": {"normal_cone_deg": 91}},
+     "ransac_ground: normal_cone_deg"),
+    ("seed-negative", {"rng_seed": -1}, "rng_seed"),
+    ("seed-fraction", {"rng_seed": 1.5}, "rng_seed"),
+]
+
+
+@pytest.mark.parametrize("entries, key",
+                         [case[1:] for case in BAD_CONFIG_KEYS],
+                         ids=[case[0] for case in BAD_CONFIG_KEYS])
+def test_fuse_bad_config_key_exits_2_with_one_line(
+        tmp_path, two_frame_sequence, entries, key):
+    seq = tmp_path / "seq"
+    shutil.copytree(two_frame_sequence, seq)
+    config = json.loads((seq / "config.json").read_text())
+    for name, value in entries.items():
+        config[name] = ({**config[name], **value} if isinstance(value, dict)
+                        else value)
+    (seq / "config.json").write_text(json.dumps(config))
+    res = CliRunner().invoke(cli_main, [
+        "fuse", str(seq), "--config", str(seq / "config.json"),
+        "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    assert key in res.output
 
 
 @pytest.mark.parametrize("text, message", [
