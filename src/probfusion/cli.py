@@ -12,6 +12,7 @@ invariant violation.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .config import load_pipeline_config, write_pipeline_config
+from .config import load_pipeline_config
 from .errors import ConfigError, EmptySequence, FusionError
 from .io import (read_frame_rate, read_ground_truth, read_trajectory_csv,
                  write_report)
@@ -49,39 +50,15 @@ def main():
 def simulate(scene, seed, out, ideal):
     """Generate a synthetic sequence directory with ground truth."""
     try:
-        if scene is not None:
-            spec = simmod.load_scene_spec(scene)
-            if seed is not None:
-                spec = simmod.scene_spec_from_json(
-                    {**simmod.scene_spec_to_json(spec), "rng_seed": seed})
-        else:
-            spec = simmod.overtaking_scene(rng_seed=seed or 0)
+        spec = (simmod.load_scene_spec(scene) if scene is not None
+                else simmod.overtaking_scene())
+        if seed is not None:
+            spec = dataclasses.replace(spec, rng_seed=seed)
     except (FusionError, json.JSONDecodeError, KeyError, TypeError) as exc:
         click.echo(f"invalid scene spec: {exc}", err=True)
         sys.exit(EXIT_INPUT)
-
-    calib = simmod.default_calibration()
-    err = None if ideal else simmod.DEFAULT_ERROR_MODEL
-    frames = simmod.simulate_sequence(spec, calib, err)
-
-    from .io import dump_simulated_sequence
-    out = Path(out)
-    dump_simulated_sequence(out, frames, calib, spec)
-
-    registry = BenchmarkShapeRegistry(
-        shapes=simmod.reference_benchmarks(),
-        sample_counts={})
-    registry.save(out / "benchmarks.json")
-    write_pipeline_config(
-        out / "config.json",
-        calibration="calibration.json",
-        benchmark_registry="benchmarks.json",
-        rng_seed=spec.rng_seed,
-        enlarge_ratios={"default": {"left": 1.0, "right": 1.0,
-                                    "up": 0.5, "down": 0.5}},
-        guarantee={"t1": 1.0, "t2": 0.9, "t1_fraction": 0.2},
-        target_object_ids=[obj.object_id for obj in spec.objects[:1]],
-    )
+    frames = simmod.write_sequence_dir(
+        out, spec, None if ideal else simmod.DEFAULT_ERROR_MODEL)
     click.echo(f"wrote {len(frames)} frames to {out}")
 
 
@@ -102,6 +79,10 @@ def fuse(sequence_dir, config_path, seed, out, baseline_only, no_smoother):
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     if seed is not None:
+        if seed < 0:
+            click.echo(f"config error: --seed must be a non-negative "
+                       f"integer, got {seed}", err=True)
+            sys.exit(EXIT_CONFIG)
         cfg.rng_seed = seed
     try:
         report = run_sequence(sequence_dir, cfg, out_dir=out,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -14,6 +14,15 @@ from .ground import RansacPlaneConfig
 from .metrics import GuaranteeConfig, ToleranceConfig
 from .shape import ShapeFilterConfig
 from .smoother import SmootherConfig
+
+
+# The config sections that each configure one stage, with their classes.
+STAGES = (("ransac_ground", RansacPlaneConfig),
+          ("clustering", ClusteringConfig),
+          ("shape_filter", ShapeFilterConfig),
+          ("smoother", SmootherConfig),
+          ("tolerance", ToleranceConfig),
+          ("guarantee", GuaranteeConfig))
 
 
 @dataclass
@@ -74,10 +83,7 @@ def load_pipeline_config(path) -> PipelineConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config {path}: {key}: {exc}") from exc
 
-    stages = {key: build(key, cls, raw.get(key, {})) for key, cls in (
-        ("ransac_ground", RansacPlaneConfig), ("clustering", ClusteringConfig),
-        ("shape_filter", ShapeFilterConfig), ("smoother", SmootherConfig),
-        ("tolerance", ToleranceConfig), ("guarantee", GuaranteeConfig))}
+    stages = {key: build(key, cls, raw.get(key, {})) for key, cls in STAGES}
     ratios = raw.get("enlarge_ratios", {"default": {}})
     if not isinstance(ratios, dict):
         raise ConfigError(f"invalid config {path}: enlarge_ratios must map "
@@ -106,19 +112,9 @@ def load_pipeline_config(path) -> PipelineConfig:
 def write_pipeline_config(path, *, calibration="calibration.json",
                           benchmark_registry=None, **overrides) -> None:
     """Write a config JSON with the library defaults plus overrides."""
-    payload = {
-        "calibration": str(calibration),
-        "rng_seed": overrides.pop("rng_seed", 0),
-        "ransac_ground": overrides.pop("ransac_ground", {}),
-        "clustering": overrides.pop("clustering", {}),
-        "enlarge_ratios": overrides.pop(
-            "enlarge_ratios",
-            {"default": {"left": 1.0, "right": 1.0, "up": 0.0, "down": 0.0}}),
-        "shape_filter": overrides.pop("shape_filter", {}),
-        "smoother": overrides.pop("smoother", {}),
-        "tolerance": overrides.pop("tolerance", {}),
-        "guarantee": overrides.pop("guarantee", {}),
-    }
+    payload = {"calibration": str(calibration), "rng_seed": 0,
+               "enlarge_ratios": {"default": asdict(EnlargeRatios())},
+               **{key: {} for key, _ in STAGES}}
     if benchmark_registry is not None:
         payload["benchmark_registry"] = str(benchmark_registry)
     payload.update(overrides)

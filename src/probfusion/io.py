@@ -345,13 +345,12 @@ def write_report(path, report: dict) -> None:
 def dump_simulated_sequence(seq_dir, frames, calib, spec) -> None:
     """Write a simulated sequence in the on-disk layout above."""
     from .calib import save_calibration
-    from .sim import scene_spec_to_json
+    from .sim import save_scene_spec
 
     seq_dir = Path(seq_dir)
     seq_dir.mkdir(parents=True, exist_ok=True)
     save_calibration(seq_dir / "calibration.json", calib)
-    with open(seq_dir / "scene.json", "w") as fh:
-        json.dump(scene_spec_to_json(spec), fh, indent=2, sort_keys=True)
+    save_scene_spec(seq_dir / "scene.json", spec)
     detections_by_frame = {}
     gt_records = []
     for frame in frames:

@@ -14,42 +14,62 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .aoi import BoundingBox
+from .aoi import BoundingBox, EnlargeRatios
 from .calib import CalibrationPair, CameraIntrinsics, default_extrinsic, project_xyz
 from .classes import CLASSES, class_params
+from .config import write_pipeline_config
 from .errors import InvalidSpec
-from .shape import build_benchmark, compute_descriptor
+from .io import FrameRecord, dump_simulated_sequence
+from .metrics import GuaranteeConfig
+from .shape import BenchmarkShapeRegistry, build_benchmark, compute_descriptor
 
 GROUND_LABEL = -1
 CLUTTER_LABEL = -2
+
+# What the config.json of a simulated sequence fuses with: AOIs enlarged
+# by a box width left and right and half a box height up and down, and
+# the completeness guarantee of hypothesis 2.
+SIMULATED_RATIOS = EnlargeRatios(left=1.0, right=1.0, up=0.5, down=0.5)
+SIMULATED_GUARANTEE = GuaranteeConfig(t1=1.0, t2=0.9, t1_fraction=0.2)
+
+TRAJECTORY_KINDS = ("polynomial", "waypoints")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Planar path; either per-axis polynomial in t or linear waypoints."""
-    kind: str = "polynomial"          # "polynomial" | "waypoints"
+    kind: str = "polynomial"          # one of TRAJECTORY_KINDS
     x_coeffs: tuple = (10.0,)         # ascending powers of t
     y_coeffs: tuple = (0.0,)
     times: tuple = ()
     points: tuple = ()                # ((x, y), ...) matched to times
+
+    def __post_init__(self):
+        if self.kind not in TRAJECTORY_KINDS:
+            raise InvalidSpec(f"trajectory kind is {self.kind!r}, not one "
+                              f"of {', '.join(TRAJECTORY_KINDS)}")
 
     def position(self, t: float) -> tuple[float, float]:
         if self.kind == "polynomial":
             x = sum(c * t ** i for i, c in enumerate(self.x_coeffs))
             y = sum(c * t ** i for i, c in enumerate(self.y_coeffs))
             return float(x), float(y)
-        if self.kind == "waypoints":
-            ts = np.asarray(self.times, dtype=float)
-            pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
-            x = np.interp(t, ts, pts[:, 0])
-            y = np.interp(t, ts, pts[:, 1])
-            return float(x), float(y)
-        raise InvalidSpec(f"unknown trajectory kind {self.kind!r}")
+        ts = np.asarray(self.times, dtype=float)
+        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
+        x = np.interp(t, ts, pts[:, 0])
+        y = np.interp(t, ts, pts[:, 1])
+        return float(x), float(y)
 
 
 @dataclass(frozen=True)
@@ -60,6 +80,15 @@ class ObjectSpec:
     length: Optional[float] = None
     width: Optional[float] = None
     height: Optional[float] = None
+
+    def __post_init__(self):
+        if not _is_integer(self.object_id):
+            raise InvalidSpec(f"object_id is {self.object_id!r}, not an "
+                              "integer")
+        if self.class_label not in CLASSES:
+            raise InvalidSpec(f"object {self.object_id}: class_label is "
+                              f"{self.class_label!r}, not one of "
+                              f"{', '.join(CLASSES)}")
 
     def size(self) -> tuple[float, float, float]:
         default = class_params(self.class_label).size_m
@@ -82,13 +111,26 @@ class SceneSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not _is_integer(self.rng_seed) or self.rng_seed < 0:
+            raise InvalidSpec("rng_seed must be a non-negative integer, "
+                              f"got {self.rng_seed!r}")
         if self.frame_rate <= 0:
             raise InvalidSpec("frame_rate must be positive")
         if self.duration <= 0:
             raise InvalidSpec("duration must be positive")
+        if self.n_frames < 1:
+            raise InvalidSpec(f"duration {self.duration!r} s at "
+                              f"{self.frame_rate!r} Hz is less than one frame")
+        ids = [obj.object_id for obj in self.objects]
+        if len(set(ids)) != len(ids):
+            raise InvalidSpec(f"object ids {ids} are not distinct")
         for obj in self.objects:
             if min(obj.size()) <= 0:
                 raise InvalidSpec(f"object {obj.object_id} has nonpositive size")
+
+    @property
+    def n_frames(self) -> int:
+        return int(round(self.duration * self.frame_rate))
 
 
 @dataclass(frozen=True)
@@ -114,15 +156,11 @@ class FrameSkeleton:
 
 
 @dataclass
-class SimulatedFrame:
-    frame_id: int
-    t: float
-    cloud: np.ndarray        # (N, 3) LiDAR frame
+class SimulatedFrame(FrameRecord):
+    """A frame as the pipeline reads it (observed_uv after error
+    injection), plus the simulator's ground truth."""
     labels: np.ndarray       # (N,) GROUND_LABEL / CLUTTER_LABEL / object_id
     ideal_uv: np.ndarray     # (N, 2) ideal pixel mapping, NaN when invalid
-    observed_uv: np.ndarray  # (N, 2) after error injection
-    uv_valid: np.ndarray     # (N,) bool
-    detections: list         # of BoundingBox
     gt_object_pixel_boxes: dict   # object_id -> (u0, v0, u1, v1) or None
     gt_poses: dict           # object_id -> {"x","y","range","class"}
     applied_shifts: np.ndarray    # (N, 2) pixel shift applied per point
@@ -136,11 +174,8 @@ def default_calibration() -> CalibrationPair:
 
 def generate_scene(spec: SceneSpec) -> list[FrameSkeleton]:
     """Frame skeletons with object poses sampled from the trajectories."""
-    n_frames = int(round(spec.duration * spec.frame_rate))
-    if n_frames < 1:
-        raise InvalidSpec("scene produces no frames")
     skeletons = []
-    for i in range(n_frames):
+    for i in range(spec.n_frames):
         t = i / spec.frame_rate
         poses = {obj.object_id: obj.trajectory.position(t)
                  for obj in spec.objects}
@@ -347,6 +382,34 @@ def simulate_sequence(spec: SceneSpec, calib: CalibrationPair,
         if err is not None:
             frame = inject_mapping_errors(frame, err, rng_seed=spec.rng_seed)
         frames.append(frame)
+    return frames
+
+
+def write_sequence_dir(out, spec: SceneSpec,
+                       error_model: Optional[ErrorModel]) -> list[SimulatedFrame]:
+    """Simulate spec and write it as a sequence directory that fuse reads.
+
+    Besides the frames (io.dump_simulated_sequence) the directory holds
+    the reference shape benchmarks as benchmarks.json and a config.json
+    with SIMULATED_RATIOS, SIMULATED_GUARANTEE, the scene's rng_seed and
+    its first object as target. error_model None keeps the ideal pixel
+    mappings. Returns the simulated frames.
+    """
+    out = Path(out)
+    calib = default_calibration()
+    frames = simulate_sequence(spec, calib, error_model)
+    dump_simulated_sequence(out, frames, calib, spec)
+    BenchmarkShapeRegistry(shapes=reference_benchmarks(),
+                           sample_counts={}).save(out / "benchmarks.json")
+    write_pipeline_config(
+        out / "config.json",
+        calibration="calibration.json",
+        benchmark_registry="benchmarks.json",
+        rng_seed=spec.rng_seed,
+        enlarge_ratios={"default": asdict(SIMULATED_RATIOS)},
+        guarantee=asdict(SIMULATED_GUARANTEE),
+        target_object_ids=[obj.object_id for obj in spec.objects[:1]],
+    )
     return frames
 
 

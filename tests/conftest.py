@@ -1,5 +1,7 @@
 """Shared fixtures for the probfusion test suite."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -7,6 +9,8 @@ from hypothesis import settings
 from probfusion.aoi import BoundingBox
 from probfusion.calib import (CameraIntrinsics, ExtrinsicTransform,
                               default_extrinsic)
+from probfusion.config import PipelineConfig
+from probfusion.sim import SIMULATED_GUARANTEE, SIMULATED_RATIOS
 
 
 # Selected with --hypothesis-profile=ci: the same examples on every run,
@@ -47,3 +51,11 @@ def make_box(u_min=100.0, v_min=50.0, u_max=200.0, v_max=150.0,
     return BoundingBox(frame_id=frame_id, object_id=object_id,
                        class_label=class_label,
                        u_min=u_min, v_min=v_min, u_max=u_max, v_max=v_max)
+
+
+def in_memory_config():
+    """The settings sim.write_sequence_dir writes to config.json, for
+    fusing simulated frames without files, with rng_seed 0."""
+    return PipelineConfig(calibration_path=Path("unused"),
+                          enlarge_ratios={"default": SIMULATED_RATIOS},
+                          guarantee=SIMULATED_GUARANTEE)

@@ -9,36 +9,33 @@ import json
 import math
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from probfusion.aoi import EnlargeRatios
 from probfusion.classes import CLASSES
 from probfusion.cluster import CandidateCluster
-from probfusion.config import PipelineConfig, load_pipeline_config
+from probfusion.config import load_pipeline_config
 from probfusion.ground import (RansacPlaneConfig, fit_ground_plane,
                                ground_mask, min_inlier_count, required_trials)
-from probfusion.io import FrameRecord, dump_simulated_sequence
 from probfusion.localize import representative_point
-from probfusion.metrics import (GuaranteeConfig, ToleranceConfig,
-                                one_sample_right_tail_t_test, paired_t_test,
-                                selection_completeness, tolerance_band, tpr)
+from probfusion.metrics import (ToleranceConfig, one_sample_right_tail_t_test,
+                                paired_t_test, selection_completeness,
+                                tolerance_band, tpr)
 from probfusion.pipeline import run_fusion_frame, run_sequence
 from probfusion.shape import (ShapeFilterConfig, compute_descriptor, derotate,
                               principal_axis_angle, select_cluster)
-from probfusion.sim import (DEFAULT_ERROR_MODEL, _sample_silhouette,
-                            default_calibration, overtaking_scene,
-                            reference_benchmarks, simulate_sequence)
+from probfusion.sim import (DEFAULT_ERROR_MODEL, SIMULATED_GUARANTEE,
+                            _sample_silhouette, default_calibration,
+                            overtaking_scene, reference_benchmarks,
+                            simulate_sequence, write_sequence_dir)
 from probfusion.shape import BenchmarkShapeRegistry
 from probfusion.smoother import (SmootherConfig, TrackSample, detect_outliers,
                                  smooth_and_interpolate)
 from probfusion.stats import student_t_sf
 
 import conftest
-from test_pipeline import write_sequence
 
 
 def report_line(number, name, ok):
@@ -50,19 +47,6 @@ def report_line(number, name, ok):
 
 # ---------------------------------------------------------------- shared runs
 
-def _frame_record(fr):
-    return FrameRecord(frame_id=fr.frame_id, t=fr.t, cloud=fr.cloud,
-                       observed_uv=fr.observed_uv, uv_valid=fr.uv_valid,
-                       detections=fr.detections)
-
-
-def _in_memory_config():
-    return PipelineConfig(
-        calibration_path=Path("unused"),
-        enlarge_ratios={"default": EnlargeRatios(left=1.0, right=1.0,
-                                                 up=0.5, down=0.5)})
-
-
 def run_hypothesis_trials(seeds):
     """Per-sequence mean TPRs (baseline vs fusion) and guarantee frames
     for the target object of the overtaking fixture."""
@@ -70,15 +54,14 @@ def run_hypothesis_trials(seeds):
     benchmarks = BenchmarkShapeRegistry(shapes=reference_benchmarks(),
                                         sample_counts={})
     tol = ToleranceConfig()
-    cfg = _in_memory_config()
+    cfg = conftest.in_memory_config()
     base_means, fusion_means, guarantee_frames = [], [], []
     for seed in seeds:
         frames = simulate_sequence(overtaking_scene(rng_seed=seed), calib,
                                    DEFAULT_ERROR_MODEL)
         b_list, f_list = [], []
         for fr in frames:
-            _, diag = run_fusion_frame(_frame_record(fr), calib, cfg,
-                                       benchmarks)
+            _, diag = run_fusion_frame(fr, calib, cfg, benchmarks)
             odiag = diag.objects.get(1)
             if odiag is None:
                 continue
@@ -110,8 +93,8 @@ def sequence_reports(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("acceptance")
     out = {}
     for label, err in (("ideal", None), ("errors", DEFAULT_ERROR_MODEL)):
-        seq_dir, _, _ = write_sequence(tmp, overtaking_scene(rng_seed=0),
-                                       err=err, name=f"seq_{label}")
+        seq_dir = tmp / f"seq_{label}"
+        write_sequence_dir(seq_dir, overtaking_scene(rng_seed=0), err)
         cfg = load_pipeline_config(seq_dir / "config.json")
         run_sequence(seq_dir, cfg, out_dir=tmp / f"out_{label}_a")
         report = run_sequence(seq_dir, cfg, out_dir=tmp / f"out_{label}_b")
@@ -289,9 +272,8 @@ def test_criterion_07_hypothesis_1(hypothesis_runs):
 def test_criterion_08_hypothesis_2(hypothesis_runs):
     fusion = hypothesis_runs["fusion"]
     t_stat, p_value, _ = one_sample_right_tail_t_test(fusion, 0.5)
-    guard = selection_completeness(
-        hypothesis_runs["guarantee"],
-        GuaranteeConfig(t1=1.0, t2=0.9, t1_fraction=0.2))
+    guard = selection_completeness(hypothesis_runs["guarantee"],
+                                   SIMULATED_GUARANTEE)
     ok = p_value < 0.05 and guard.passed
     report_line(8, f"hypothesis 2 (p={p_value:.2e}, "
                    f"guarantee={guard.empirical_probability:.3f})", bool(ok))

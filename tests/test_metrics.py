@@ -109,7 +109,7 @@ class TestSelectionCompleteness:
         # missing 2 fails.
         ok_frame = (list(range(9)), list(range(10)))
         bad_frame = (list(range(8)), list(range(10)))
-        cfg = GuaranteeConfig(t1=1.0, t2=0.9, t1_fraction=0.2)
+        cfg = GuaranteeConfig(t1_fraction=0.2)
         res = selection_completeness([ok_frame, bad_frame], cfg)
         assert res.per_frame_missed == [1, 2]
         assert res.empirical_probability == pytest.approx(0.5)

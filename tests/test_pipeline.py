@@ -13,19 +13,18 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probfusion.aoi import BoundingBox, EnlargeRatios
+from probfusion.aoi import BoundingBox
 from probfusion.calib import CalibrationPair, save_calibration
 from probfusion.cli import main as cli_main
-from probfusion.config import (PipelineConfig, load_pipeline_config,
-                               write_pipeline_config)
+from probfusion.config import load_pipeline_config, write_pipeline_config
 from probfusion.errors import ConfigError, EmptySequence
-from probfusion.io import (WRITE_BLOCK_ROWS, FrameRecord,
-                           dump_simulated_sequence,
-                           load_sequence, read_detections, read_frame_cloud,
+from probfusion.io import (WRITE_BLOCK_ROWS, load_sequence,
+                           read_detections, read_frame_cloud,
                            read_ground_truth, read_trajectory_csv,
                            write_detections, write_frame_cloud,
                            write_ground_truth, write_report,
                            write_trajectory_csv)
+import conftest
 import oracles
 from probfusion import ground as ground_module
 from probfusion import pipeline as pipeline_module
@@ -33,35 +32,17 @@ from probfusion import shape as shape_module
 from probfusion import smoother as smoother_module
 from probfusion.pipeline import run_fusion_frame, run_sequence
 from probfusion.shape import BenchmarkShapeRegistry
-from probfusion.sim import (DEFAULT_ERROR_MODEL, ObjectSpec, SceneSpec,
+from probfusion.sim import (DEFAULT_ERROR_MODEL, SIMULATED_GUARANTEE,
+                            SIMULATED_RATIOS, ObjectSpec, SceneSpec,
                             Trajectory, default_calibration,
                             overtaking_scene, reference_benchmarks,
-                            save_scene_spec, simulate_sequence)
+                            save_scene_spec, scene_spec_to_json,
+                            simulate_sequence, write_sequence_dir)
 from probfusion.smoother import TrackSample, detect_outliers
 
 
 def small_scene(seed=0, duration=1.2):
     return overtaking_scene(rng_seed=seed, duration=duration)
-
-
-def write_sequence(tmp_path, spec, err=None, name="seq"):
-    calib = default_calibration()
-    frames = simulate_sequence(spec, calib, err)
-    seq_dir = tmp_path / name
-    dump_simulated_sequence(seq_dir, frames, calib, spec)
-    registry = BenchmarkShapeRegistry(shapes=reference_benchmarks(),
-                                      sample_counts={})
-    registry.save(seq_dir / "benchmarks.json")
-    write_pipeline_config(
-        seq_dir / "config.json",
-        calibration="calibration.json",
-        benchmark_registry="benchmarks.json",
-        enlarge_ratios={"default": {"left": 1.0, "right": 1.0,
-                                    "up": 0.5, "down": 0.5}},
-        guarantee={"t1": 1.0, "t2": 0.9, "t1_fraction": 0.2},
-        target_object_ids=[1],
-    )
-    return seq_dir, frames, calib
 
 
 class TestCloudCsv:
@@ -172,12 +153,26 @@ class TestLoadSequence:
             load_sequence(tmp_path / "nothing")
 
     def test_frames_sorted_with_timestamps(self, tmp_path):
-        seq_dir, frames, _ = write_sequence(tmp_path, small_scene())
-        loaded, gt = load_sequence(seq_dir)
+        spec = small_scene(seed=4)
+        frames = write_sequence_dir(tmp_path, spec, DEFAULT_ERROR_MODEL)
+        loaded, gt = load_sequence(tmp_path)
         assert [f.frame_id for f in loaded] == list(range(len(frames)))
         assert loaded[3].t == pytest.approx(0.3)
         assert gt is not None
         assert set(gt[0]) == {1, 2, 3, 4, 5}
+        # The frames the writer returns are the frames fuse reads back.
+        for got, wrote in zip(loaded, frames, strict=True):
+            for name in ("cloud", "observed_uv", "uv_valid"):
+                a, b = getattr(got, name), getattr(wrote, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
+            assert got.detections == wrote.detections
+        # config.json fuses with the simulated settings and the scene seed.
+        cfg = load_pipeline_config(tmp_path / "config.json")
+        assert cfg.enlarge_ratios == {"default": SIMULATED_RATIOS}
+        assert cfg.guarantee == SIMULATED_GUARANTEE
+        assert cfg.target_object_ids == [spec.objects[0].object_id]
+        assert cfg.rng_seed == spec.rng_seed == 4
 
 
 class TestPipelineConfig:
@@ -232,12 +227,11 @@ class TestPipelineConfig:
 
 class TestRunFusionFrame:
     def _setup(self, tmp_path, err=None):
-        seq_dir, frames, calib = write_sequence(tmp_path, small_scene(),
-                                                err=err)
-        loaded, gt = load_sequence(seq_dir)
-        cfg = load_pipeline_config(seq_dir / "config.json")
-        benchmarks = BenchmarkShapeRegistry.load(seq_dir / "benchmarks.json")
-        return loaded, gt, cfg, calib, benchmarks
+        write_sequence_dir(tmp_path, small_scene(), err)
+        loaded, gt = load_sequence(tmp_path)
+        cfg = load_pipeline_config(tmp_path / "config.json")
+        benchmarks = BenchmarkShapeRegistry.load(tmp_path / "benchmarks.json")
+        return loaded, gt, cfg, default_calibration(), benchmarks
 
     def test_ideal_frame_localizes_all_objects(self, tmp_path):
         loaded, gt, cfg, calib, benchmarks = self._setup(tmp_path)
@@ -266,10 +260,8 @@ class TestRunFusionFrame:
         ghost = BoundingBox(frame_id=frame.frame_id, object_id=99,
                             class_label="pedestrian",
                             u_min=0.0, v_min=0.0, u_max=4.0, v_max=4.0)
-        frame = FrameRecord(frame_id=frame.frame_id, t=frame.t,
-                            cloud=frame.cloud, observed_uv=frame.observed_uv,
-                            uv_valid=frame.uv_valid,
-                            detections=list(frame.detections) + [ghost])
+        frame = dataclasses.replace(frame,
+                                    detections=[*frame.detections, ghost])
         locs, diag = run_fusion_frame(frame, calib, cfg, benchmarks)
         assert diag.objects[99].status == "NoQualifiedCluster"
         # Other objects are unaffected by the soft failure.
@@ -299,8 +291,9 @@ class TestRunFusionFrame:
 
 class TestRunSequence:
     def test_report_and_trajectories(self, tmp_path):
-        seq_dir, frames, _ = write_sequence(tmp_path, small_scene(),
-                                            err=DEFAULT_ERROR_MODEL)
+        seq_dir = tmp_path / "seq"
+        frames = write_sequence_dir(seq_dir, small_scene(),
+                                    DEFAULT_ERROR_MODEL)
         cfg = load_pipeline_config(seq_dir / "config.json")
         report = run_sequence(seq_dir, cfg, out_dir=tmp_path / "out")
         assert (tmp_path / "out" / "report.json").exists()
@@ -310,7 +303,8 @@ class TestRunSequence:
         assert report["n_frames"] == len(frames)
 
     def test_baseline_only_skips_trajectories(self, tmp_path):
-        seq_dir, _, _ = write_sequence(tmp_path, small_scene())
+        seq_dir = tmp_path / "seq"
+        write_sequence_dir(seq_dir, small_scene(), None)
         cfg = load_pipeline_config(seq_dir / "config.json")
         report = run_sequence(seq_dir, cfg, out_dir=tmp_path / "out",
                               baseline_only=True)
@@ -318,8 +312,8 @@ class TestRunSequence:
         assert report["baseline_only"] is True
 
     def test_byte_identical_reports(self, tmp_path):
-        seq_dir, _, _ = write_sequence(tmp_path, small_scene(seed=5),
-                                       err=DEFAULT_ERROR_MODEL)
+        seq_dir = tmp_path / "seq"
+        write_sequence_dir(seq_dir, small_scene(seed=5), DEFAULT_ERROR_MODEL)
         cfg = load_pipeline_config(seq_dir / "config.json")
         run_sequence(seq_dir, cfg, out_dir=tmp_path / "a")
         run_sequence(seq_dir, cfg, out_dir=tmp_path / "b")
@@ -329,8 +323,9 @@ class TestRunSequence:
     def test_trajectories_mark_outliers(self, tmp_path):
         # Smoothed samples at the times detect_outliers flags in the raw
         # track are outliers, and interpolated: no inlier is there.
-        seq_dir, _, _ = write_sequence(tmp_path, small_scene(duration=2.0),
-                                       err=DEFAULT_ERROR_MODEL)
+        seq_dir = tmp_path / "seq"
+        write_sequence_dir(seq_dir, small_scene(duration=2.0),
+                           DEFAULT_ERROR_MODEL)
         cfg = load_pipeline_config(seq_dir / "config.json")
         run_sequence(seq_dir, cfg, out_dir=tmp_path / "raw", no_smoother=True)
         run_sequence(seq_dir, cfg, out_dir=tmp_path / "smooth")
@@ -353,8 +348,8 @@ class TestRunSequence:
         # each smoothed track is written raw, as under no_smoother, and
         # the report lists every track as raw; the no_smoother and
         # baseline_only reports list none.
-        seq_dir, _, _ = write_sequence(tmp_path, small_scene(),
-                                       err=DEFAULT_ERROR_MODEL)
+        seq_dir = tmp_path / "seq"
+        write_sequence_dir(seq_dir, small_scene(), DEFAULT_ERROR_MODEL)
         cfg = load_pipeline_config(seq_dir / "config.json")
         raw_report = run_sequence(seq_dir, cfg, out_dir=tmp_path / "raw",
                                   no_smoother=True)
@@ -378,7 +373,8 @@ class TestRunSequence:
         assert baseline_report["raw_track_ids"] == []
 
     def test_empty_sequence_raises(self, tmp_path):
-        seq_dir, _, _ = write_sequence(tmp_path, small_scene())
+        seq_dir = tmp_path / "seq"
+        write_sequence_dir(seq_dir, small_scene(), None)
         cfg = load_pipeline_config(seq_dir / "config.json")
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -430,21 +426,13 @@ class TestStageOracles:
         """Every frame of spec fused with the library, then with the
         oracles: two lists of (localizations, diagnostics)."""
         calib = default_calibration()
-        records = [FrameRecord(frame_id=fr.frame_id, t=fr.t, cloud=fr.cloud,
-                               observed_uv=fr.observed_uv,
-                               uv_valid=fr.uv_valid,
-                               detections=fr.detections)
-                   for fr in simulate_sequence(spec, calib,
-                                               DEFAULT_ERROR_MODEL)]
+        frames = simulate_sequence(spec, calib, DEFAULT_ERROR_MODEL)
         registry = BenchmarkShapeRegistry(shapes=reference_benchmarks(),
                                           sample_counts={})
-        cfg = PipelineConfig(
-            calibration_path=Path("unused"),
-            enlarge_ratios={"default": EnlargeRatios(left=1.0, right=1.0,
-                                                     up=0.5, down=0.5)})
-        got = [run_fusion_frame(rec, calib, cfg, registry) for rec in records]
+        cfg = conftest.in_memory_config()
+        got = [run_fusion_frame(fr, calib, cfg, registry) for fr in frames]
         self.use_oracles(monkeypatch)
-        ref = [run_fusion_frame(rec, calib, cfg, registry) for rec in records]
+        ref = [run_fusion_frame(fr, calib, cfg, registry) for fr in frames]
         for (locs, diag), (ref_locs, ref_diag) in zip(got, ref):
             assert repr(locs) == repr(ref_locs)
             assert repr(diag) == repr(ref_diag)
@@ -467,9 +455,9 @@ class TestStageOracles:
         assert all(diag.ground_removed_count > 100_000 for _, diag in got)
 
     def test_sequence(self, tmp_path, monkeypatch):
-        seq_dir, frames, _ = write_sequence(tmp_path,
-                                            small_scene(seed=2, duration=1.0),
-                                            err=DEFAULT_ERROR_MODEL)
+        seq_dir = tmp_path / "seq"
+        frames = write_sequence_dir(seq_dir, small_scene(seed=2, duration=1.0),
+                                    DEFAULT_ERROR_MODEL)
         cfg = load_pipeline_config(seq_dir / "config.json")
         report = run_sequence(seq_dir, cfg, out_dir=tmp_path / "got")
         self.use_oracles(monkeypatch)
@@ -747,8 +735,8 @@ BAD_INPUTS = [
 
 @pytest.fixture(scope="module")
 def two_frame_sequence(tmp_path_factory):
-    seq_dir, _, _ = write_sequence(tmp_path_factory.mktemp("clean"),
-                                   small_scene(duration=0.2))
+    seq_dir = tmp_path_factory.mktemp("clean")
+    write_sequence_dir(seq_dir, small_scene(duration=0.2), None)
     return seq_dir
 
 
@@ -806,6 +794,62 @@ def test_fuse_bad_config_key_exits_2_with_one_line(
     assert isinstance(res.exception, SystemExit)
     assert len(res.output.strip().splitlines()) == 1
     assert key in res.output
+
+
+def test_fuse_negative_seed_exits_2_with_one_line(tmp_path,
+                                                  two_frame_sequence):
+    res = CliRunner().invoke(cli_main, [
+        "fuse", str(two_frame_sequence),
+        "--config", str(two_frame_sequence / "config.json"),
+        "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    assert "--seed" in res.output
+
+
+def test_simulate_negative_seed_exits_1_with_one_line(tmp_path):
+    res = CliRunner().invoke(cli_main, ["simulate", "--seed", "-1",
+                                        "--out", str(tmp_path / "seq")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    assert "rng_seed" in res.output
+
+
+def first_object(**entries):
+    """Edit of a scene's JSON that updates its first object."""
+    return lambda scene: scene["objects"][0].update(entries)
+
+
+# (test id, edit of a scene's JSON, what the one-line message names)
+BAD_SCENES = [
+    ("seed-negative", lambda scene: scene.update(rng_seed=-1), "rng_seed"),
+    ("seed-fraction", lambda scene: scene.update(rng_seed=1.5), "rng_seed"),
+    ("seed-bool", lambda scene: scene.update(rng_seed=True), "rng_seed"),
+    ("no-frame", lambda scene: scene.update(duration=0.04),
+     "less than one frame"),
+    ("kind-spline", lambda scene: scene["objects"][0]["trajectory"].update(
+        kind="spline"), "'spline'"),
+    ("class-truck", first_object(class_label="truck"), "'truck'"),
+    ("id-text", first_object(object_id="x"), "object_id is 'x'"),
+    ("id-repeated", first_object(object_id=2), "not distinct"),
+]
+
+
+@pytest.mark.parametrize("edit, message", [case[1:] for case in BAD_SCENES],
+                         ids=[case[0] for case in BAD_SCENES])
+def test_simulate_bad_scene_exits_1_with_one_line(tmp_path, edit, message):
+    scene = scene_spec_to_json(small_scene(duration=0.2))
+    edit(scene)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    res = CliRunner().invoke(cli_main, ["simulate", "--scene", str(path),
+                                        "--out", str(tmp_path / "seq")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.strip().splitlines()) == 1
+    assert message in res.output
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,5 +1,6 @@
 """Synthetic-scene generator: determinism, labeling, and error injection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,14 +48,23 @@ class TestGenerateScene:
         assert traj.position(0.5) == (5.0, 1.0)
 
     def test_invalid_spec(self):
-        with pytest.raises(InvalidSpec):
-            SceneSpec(duration=-1.0)
-        with pytest.raises(InvalidSpec):
-            SceneSpec(frame_rate=0.0)
         car = ObjectSpec(object_id=1, class_label="car",
-                         trajectory=Trajectory(), height=-1.0)
-        with pytest.raises(InvalidSpec):
-            SceneSpec(objects=(car,))
+                         trajectory=Trajectory())
+        flat = dataclasses.replace(car, height=-1.0)
+        for build in (
+                lambda: SceneSpec(duration=-1.0),
+                lambda: SceneSpec(frame_rate=0.0),
+                lambda: SceneSpec(objects=(flat,)),
+                lambda: SceneSpec(rng_seed=-1),
+                lambda: SceneSpec(rng_seed=1.5),
+                lambda: SceneSpec(rng_seed=True),
+                lambda: SceneSpec(duration=0.04, frame_rate=10.0),
+                lambda: Trajectory(kind="spline"),
+                lambda: dataclasses.replace(car, class_label="truck"),
+                lambda: dataclasses.replace(car, object_id="x"),
+                lambda: SceneSpec(objects=(car, car))):
+            with pytest.raises(InvalidSpec):
+                build()
 
 
 class TestRenderFrame:
