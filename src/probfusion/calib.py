@@ -92,11 +92,11 @@ def load_calibration(path) -> CalibrationPair:
 
     Expected keys: intrinsics{fx,fy,ox,oy,width,height},
     extrinsic{rotation: 9 row-major numbers, translation: 3 numbers},
-    distortion: 5 numbers (must all be zero).
+    distortion: 5 numbers (must all be zero); CalibrationError otherwise.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
     try:
+        with open(path) as fh:
+            raw = json.load(fh)
         intr = CameraIntrinsics(**raw["intrinsics"])
         ext_raw = raw["extrinsic"]
         extr = ExtrinsicTransform(
@@ -104,12 +104,12 @@ def load_calibration(path) -> CalibrationPair:
             translation=np.asarray(ext_raw["translation"], dtype=float),
         )
         distortion = np.asarray(raw.get("distortion", [0.0] * 5), dtype=float)
+        if distortion.shape != (5,):
+            raise CalibrationError("distortion must hold exactly 5 coefficients")
+        if np.any(distortion != 0.0):
+            raise CalibrationError("nonzero distortion coefficients are not supported")
     except (KeyError, TypeError, ValueError) as exc:
         raise CalibrationError(f"malformed calibration file {path}: {exc}") from exc
-    if distortion.shape != (5,):
-        raise CalibrationError("distortion must hold exactly 5 coefficients")
-    if np.any(distortion != 0.0):
-        raise CalibrationError("nonzero distortion coefficients are not supported")
     return CalibrationPair(intrinsics=intr, extrinsic=extr)
 
 

@@ -6,14 +6,14 @@ Subcommands:
   benchmark-shapes labeled cluster files -> benchmark registry
   evaluate         trajectories + ground truth -> report
 
-Exit codes: 0 success, 1 input error, 2 config error, 3 internal
-invariant violation.
+Exit codes: 0 success, 1 input error (ValueError, OSError), 2 config
+error (ConfigError), 3 internal error (any other FusionError).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import re
 import sys
 from pathlib import Path
 
@@ -21,20 +21,34 @@ import click
 import numpy as np
 
 from .config import load_pipeline_config
-from .errors import ConfigError, EmptySequence, FusionError
-from .io import (read_frame_rate, read_ground_truth, read_trajectory_csv,
-                 write_report)
+from .errors import ConfigError, FusionError
+from .io import (read_frame_rate, read_ground_truth, read_json_object,
+                 read_trajectory_csv, write_report)
 from .metrics import align_to_ground_truth, mae_axis
 from .shape import BenchmarkShapeRegistry, build_benchmark, compute_descriptor
 from . import sim as simmod
 from .pipeline import run_sequence
 
-EXIT_INPUT = 1
-EXIT_CONFIG = 2
-EXIT_INTERNAL = 3
+
+class _Cli(click.Group):
+    """Ends a command that raised one of the errors above with its exit
+    code and one stderr line; any other exception is a bug and keeps
+    its traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            code, message = 2, f"config error: {exc}"
+        except (ValueError, OSError) as exc:
+            code, message = 1, f"input error: {exc}"
+        except FusionError as exc:
+            code, message = 3, f"internal error: {exc}"
+        click.echo(message, err=True)
+        sys.exit(code)
 
 
-@click.group()
+@click.group(cls=_Cli)
 def main():
     """Probabilistic LiDAR-camera fusion tools."""
 
@@ -49,14 +63,10 @@ def main():
               help="Skip error injection (zero-error oracle sequence).")
 def simulate(scene, seed, out, ideal):
     """Generate a synthetic sequence directory with ground truth."""
-    try:
-        spec = (simmod.load_scene_spec(scene) if scene is not None
-                else simmod.overtaking_scene())
-        if seed is not None:
-            spec = dataclasses.replace(spec, rng_seed=seed)
-    except (FusionError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        click.echo(f"invalid scene spec: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    spec = (simmod.load_scene_spec(scene) if scene is not None
+            else simmod.overtaking_scene())
+    if seed is not None:
+        spec = dataclasses.replace(spec, rng_seed=seed)
     frames = simmod.write_sequence_dir(
         out, spec, None if ideal else simmod.DEFAULT_ERROR_MODEL)
     click.echo(f"wrote {len(frames)} frames to {out}")
@@ -73,27 +83,15 @@ def simulate(scene, seed, out, ideal):
 @click.option("--no-smoother", is_flag=True)
 def fuse(sequence_dir, config_path, seed, out, baseline_only, no_smoother):
     """Run the fusion pipeline over a sequence directory."""
-    try:
-        cfg = load_pipeline_config(config_path)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    cfg = load_pipeline_config(config_path)
     if seed is not None:
         if seed < 0:
-            click.echo(f"config error: --seed must be a non-negative "
-                       f"integer, got {seed}", err=True)
-            sys.exit(EXIT_CONFIG)
+            raise ConfigError(f"--seed must be a non-negative integer, "
+                              f"got {seed}")
         cfg.rng_seed = seed
-    try:
-        report = run_sequence(sequence_dir, cfg, out_dir=out,
-                              baseline_only=baseline_only,
-                              no_smoother=no_smoother)
-    except (EmptySequence, OSError, ValueError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except FusionError as exc:
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
+    report = run_sequence(sequence_dir, cfg, out_dir=out,
+                          baseline_only=baseline_only,
+                          no_smoother=no_smoother)
     agg = report.get("evaluation", {}).get("aggregate", {})
     if "baseline_tpr_mean" in agg:
         click.echo(f"baseline TPR {agg['baseline_tpr_mean']:.3f}  "
@@ -112,18 +110,17 @@ def benchmark_shapes(cluster_files, out, min_samples):
     Each input is a JSON file {"class": ..., "points": [[u, v], ...]}.
     """
     if not cluster_files:
-        click.echo("no cluster files given", err=True)
-        sys.exit(EXIT_INPUT)
+        raise ValueError("no cluster files given")
     by_class: dict = {}
     for path in cluster_files:
+        rec = read_json_object(path)
         try:
-            with open(path) as fh:
-                rec = json.load(fh)
             desc = compute_descriptor(np.asarray(rec["points"], dtype=float))
+            if not isinstance(rec["class"], str):
+                raise ValueError(f"class is {rec['class']!r}, not a string")
             by_class.setdefault(rec["class"], []).append(desc)
-        except (KeyError, ValueError, FusionError, json.JSONDecodeError) as exc:
-            click.echo(f"bad cluster file {path}: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
+        except (KeyError, TypeError, ValueError, FusionError) as exc:
+            raise ValueError(f"bad cluster file {path}: {exc}") from None
     registry = BenchmarkShapeRegistry(
         shapes={cls: build_benchmark(descs, min_samples=min_samples)
                 for cls, descs in by_class.items()},
@@ -145,30 +142,19 @@ def evaluate(trajectory_csvs, ground_truth, out):
     ground-truth file (10 Hz without one).
     """
     if not trajectory_csvs:
-        click.echo("no trajectories given", err=True)
-        sys.exit(EXIT_INPUT)
-    try:
-        gt = read_ground_truth(ground_truth)
-        frame_rate = read_frame_rate(Path(ground_truth).parent)
-    except ValueError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        raise ValueError("no trajectories given")
+    gt = read_ground_truth(ground_truth)
+    frame_rate = read_frame_rate(Path(ground_truth).parent)
     frame_times = {frame_id: frame_id / frame_rate for frame_id in gt}
     report = {}
     for path in trajectory_csvs:
-        try:
-            obj_id = int(Path(path).stem.rsplit("_", 1)[-1])
-        except ValueError:
-            click.echo(f"no object id in the name of {path}; "
-                       "expected object_<id>.csv", err=True)
-            sys.exit(EXIT_INPUT)
-        try:
-            samples = read_trajectory_csv(path)
-        except ValueError as exc:
-            click.echo(f"input error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-        ex, ey, gx, gy = align_to_ground_truth(samples, gt, obj_id,
-                                               frame_times)
+        id_text = Path(path).stem.rsplit("_", 1)[-1]
+        if not re.fullmatch(r"[+-]?[0-9]+", id_text):
+            raise ValueError(f"no object id in the name of {path}; "
+                             "expected object_<id>.csv")
+        obj_id = int(id_text)
+        ex, ey, gx, gy = align_to_ground_truth(read_trajectory_csv(path), gt,
+                                               obj_id, frame_times)
         if ex:
             report[str(obj_id)] = {"mae_x": mae_axis(ex, gx),
                                    "mae_y": mae_axis(ey, gy),

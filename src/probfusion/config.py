@@ -11,6 +11,7 @@ from .aoi import EnlargeRatios
 from .cluster import ClusteringConfig
 from .errors import ConfigError
 from .ground import RansacPlaneConfig
+from .io import read_json_object
 from .metrics import GuaranteeConfig, ToleranceConfig
 from .shape import ShapeFilterConfig
 from .smoother import SmootherConfig
@@ -47,23 +48,26 @@ class PipelineConfig:
                                            "default", EnlargeRatios()))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_pipeline_config(path) -> PipelineConfig:
     """Load a JSON pipeline config; relative paths resolve next to it."""
     path = Path(path)
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-    if not isinstance(raw, dict):
-        raise ConfigError(f"invalid config {path}: not a JSON object")
+        raw = read_json_object(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
     base = path.parent
 
     def resolve(key):
         value = raw.get(key)
         if value is None:
             return None
+        if not isinstance(value, str):
+            raise ConfigError(f"invalid config {path}: {key} must be a "
+                              f"path string, got {value!r}")
         p = Path(value)
         return p if p.is_absolute() else base / p
 
@@ -89,9 +93,14 @@ def load_pipeline_config(path) -> PipelineConfig:
         raise ConfigError(f"invalid config {path}: enlarge_ratios must map "
                           "class labels to ratios")
     seed = raw.get("rng_seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError(f"invalid config {path}: rng_seed must be a "
                           f"non-negative integer, got {seed!r}")
+    targets = raw.get("target_object_ids")
+    if targets is not None and not (isinstance(targets, list)
+                                    and all(map(_is_int, targets))):
+        raise ConfigError(f"invalid config {path}: target_object_ids must "
+                          f"be a list of integers, got {targets!r}")
 
     cfg = PipelineConfig(
         calibration_path=calib_path,
@@ -99,7 +108,7 @@ def load_pipeline_config(path) -> PipelineConfig:
         enlarge_ratios={label: build(f"enlarge_ratios.{label}",
                                      EnlargeRatios, vals)
                         for label, vals in ratios.items()},
-        target_object_ids=raw.get("target_object_ids"),
+        target_object_ids=targets,
         rng_seed=seed,
         output_dir=resolve("output_dir"),
         **stages,

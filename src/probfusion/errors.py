@@ -5,7 +5,7 @@ class FusionError(Exception):
     """Base class for all probfusion errors."""
 
 
-class CalibrationError(FusionError):
+class CalibrationError(FusionError, ValueError):
     """Calibration file invalid (bad rotation, nonzero distortion, ...)."""
 
 
@@ -53,11 +53,11 @@ class UnknownClass(FusionError):
     """A class label has no configured parameters."""
 
 
-class InvalidSpec(FusionError):
+class InvalidSpec(FusionError, ValueError):
     """Scene specification failed validation."""
 
 
-class EmptySequence(FusionError):
+class EmptySequence(FusionError, ValueError):
     """A sequence directory contains no frames."""
 
 

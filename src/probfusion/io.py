@@ -235,6 +235,19 @@ def read_ground_truth(path) -> dict:
     return dict(_read_jsonl(path, _ground_truth_frame))
 
 
+def read_json_object(path) -> dict:
+    """The JSON object in a file; anything else is a ValueError naming
+    the file."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a JSON object ({exc})") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return raw
+
+
 def read_frame_rate(seq_dir) -> float:
     """Frame rate from the sequence's scene.json; 10 Hz when the file or
     its frame_rate is absent.
@@ -245,15 +258,7 @@ def read_frame_rate(seq_dir) -> float:
     meta_path = Path(seq_dir) / "scene.json"
     if not meta_path.exists():
         return 10.0
-    with open(meta_path) as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{meta_path}: not a JSON object ({exc})") from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"{meta_path}: not a JSON object")
-    rate = meta.get("frame_rate", 10.0)
+    rate = read_json_object(meta_path).get("frame_rate", 10.0)
     if type(rate) not in (int, float) or not 0 < rate <= sys.float_info.max:
         raise ValueError(f"{meta_path}: frame_rate is {rate!r}, not a finite "
                          "positive number")

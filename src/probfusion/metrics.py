@@ -57,12 +57,20 @@ class GuaranteeConfig:
 
 def tolerance_band(gt_range: float, class_label: str,
                    cfg: ToleranceConfig) -> tuple[float, float]:
-    """Valid range interval around ground truth: +-fraction * object length."""
+    """Valid range interval around ground truth: +-fraction * object length.
+
+    A class that cfg.object_length_m leaves out takes its length from
+    the class table.
+    """
     if gt_range <= 0:
         raise ValueError("ground-truth range must be positive")
-    if class_label not in cfg.object_length_m:
-        raise UnknownClass(f"no object length configured for {class_label!r}")
-    half = cfg.fraction * cfg.object_length_m[class_label]
+    length = cfg.object_length_m.get(class_label)
+    if length is None:
+        if class_label not in CLASSES:
+            raise UnknownClass(f"no object length configured for "
+                               f"{class_label!r}")
+        length = CLASSES[class_label].tolerance_length_m
+    half = cfg.fraction * length
     return gt_range - half, gt_range + half
 
 
@@ -149,31 +157,23 @@ def paired_t_test(before: Sequence[float],
                   after: Sequence[float]) -> tuple[float, float, int]:
     """Paired one-sided t-test of H1: mean(after - before) > 0.
 
-    Returns (t, p_value, n). Zero-variance differences degenerate to
-    t = +-inf (p 0 or 1) or t = 0 (p 0.5).
+    Returns (t, p_value, n): the one-sample test of the differences
+    against 0.
     """
     b = np.asarray(list(before), dtype=float)
     a = np.asarray(list(after), dtype=float)
     if len(a) != len(b):
         raise LengthMismatch(f"{len(b)} before vs {len(a)} after")
-    n = len(a)
-    if n < 2:
-        raise TooFewSamples("paired t-test needs at least 2 pairs")
-    d = a - b
-    mean = float(d.mean())
-    sd = float(d.std(ddof=1))
-    if sd == 0.0:
-        if mean == 0.0:
-            return 0.0, 0.5, n
-        t_stat = math.inf if mean > 0 else -math.inf
-        return t_stat, (0.0 if mean > 0 else 1.0), n
-    t_stat = mean / (sd / math.sqrt(n))
-    return t_stat, student_t_sf(t_stat, n - 1), n
+    return one_sample_right_tail_t_test(a - b, 0.0)
 
 
 def one_sample_right_tail_t_test(sample: Sequence[float],
                                  mu0: float = 0.5) -> tuple[float, float, int]:
-    """One-sample right-tailed t-test of H1: mean > mu0."""
+    """One-sample right-tailed t-test of H1: mean > mu0.
+
+    Returns (t, p_value, n). Zero-variance samples degenerate to
+    t = +-inf (p 0 or 1) or t = 0 (p 0.5).
+    """
     x = np.asarray(list(sample), dtype=float)
     n = len(x)
     if n < 2:

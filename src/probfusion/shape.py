@@ -18,6 +18,7 @@ import numpy as np
 
 from .cluster import CandidateCluster
 from .errors import DegenerateCluster, EmptyInput
+from .io import read_json_object
 
 MAX_ROTATION_DEG = 40.0
 
@@ -70,8 +71,7 @@ class BenchmarkShapeRegistry:
 
     @classmethod
     def load(cls, path) -> "BenchmarkShapeRegistry":
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = read_json_object(path)
         counts = raw.pop("_sample_counts", {})
         shapes = {name: ShapeDescriptor(np.asarray(w)) for name, w in raw.items()}
         return cls(shapes=shapes, sample_counts=counts)

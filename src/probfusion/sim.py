@@ -26,7 +26,7 @@ from .calib import CalibrationPair, CameraIntrinsics, default_extrinsic, project
 from .classes import CLASSES, class_params
 from .config import write_pipeline_config
 from .errors import InvalidSpec
-from .io import FrameRecord, dump_simulated_sequence
+from .io import FrameRecord, dump_simulated_sequence, read_json_object
 from .metrics import GuaranteeConfig
 from .shape import BenchmarkShapeRegistry, build_benchmark, compute_descriptor
 
@@ -46,6 +46,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _are_numbers(values, size=None) -> bool:
+    """True when values is a list or tuple of real numbers (size of them
+    when size is given)."""
+    return (isinstance(values, (list, tuple))
+            and size in (None, len(values))
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    for v in values))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Planar path; either per-axis polynomial in t or linear waypoints."""
@@ -59,6 +68,24 @@ class Trajectory:
         if self.kind not in TRAJECTORY_KINDS:
             raise InvalidSpec(f"trajectory kind is {self.kind!r}, not one "
                               f"of {', '.join(TRAJECTORY_KINDS)}")
+        if self.kind == "polynomial":
+            for name in ("x_coeffs", "y_coeffs"):
+                if not _are_numbers(getattr(self, name)):
+                    raise InvalidSpec(f"trajectory {name} is "
+                                      f"{getattr(self, name)!r}, not a "
+                                      "list of numbers")
+            return
+        if not (_are_numbers(self.times) and self.times):
+            raise InvalidSpec(f"waypoint times are {self.times!r}, not a "
+                              "non-empty list of numbers")
+        if not (isinstance(self.points, (list, tuple))
+                and len(self.points) == len(self.times)
+                and all(_are_numbers(p, 2) for p in self.points)):
+            raise InvalidSpec(f"waypoint points are {self.points!r}, not "
+                              f"{len(self.times)} (x, y) pairs, one per time")
+        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+            raise InvalidSpec(f"waypoint times {self.times!r} are not "
+                              "strictly increasing")
 
     def position(self, t: float) -> tuple[float, float]:
         if self.kind == "polynomial":
@@ -470,6 +497,9 @@ def scene_spec_to_json(spec: SceneSpec) -> dict:
 def scene_spec_from_json(raw: dict) -> SceneSpec:
     objects = []
     for o in raw.get("objects", []):
+        if not isinstance(o["trajectory"], dict):
+            raise InvalidSpec(f"object {o.get('object_id')}: trajectory is "
+                              f"{o['trajectory']!r}, not a JSON object")
         traj = Trajectory(**{k: tuple(v) if isinstance(v, list) else v
                              for k, v in o["trajectory"].items()})
         objects.append(ObjectSpec(object_id=o["object_id"],
@@ -483,8 +513,14 @@ def scene_spec_from_json(raw: dict) -> SceneSpec:
 
 
 def load_scene_spec(path) -> SceneSpec:
-    with open(path) as fh:
-        return scene_spec_from_json(json.load(fh))
+    """Scene spec of a JSON file; a bad one is InvalidSpec naming it."""
+    raw = read_json_object(path)
+    try:
+        return scene_spec_from_json(raw)
+    except KeyError as exc:
+        raise InvalidSpec(f"{path}: no key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"{path}: {exc}") from None
 
 
 def save_scene_spec(path, spec: SceneSpec) -> None:

@@ -23,6 +23,11 @@ class TestToleranceBand:
         assert low == pytest.approx(9.775)
         assert high == pytest.approx(10.225)
 
+    def test_unlisted_class_takes_class_table_length(self):
+        cars_only = ToleranceConfig(object_length_m={"car": 4.5})
+        assert tolerance_band(10.0, "pedestrian", cars_only) == \
+            tolerance_band(10.0, "pedestrian", ToleranceConfig())
+
     def test_unknown_class(self):
         with pytest.raises(UnknownClass):
             tolerance_band(10.0, "unicorn", ToleranceConfig())

@@ -547,6 +547,22 @@ class TestCli:
         assert "pedestrian" in reg.shapes
         assert reg.sample_counts["pedestrian"] == 12
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "cluster.json: not a JSON object"),
+        ('{"class": "car"}', "cluster.json: 'points'"),
+        ('{"class": 5, "points": [[0, 0], [0, 1], [1, 0]]}',
+         "cluster.json: class is 5, not a string"),
+    ], ids=["list", "no-points", "class-number"])
+    def test_benchmark_shapes_bad_file_exits_1(self, tmp_path, text, message):
+        path = tmp_path / "cluster.json"
+        path.write_text(text)
+        res = CliRunner().invoke(cli_main, ["benchmark-shapes", str(path),
+                                            "--out", str(tmp_path / "b.json")])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert len(res.output.strip().splitlines()) == 1
+        assert message in res.output
+
     def test_benchmark_shapes_no_input_exits_1(self, tmp_path):
         runner = CliRunner()
         res = runner.invoke(cli_main, ["benchmark-shapes",
@@ -667,6 +683,15 @@ def scene_frame_rate(rate):
     return apply
 
 
+def json_file(name, edit):
+    """Edit that rewrites a JSON file of the sequence."""
+    def apply(seq):
+        raw = json.loads((seq / name).read_text())
+        edit(raw)
+        (seq / name).write_text(json.dumps(raw))
+    return apply
+
+
 # (case, edit of a two-frame sequence directory, expected message part)
 BAD_INPUTS = [
     ("header", cloud_line(0, "index,x,y,z,v,u"),
@@ -730,6 +755,19 @@ BAD_INPUTS = [
      "scene.json: frame_rate is -5, not a finite positive number"),
     ("text frame rate", scene_frame_rate("10"),
      "scene.json: frame_rate is '10', not a finite positive number"),
+    ("calibration distortion", json_file(
+        "calibration.json",
+        lambda raw: raw.update(distortion=[0.1, 0, 0, 0, 0])),
+     "calibration.json: nonzero distortion coefficients are not supported"),
+    ("calibration without intrinsics", json_file(
+        "calibration.json", lambda raw: raw.pop("intrinsics")),
+     "calibration.json: 'intrinsics'"),
+    ("calibration not JSON",
+     lambda seq: (seq / "calibration.json").write_text("{bad"),
+     "calibration.json: Expecting property name"),
+    ("benchmarks not an object",
+     lambda seq: (seq / "benchmarks.json").write_text("[1, 2]"),
+     "benchmarks.json: not a JSON object"),
 ]
 
 
@@ -772,6 +810,9 @@ BAD_CONFIG_KEYS = [
      "ransac_ground: normal_cone_deg"),
     ("seed-negative", {"rng_seed": -1}, "rng_seed"),
     ("seed-fraction", {"rng_seed": 1.5}, "rng_seed"),
+    ("targets-text", {"target_object_ids": "1"}, "target_object_ids"),
+    ("targets-fraction", {"target_object_ids": [1.5]}, "target_object_ids"),
+    ("output-dir-number", {"output_dir": 5}, "output_dir"),
 ]
 
 
@@ -794,6 +835,24 @@ def test_fuse_bad_config_key_exits_2_with_one_line(
     assert isinstance(res.exception, SystemExit)
     assert len(res.output.strip().splitlines()) == 1
     assert key in res.output
+
+
+def test_fuse_tolerance_lengths_fall_back_to_class_table(tmp_path,
+                                                        two_frame_sequence):
+    # The pedestrians take the class table's length, which is also the
+    # default, so the report is the default config's.
+    seq = tmp_path / "seq"
+    shutil.copytree(two_frame_sequence, seq)
+    config = json.loads((seq / "config.json").read_text())
+    config["tolerance"] = {"object_length_m": {"car": 4.5}}
+    (seq / "cars_only.json").write_text(json.dumps(config))
+    for name in ("config.json", "cars_only.json"):
+        res = CliRunner().invoke(cli_main, [
+            "fuse", str(seq), "--config", str(seq / name),
+            "--out", str(tmp_path / name)])
+        assert res.exit_code == 0, res.output
+    assert (tmp_path / "cars_only.json" / "report.json").read_bytes() == \
+        (tmp_path / "config.json" / "report.json").read_bytes()
 
 
 def test_fuse_negative_seed_exits_2_with_one_line(tmp_path,
@@ -822,6 +881,12 @@ def first_object(**entries):
     return lambda scene: scene["objects"][0].update(entries)
 
 
+def waypoints(times, points):
+    """Edit of a scene's JSON that gives its first object waypoints."""
+    return first_object(trajectory={"kind": "waypoints", "times": times,
+                                    "points": points})
+
+
 # (test id, edit of a scene's JSON, what the one-line message names)
 BAD_SCENES = [
     ("seed-negative", lambda scene: scene.update(rng_seed=-1), "rng_seed"),
@@ -829,11 +894,22 @@ BAD_SCENES = [
     ("seed-bool", lambda scene: scene.update(rng_seed=True), "rng_seed"),
     ("no-frame", lambda scene: scene.update(duration=0.04),
      "less than one frame"),
+    ("duration-infinite", lambda scene: scene.update(duration=float("inf")),
+     "scene.json: cannot convert float infinity to integer"),
     ("kind-spline", lambda scene: scene["objects"][0]["trajectory"].update(
         kind="spline"), "'spline'"),
     ("class-truck", first_object(class_label="truck"), "'truck'"),
     ("id-text", first_object(object_id="x"), "object_id is 'x'"),
     ("id-repeated", first_object(object_id=2), "not distinct"),
+    ("trajectory-number", first_object(trajectory=5),
+     "object 1: trajectory is 5, not a JSON object"),
+    ("waypoints-mismatched", waypoints([0.0, 1.0], [[30.0, 3.0]]),
+     "not 2 (x, y) pairs"),
+    ("waypoints-empty", waypoints([], []), "waypoint times are ()"),
+    ("waypoints-repeated-time", waypoints([0.0, 0.0], [[30.0, 3.0]] * 2),
+     "not strictly increasing"),
+    ("coeffs-text", lambda scene: scene["objects"][0]["trajectory"].update(
+        x_coeffs="abc"), "x_coeffs is 'abc'"),
 ]
 
 
