@@ -71,13 +71,24 @@ def project_xyz(intr: CameraIntrinsics, extr: ExtrinsicTransform,
     Returns (uv, valid): uv is (N, 2) with NaN rows where invalid, valid is
     a boolean mask of points in front of the camera. Points that project
     outside the image rectangle stay valid; callers clip as needed.
+
+    Each column is computed whole, as fx * x / z + ox with the
+    translation added per column; the depth of an invalid row is NaN,
+    which the division carries into its uv, so no row is gathered or
+    scattered and nothing divides by zero.
     """
     xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
-    pc = xyz @ extr.rotation.T + extr.translation
-    valid = pc[:, 2] > DEPTH_EPSILON
-    uv = np.full((len(xyz), 2), np.nan)
-    uv[valid, 0] = intr.fx * pc[valid, 0] / pc[valid, 2] + intr.ox
-    uv[valid, 1] = intr.fy * pc[valid, 1] / pc[valid, 2] + intr.oy
+    pc = xyz @ extr.rotation.T
+    t = extr.translation
+    z = pc[:, 2] + t[2]
+    valid = z > DEPTH_EPSILON
+    depth = np.where(valid, z, np.nan)
+    uv = np.empty((len(xyz), 2))
+    for j, (f, o) in enumerate(((intr.fx, intr.ox), (intr.fy, intr.oy))):
+        col = pc[:, j] + t[j]
+        col *= f
+        col /= depth
+        np.add(col, o, out=uv[:, j])
     return uv, valid
 
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -49,6 +50,10 @@ class GroundPlaneModel:
     normal: np.ndarray   # unit 3-vector
     offset: float        # plane is normal . x = offset
     inlier_count: int
+    # Mask over the fitted cloud of the points within delta of the plane,
+    # which is what ground_mask returns for that cloud; None when unknown.
+    inliers: Optional[np.ndarray] = field(default=None, repr=False,
+                                          compare=False)
 
 
 def crop_mask(cloud: np.ndarray, cfg: RansacPlaneConfig) -> np.ndarray:
@@ -231,11 +236,13 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
     if normal[2] < cos_cone:
         raise NoAcceptablePlane("refit normal left the allowed cone")
     _plane_distances(cloud, normal, offset, out=dist)
-    final_count = int(np.count_nonzero(dist <= cfg.delta))
+    inliers = dist <= cfg.delta
+    final_count = int(np.count_nonzero(inliers))
     if final_count < floor:
         raise NoAcceptablePlane(
             f"refit inlier count {final_count} below floor {floor}")
-    return GroundPlaneModel(normal=normal, offset=offset, inlier_count=final_count)
+    return GroundPlaneModel(normal=normal, offset=offset,
+                            inlier_count=final_count, inliers=inliers)
 
 
 def ground_mask(cloud: np.ndarray, model: GroundPlaneModel,

@@ -79,7 +79,13 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
     try:
         model = ground.fit_ground_plane(cropped, cfg.ransac_ground,
                                         cfg.rng_seed)
-        removed = ground.ground_mask(cloud, model, cfg.ransac_ground.delta)
+        # A fit of the cloud itself has already marked the points within
+        # delta of its plane; any other fit is measured on the cloud.
+        if cropped is cloud and model.inliers is not None:
+            removed = model.inliers
+        else:
+            removed = ground.ground_mask(cloud, model,
+                                         cfg.ransac_ground.delta)
         keep &= ~removed
         diag.ground_removed_count = (diag.cropped_count
                                      - int(np.count_nonzero(keep)))

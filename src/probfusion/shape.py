@@ -71,9 +71,16 @@ class BenchmarkShapeRegistry:
 
     @classmethod
     def load(cls, path) -> "BenchmarkShapeRegistry":
+        """Registry of a JSON file; an entry that is not 9 weights is a
+        ValueError naming the file and the class."""
         raw = read_json_object(path)
         counts = raw.pop("_sample_counts", {})
-        shapes = {name: ShapeDescriptor(np.asarray(w)) for name, w in raw.items()}
+        shapes = {}
+        for name, w in raw.items():
+            try:
+                shapes[name] = ShapeDescriptor(np.asarray(w))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: {name}: {exc}") from None
         return cls(shapes=shapes, sample_counts=counts)
 
 

@@ -10,7 +10,8 @@ from probfusion.aoi import BoundingBox
 from probfusion.calib import (CameraIntrinsics, ExtrinsicTransform,
                               default_extrinsic)
 from probfusion.config import PipelineConfig
-from probfusion.sim import SIMULATED_GUARANTEE, SIMULATED_RATIOS
+from probfusion.sim import (SIMULATED_GUARANTEE, SIMULATED_RATIOS, ObjectSpec,
+                            SceneSpec, Trajectory)
 
 
 # Selected with --hypothesis-profile=ci: the same examples on every run,
@@ -59,3 +60,25 @@ def in_memory_config():
     return PipelineConfig(calibration_path=Path("unused"),
                           enlarge_ratios={"default": SIMULATED_RATIOS},
                           guarantee=SIMULATED_GUARANTEE)
+
+
+def crowd_scene(seed=3, n_objects=15, duration=2.0):
+    """Mostly pedestrians, some cars, 8-50 m out (uniform over the ground
+    area) and slow enough to stay in the camera's field of view: many
+    small AOIs with several range peaks, so that K-Means, the histogram
+    and shape scoring all run."""
+    rng = np.random.default_rng(seed)
+    objects = []
+    for i in range(n_objects):
+        x0 = float(np.sqrt(rng.uniform(8.0 ** 2, 50.0 ** 2)))
+        y_lim = min(12.0, 0.6 * x0)
+        car = i % 5 == 0
+        vx, vy = ((float(rng.uniform(-3.0, 3.0)), 0.0) if car else
+                  tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=2)))
+        objects.append(ObjectSpec(
+            object_id=i + 1, class_label="car" if car else "pedestrian",
+            trajectory=Trajectory(x_coeffs=(x0, vx),
+                                  y_coeffs=(float(rng.uniform(-y_lim, y_lim)),
+                                            vy))))
+    return SceneSpec(duration=duration, frame_rate=10.0,
+                     objects=tuple(objects), rng_seed=seed)

@@ -1,11 +1,13 @@
 """Reference versions of the per-detection stages, the smoother's
-RANSAC and the ground-plane fit, for equivalence tests.
+RANSAC, the ground-plane fit, the projection and the simulator's
+frame rendering and error injection, for equivalence tests.
 
 These are the straightforward implementations the library replaced
 with cheaper ones (np.unique, np.allclose, np.average, an (n, bins)
 argmin, a Polynomial.fit per RANSAC trial, a full pass over the cloud
-for every ground trial). The library must return exactly what they
-return: the same floats, bit for bit.
+for every ground trial, boolean gathers and scatters of the valid
+rows, a full-cloud label mask per object). The library must return
+exactly what they return: the same floats, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,12 +18,18 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from probfusion.aoi import BoundingBox
+from probfusion.calib import (DEPTH_EPSILON, CalibrationPair,
+                              CameraIntrinsics, ExtrinsicTransform)
 from probfusion.cluster import ClusteringConfig, RangeHistogram
 from probfusion.errors import (DegenerateCluster, EmptyInput,
                                InsufficientPoints, NoAcceptablePlane,
                                TooFewSamples)
 from probfusion.ground import (GroundPlaneModel, RansacPlaneConfig,
                                min_inlier_count, required_trials)
+from probfusion.sim import (CLUTTER_LABEL, GROUND_LABEL, ErrorModel,
+                            FrameSkeleton, SceneSpec, SimulatedFrame,
+                            _object_points, generate_scene)
 from probfusion.shape import (MAX_ROTATION_DEG, CandidateScore,
                               RotationEstimate, ShapeDescriptor,
                               ShapeFilterConfig, derotate, similarity_score)
@@ -348,3 +356,149 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
         raise NoAcceptablePlane(
             f"refit inlier count {final_count} below floor {floor}")
     return GroundPlaneModel(normal=normal, offset=offset, inlier_count=final_count)
+
+
+def project_xyz(intr: CameraIntrinsics, extr: ExtrinsicTransform,
+                xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pinhole projection of an (N, 3) LiDAR array.
+
+    Returns (uv, valid): uv is (N, 2) with NaN rows where invalid, valid is
+    a boolean mask of points in front of the camera. Points that project
+    outside the image rectangle stay valid; callers clip as needed.
+    """
+    xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
+    pc = xyz @ extr.rotation.T + extr.translation
+    valid = pc[:, 2] > DEPTH_EPSILON
+    uv = np.full((len(xyz), 2), np.nan)
+    uv[valid, 0] = intr.fx * pc[valid, 0] / pc[valid, 2] + intr.ox
+    uv[valid, 1] = intr.fy * pc[valid, 1] / pc[valid, 2] + intr.oy
+    return uv, valid
+
+
+def render_frame(skeleton: FrameSkeleton, spec: SceneSpec,
+                 calib: CalibrationPair) -> SimulatedFrame:
+    """Sample the cloud, label every point, and record ideal mappings."""
+    rng = np.random.default_rng([spec.rng_seed, skeleton.frame_id])
+    clouds = []
+    labels = []
+
+    ground_xy = rng.uniform([1.0, -15.0], [70.0, 15.0],
+                            size=(spec.n_ground_points, 2))
+    ground_z = (-spec.sensor_height
+                + rng.normal(0.0, spec.ground_noise_sigma,
+                             spec.n_ground_points))
+    clouds.append(np.column_stack([ground_xy, ground_z]))
+    labels.append(np.full(spec.n_ground_points, GROUND_LABEL))
+
+    if spec.background_clutter:
+        # Right-shoulder band (negative y): curbs and vegetation off the
+        # travel corridor.
+        cl_xy = rng.uniform([2.0, -15.0], [70.0, -3.0],
+                            size=(spec.background_clutter, 2))
+        # Curb/vegetation height band: tall enough to survive ground
+        # removal, low enough not to dominate object silhouettes.
+        cl_z = rng.uniform(-spec.sensor_height + 0.3,
+                           -spec.sensor_height + 0.9,
+                           spec.background_clutter)
+        clouds.append(np.column_stack([cl_xy, cl_z]))
+        labels.append(np.full(spec.background_clutter, CLUTTER_LABEL))
+
+    for obj in spec.objects:
+        pts = _object_points(obj, skeleton.poses[obj.object_id], spec, rng)
+        if len(pts):
+            clouds.append(pts)
+            labels.append(np.full(len(pts), obj.object_id))
+
+    cloud = np.vstack(clouds)
+    label_arr = np.concatenate(labels)
+    uv, valid = project_xyz(calib.intrinsics, calib.extrinsic, cloud)
+
+    intr = calib.intrinsics
+    detections = []
+    gt_boxes = {}
+    gt_poses = {}
+    for obj in spec.objects:
+        x, y = skeleton.poses[obj.object_id]
+        gt_poses[obj.object_id] = {"x": float(x), "y": float(y),
+                                   "range": float(math.hypot(x, y)),
+                                   "class": obj.class_label}
+        mask = (label_arr == obj.object_id) & valid
+        if not mask.any():
+            gt_boxes[obj.object_id] = None
+            continue
+        u0, v0 = uv[mask].min(axis=0)
+        u1, v1 = uv[mask].max(axis=0)
+        u0c, v0c = max(0.0, u0), max(0.0, v0)
+        u1c, v1c = min(float(intr.width), u1), min(float(intr.height), v1)
+        if u1c - u0c < 2.0 or v1c - v0c < 2.0:
+            gt_boxes[obj.object_id] = None
+            continue
+        gt_boxes[obj.object_id] = (float(u0c), float(v0c),
+                                   float(u1c), float(v1c))
+        detections.append(BoundingBox(
+            frame_id=skeleton.frame_id, object_id=obj.object_id,
+            class_label=obj.class_label,
+            u_min=float(u0c), v_min=float(v0c),
+            u_max=float(u1c), v_max=float(v1c)))
+
+    return SimulatedFrame(
+        frame_id=skeleton.frame_id, t=skeleton.t,
+        cloud=cloud, labels=label_arr,
+        ideal_uv=uv, observed_uv=uv.copy(), uv_valid=valid,
+        detections=detections,
+        gt_object_pixel_boxes=gt_boxes, gt_poses=gt_poses,
+        applied_shifts=np.zeros((len(cloud), 2)),
+    )
+
+
+def inject_mapping_errors(frame: SimulatedFrame, err: ErrorModel,
+                          rng_seed: int = 0) -> SimulatedFrame:
+    """Displace pixel mappings and jitter/drop detections.
+
+    The pixel shift is drawn once per frame (synchronization-style
+    error) and applied to every valid point; ground truth is untouched.
+    """
+    rng = np.random.default_rng([rng_seed, frame.frame_id, 1])
+    hu, hv = err.pixel_shift_halfwidth
+    shift = np.array([rng.uniform(-hu, hu) if hu else 0.0,
+                      rng.uniform(-hv, hv) if hv else 0.0])
+    observed = frame.ideal_uv.copy()
+    observed[frame.uv_valid] += shift
+    shifts = np.zeros((len(frame.cloud), 2))
+    shifts[frame.uv_valid] = shift
+
+    detections = []
+    for det in frame.detections:
+        if err.dropout and rng.uniform() < err.dropout:
+            continue
+        if err.detection_jitter_px:
+            du = rng.normal(0.0, err.detection_jitter_px)
+            dv = rng.normal(0.0, err.detection_jitter_px)
+            det = BoundingBox(frame_id=det.frame_id, object_id=det.object_id,
+                              class_label=det.class_label,
+                              u_min=det.u_min + du, v_min=det.v_min + dv,
+                              u_max=det.u_max + du, v_max=det.v_max + dv)
+        detections.append(det)
+
+    return SimulatedFrame(
+        frame_id=frame.frame_id, t=frame.t,
+        cloud=frame.cloud, labels=frame.labels,
+        ideal_uv=frame.ideal_uv, observed_uv=observed,
+        uv_valid=frame.uv_valid,
+        detections=detections,
+        gt_object_pixel_boxes=frame.gt_object_pixel_boxes,
+        gt_poses=frame.gt_poses,
+        applied_shifts=shifts,
+    )
+
+
+def simulate_sequence(spec: SceneSpec, calib: CalibrationPair,
+                      err: Optional[ErrorModel] = None) -> list[SimulatedFrame]:
+    """generate -> render -> inject for every frame."""
+    frames = []
+    for skel in generate_scene(spec):
+        frame = render_frame(skel, spec, calib)
+        if err is not None:
+            frame = inject_mapping_errors(frame, err, rng_seed=spec.rng_seed)
+        frames.append(frame)
+    return frames

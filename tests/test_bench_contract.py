@@ -12,6 +12,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 from click.testing import CliRunner
 
 from probfusion import pipeline
@@ -60,14 +61,19 @@ def test_traced_names_resolve():
 
 
 def test_traced_names_are_called(tmp_path):
-    # One crowd frame without observed pixels (so that it is projected)
-    # and one fused sequence call every traced stage at least once.
+    # One crowd frame without observed pixels (so that it is projected),
+    # the same frame with a point behind the sensor (so that the crop
+    # drops a point and ground removal measures the cloud with
+    # ground_mask) and one fused sequence call every traced stage at
+    # least once.
     spans, workloads = load_bench_module("spans"), load_bench_module("workloads")
     calib = default_calibration()
     spec = workloads.crowd_spec(workloads.op_seed("crowd", 0, 0), 21,
                                 duration=0.1, near_car=False)
     frame = workloads.simulate_frames([spec], calib)[0].record
     frame = dataclasses.replace(frame, observed_uv=None, uv_valid=None)
+    cropped = dataclasses.replace(
+        frame, cloud=np.vstack([frame.cloud, [[-5.0, 0.0, 0.0]]]))
     workloads.simulate_to_dir(tmp_path / "seq", 7,
                               workloads.reference_registry(), calib,
                               duration=1.0)
@@ -75,8 +81,9 @@ def test_traced_names_are_called(tmp_path):
     tracer = spans.Tracer()
     restore = spans.install(tracer, pipeline, workloads)
     try:
-        pipeline.run_fusion_frame(frame, calib, workloads.in_memory_config(),
-                                  workloads.reference_registry())
+        for fr in (frame, cropped):
+            pipeline.run_fusion_frame(fr, calib, workloads.in_memory_config(),
+                                      workloads.reference_registry())
         pipeline.run_sequence(tmp_path / "seq", cfg, out_dir=tmp_path / "out")
     finally:
         restore()

@@ -201,6 +201,14 @@ class TestRemoveGround:
         dist = np.abs(cloud @ model.normal - model.offset)
         assert np.array_equal(mask, dist <= cfg.delta)
 
+    def test_fit_inliers_are_the_mask_of_the_fitted_cloud(self):
+        cloud, _ = make_plane_scene(seed=4)
+        cfg = RansacPlaneConfig()
+        model = fit_ground_plane(cloud, cfg, seed=0)
+        mask = ground_mask(cloud, model, cfg.delta)
+        assert model.inliers.tobytes() == mask.tobytes()
+        assert model.inlier_count == np.count_nonzero(mask)
+
     def test_near_plane_point_removed_far_point_kept(self):
         model = fit_ground_plane(
             np.column_stack([np.random.default_rng(0).uniform(0, 50, (50, 2)),

@@ -33,8 +33,7 @@ from probfusion import smoother as smoother_module
 from probfusion.pipeline import run_fusion_frame, run_sequence
 from probfusion.shape import BenchmarkShapeRegistry
 from probfusion.sim import (DEFAULT_ERROR_MODEL, SIMULATED_GUARANTEE,
-                            SIMULATED_RATIOS, ObjectSpec, SceneSpec,
-                            Trajectory, default_calibration,
+                            SIMULATED_RATIOS, default_calibration,
                             overtaking_scene, reference_benchmarks,
                             save_scene_spec, scene_spec_to_json,
                             simulate_sequence, write_sequence_dir)
@@ -382,28 +381,6 @@ class TestRunSequence:
             run_sequence(empty, cfg, out_dir=tmp_path / "out")
 
 
-def crowd_scene(seed=3, n_objects=15, duration=2.0):
-    """Mostly pedestrians, some cars, 8-50 m out (uniform over the ground
-    area) and slow enough to stay in the camera's field of view: many
-    small AOIs with several range peaks, so that K-Means, the histogram
-    and shape scoring all run."""
-    rng = np.random.default_rng(seed)
-    objects = []
-    for i in range(n_objects):
-        x0 = float(np.sqrt(rng.uniform(8.0 ** 2, 50.0 ** 2)))
-        y_lim = min(12.0, 0.6 * x0)
-        car = i % 5 == 0
-        vx, vy = ((float(rng.uniform(-3.0, 3.0)), 0.0) if car else
-                  tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=2)))
-        objects.append(ObjectSpec(
-            object_id=i + 1, class_label="car" if car else "pedestrian",
-            trajectory=Trajectory(x_coeffs=(x0, vx),
-                                  y_coeffs=(float(rng.uniform(-y_lim, y_lim)),
-                                            vy))))
-    return SceneSpec(duration=duration, frame_rate=10.0,
-                     objects=tuple(objects), rng_seed=seed)
-
-
 class TestStageOracles:
     """Fusing with the library's stages gives what fusing with the
     reference versions in oracles.py gives: the same localizations and
@@ -439,7 +416,7 @@ class TestStageOracles:
         return got, ref
 
     def test_crowd_frames(self, monkeypatch):
-        got, _ = self.fuse_both_ways(crowd_scene(), monkeypatch)
+        got, _ = self.fuse_both_ways(conftest.crowd_scene(), monkeypatch)
         assert len(got) == 20
         assert sum(len(o.candidate_scores) for _, diag in got
                    for o in diag.objects.values()) > 100
@@ -768,6 +745,12 @@ BAD_INPUTS = [
     ("benchmarks not an object",
      lambda seq: (seq / "benchmarks.json").write_text("[1, 2]"),
      "benchmarks.json: not a JSON object"),
+    ("benchmark text", json_file("benchmarks.json",
+                                 lambda raw: raw.update(car="abc")),
+     "benchmarks.json: car: could not convert string to float"),
+    ("benchmark of 3 weights", json_file("benchmarks.json",
+                                         lambda raw: raw.update(car=[1, 2, 3])),
+     "benchmarks.json: car: descriptor needs exactly 9 weights"),
 ]
 
 
@@ -910,6 +893,28 @@ BAD_SCENES = [
      "not strictly increasing"),
     ("coeffs-text", lambda scene: scene["objects"][0]["trajectory"].update(
         x_coeffs="abc"), "x_coeffs is 'abc'"),
+    ("ground-points-text", lambda scene: scene.update(n_ground_points="5"),
+     "scene.json: n_ground_points must be a non-negative integer, got '5'"),
+    ("ground-points-fraction",
+     lambda scene: scene.update(n_ground_points=30.5),
+     "scene.json: n_ground_points must be a non-negative integer"),
+    ("clutter-negative", lambda scene: scene.update(background_clutter=-3),
+     "scene.json: background_clutter must be a non-negative integer"),
+    ("min-points-bool", lambda scene: scene.update(min_object_points=True),
+     "scene.json: min_object_points must be a non-negative integer"),
+    ("sensor-height-text", lambda scene: scene.update(sensor_height="1.8"),
+     "scene.json: sensor_height must be a finite number of at least 0, "
+     "got '1.8'"),
+    ("noise-negative", lambda scene: scene.update(ground_noise_sigma=-0.1),
+     "scene.json: ground_noise_sigma must be a finite number of at least 0"),
+    ("density-zero", lambda scene: scene.update(point_density=0),
+     "scene.json: point_density must be a finite positive number"),
+    ("density-text", lambda scene: scene.update(point_density="dense"),
+     "scene.json: point_density must be a finite positive number"),
+    ("id-ground-label", first_object(object_id=-1),
+     "object_id -1 cannot label points"),
+    ("id-beyond-64-bits", first_object(object_id=2 ** 70),
+     f"object_id {2 ** 70} cannot label points"),
 ]
 
 

@@ -5,10 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import conftest
+import oracles
+from probfusion.calib import (DEPTH_EPSILON, LIDAR_TO_CAMERA_AXES,
+                              CalibrationPair, ExtrinsicTransform,
+                              project_xyz)
 from probfusion.errors import InvalidSpec
-from probfusion.sim import (CLUTTER_LABEL, GROUND_LABEL, ErrorModel,
-                            ObjectSpec, SceneSpec, Trajectory,
+from probfusion.sim import (CLUTTER_LABEL, DEFAULT_ERROR_MODEL, GROUND_LABEL,
+                            ErrorModel, ObjectSpec, SceneSpec, Trajectory,
                             default_calibration, generate_scene,
                             inject_mapping_errors, load_scene_spec,
                             overtaking_scene, render_frame, save_scene_spec,
@@ -62,7 +69,22 @@ class TestGenerateScene:
                 lambda: Trajectory(kind="spline"),
                 lambda: dataclasses.replace(car, class_label="truck"),
                 lambda: dataclasses.replace(car, object_id="x"),
-                lambda: SceneSpec(objects=(car, car))):
+                lambda: dataclasses.replace(car, object_id=GROUND_LABEL),
+                lambda: dataclasses.replace(car, object_id=CLUTTER_LABEL),
+                lambda: dataclasses.replace(car, object_id=2 ** 63),
+                lambda: SceneSpec(objects=(car, car)),
+                lambda: SceneSpec(n_ground_points="5"),
+                lambda: SceneSpec(n_ground_points=-1),
+                lambda: SceneSpec(n_ground_points=3000.0),
+                lambda: SceneSpec(background_clutter=True),
+                lambda: SceneSpec(min_object_points=2.5),
+                lambda: SceneSpec(sensor_height="1.8"),
+                lambda: SceneSpec(sensor_height=-0.1),
+                lambda: SceneSpec(ground_noise_sigma=float("nan")),
+                lambda: SceneSpec(ground_noise_sigma=False),
+                lambda: SceneSpec(point_density=0.0),
+                lambda: SceneSpec(point_density=float("inf")),
+                lambda: SceneSpec(point_density=None)):
             with pytest.raises(InvalidSpec):
                 build()
 
@@ -196,3 +218,126 @@ class TestSceneSpecIo:
         save_scene_spec(path, spec)
         loaded = load_scene_spec(path)
         assert loaded == spec
+
+
+def frame_fields(frame) -> dict:
+    """Every field of a simulated frame: arrays as dtype, shape and
+    bytes, everything else as its repr."""
+    return {name: ((value.dtype.str, value.shape, value.tobytes())
+                   if isinstance(value, np.ndarray) else repr(value))
+            for name, value in vars(frame).items()}
+
+
+def rotated_calibration(translation) -> CalibrationPair:
+    """The default camera turned 0.3 rad about its optical axis and moved
+    by translation. The optical axis stays the LiDAR x axis, so a
+    point's depth is its x plus translation[2], exactly."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return CalibrationPair(
+        intrinsics=default_calibration().intrinsics,
+        extrinsic=ExtrinsicTransform(rotation=turn @ LIDAR_TO_CAMERA_AXES,
+                                     translation=np.asarray(translation)))
+
+
+class TestMatchesOracle:
+    """simulate_sequence, render_frame, inject_mapping_errors and
+    project_xyz give what their reference versions in oracles.py give,
+    byte for byte."""
+
+    @staticmethod
+    def assert_same_frames(spec, calib, err):
+        got = simulate_sequence(spec, calib, err)
+        ref = oracles.simulate_sequence(spec, calib, err)
+        assert len(got) == len(ref) == spec.n_frames
+        for a, b in zip(got, ref):
+            assert frame_fields(a) == frame_fields(b)
+        return got
+
+    @pytest.mark.parametrize("err", [None, DEFAULT_ERROR_MODEL],
+                             ids=["ideal", "errors"])
+    def test_default_scene(self, err):
+        frames = self.assert_same_frames(overtaking_scene(),
+                                         default_calibration(), err)
+        assert all(fr.detections for fr in frames)
+
+    def test_full_sweep(self):
+        spec = dataclasses.replace(overtaking_scene(rng_seed=1),
+                                   n_ground_points=120_000, frame_rate=1.0,
+                                   duration=2.0)
+        frames = self.assert_same_frames(spec, default_calibration(),
+                                         DEFAULT_ERROR_MODEL)
+        assert all(len(fr.cloud) > 120_000 for fr in frames)
+
+    def test_crowd(self):
+        self.assert_same_frames(conftest.crowd_scene(duration=0.5),
+                                default_calibration(), DEFAULT_ERROR_MODEL)
+
+    def test_no_clutter(self):
+        frames = self.assert_same_frames(
+            overtaking_scene(duration=0.3, clutter=0), default_calibration(),
+            DEFAULT_ERROR_MODEL)
+        assert CLUTTER_LABEL not in frames[0].labels
+
+    def test_object_closer_than_half_a_meter(self):
+        spec = single_car_spec(x=0.3, y=0.2)
+        frame, = self.assert_same_frames(spec, default_calibration(),
+                                         DEFAULT_ERROR_MODEL)
+        assert 1 not in frame.labels
+        assert frame.gt_object_pixel_boxes[1] is None
+
+    def test_object_outside_image(self):
+        spec = single_car_spec(x=15.0, y=40.0)
+        frame, = self.assert_same_frames(spec, default_calibration(),
+                                         DEFAULT_ERROR_MODEL)
+        assert frame.uv_valid[frame.labels == 1].all()
+        assert frame.gt_object_pixel_boxes[1] is None
+        assert frame.detections == []
+
+    def test_rotated_translated_camera(self):
+        # The camera sits 30 m ahead of the LiDAR, so the points nearer
+        # than that, and the car straddling it, are behind it.
+        calib = rotated_calibration((0.4, -0.25, -30.0))
+        car = ObjectSpec(object_id=1, class_label="car",
+                         trajectory=Trajectory(x_coeffs=(30.0,),
+                                               y_coeffs=(0.0,)))
+        spec = SceneSpec(duration=0.3, frame_rate=10.0, objects=(car,))
+        frames = self.assert_same_frames(spec, calib, DEFAULT_ERROR_MODEL)
+        assert not frames[0].uv_valid.all() and frames[0].uv_valid.any()
+
+    def test_rows_at_the_depth_epsilon(self):
+        calib = rotated_calibration((0.4, -0.25, 0.0))
+        above = np.nextafter(DEPTH_EPSILON, 1.0)
+        below = np.nextafter(DEPTH_EPSILON, 0.0)
+        xyz = np.array([[DEPTH_EPSILON, 0.5, -1.0], [below, 0.5, -1.0],
+                        [above, 0.5, -1.0], [0.0, 1.0, 1.0],
+                        [-3.0, 1.0, 1.0], [12.0, -2.0, 0.5]])
+        uv, valid = project_xyz(calib.intrinsics, calib.extrinsic, xyz)
+        ref_uv, ref_valid = oracles.project_xyz(calib.intrinsics,
+                                                calib.extrinsic, xyz)
+        assert valid.tolist() == [False, False, True, False, False, True]
+        assert uv.tobytes() == ref_uv.tobytes()
+        assert valid.tobytes() == ref_valid.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(angles=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+           translation=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+           values=st.lists(st.floats(-100.0, 100.0), min_size=0,
+                           max_size=60))
+    def test_projection_on_random_rigid_extrinsics(self, angles,
+                                                   translation, values):
+        rotation = np.eye(3)
+        for axis, angle in enumerate(angles):
+            c, s = math.cos(angle), math.sin(angle)
+            i, j = [k for k in range(3) if k != axis]
+            turn = np.eye(3)
+            turn[i, i], turn[i, j], turn[j, i], turn[j, j] = c, -s, s, c
+            rotation = turn @ rotation
+        extr = ExtrinsicTransform(rotation=rotation,
+                                  translation=np.asarray(translation))
+        intr = default_calibration().intrinsics
+        xyz = np.asarray(values[:len(values) // 3 * 3]).reshape(-1, 3)
+        uv, valid = project_xyz(intr, extr, xyz)
+        ref_uv, ref_valid = oracles.project_xyz(intr, extr, xyz)
+        assert uv.tobytes() == ref_uv.tobytes()
+        assert valid.tobytes() == ref_valid.tobytes()
