@@ -8,6 +8,7 @@ import numpy as np
 
 from .calib import CameraIntrinsics
 from .classes import CLASSES
+from .errors import check_number
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ class EnlargeRatios:
     down: float = 0.0
 
     def __post_init__(self):
-        if min(self.left, self.right, self.up, self.down) < 0:
-            raise ValueError("enlarge ratios must be nonnegative")
+        for side in ("left", "right", "up", "down"):
+            check_number(side, getattr(self, side), at_least=0)
 
 
 def enlarge_aoi(box: BoundingBox, ratios: EnlargeRatios,

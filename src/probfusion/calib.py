@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, check_number
 
 DEPTH_EPSILON = 1e-6  # meters along the optical axis; at or below is "behind"
 
@@ -36,10 +36,14 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise CalibrationError("focal lengths must be positive")
-        if not (0 <= self.ox < self.width and 0 <= self.oy < self.height):
-            raise CalibrationError("principal point must lie inside the image")
+        # The principal point (ox, oy) lies inside the image.
+        for name, bounds in (("fx", dict(above=0)), ("fy", dict(above=0)),
+                             ("width", dict(integer=True, above=0)),
+                             ("height", dict(integer=True, above=0)),
+                             ("ox", dict(at_least=0, below=self.width)),
+                             ("oy", dict(at_least=0, below=self.height))):
+            check_number(name, getattr(self, name), error=CalibrationError,
+                         **bounds)
 
 
 @dataclass(frozen=True)

@@ -2,40 +2,31 @@
 
 Ranges are planar XY distances. K-Means finds high-density distance
 centers which anchor the histogram bins; remaining bins fill the span
-sequentially at the configured granularity.
+sequentially at the class's granularity (classes.CLASSES).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .classes import CLASSES, class_params
-from .errors import EmptyInput, NoQualifiedCluster
+from .errors import EmptyInput, NoQualifiedCluster, check_number
 
 
 @dataclass(frozen=True)
 class ClusteringConfig:
-    granularity: dict = field(default_factory=lambda: {
-        label: row.granularity_m for label, row in CLASSES.items()})
     kmeans_k: int = 3
     kmeans_max_iter: int = 50
     min_peak_count: int = 5
     peak_ratio: float = 0.3
 
     def __post_init__(self):
-        if any(g <= 0 for g in self.granularity.values()):
-            raise ValueError("granularity must be positive")
-        if self.kmeans_k < 1:
-            raise ValueError("kmeans_k must be at least 1")
-        if not 0.0 < self.peak_ratio <= 1.0:
-            raise ValueError("peak_ratio must lie in (0, 1]")
-
-    def granularity_for(self, class_label: str) -> float:
-        return self.granularity.get(class_label,
-                                    class_params(class_label).granularity_m)
+        check_number("kmeans_k", self.kmeans_k, integer=True, at_least=1)
+        check_number("kmeans_max_iter", self.kmeans_max_iter, integer=True)
+        check_number("min_peak_count", self.min_peak_count, integer=True)
+        check_number("peak_ratio", self.peak_ratio, above=0, at_most=1)
 
 
 @dataclass(frozen=True)

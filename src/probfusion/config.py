@@ -9,7 +9,7 @@ from typing import Optional
 
 from .aoi import EnlargeRatios
 from .cluster import ClusteringConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .ground import RansacPlaneConfig
 from .io import read_json_object
 from .metrics import GuaranteeConfig, ToleranceConfig
@@ -46,10 +46,6 @@ class PipelineConfig:
         return self.enlarge_ratios.get(class_label,
                                        self.enlarge_ratios.get(
                                            "default", EnlargeRatios()))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_pipeline_config(path) -> PipelineConfig:
@@ -93,14 +89,16 @@ def load_pipeline_config(path) -> PipelineConfig:
         raise ConfigError(f"invalid config {path}: enlarge_ratios must map "
                           "class labels to ratios")
     seed = raw.get("rng_seed", 0)
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"invalid config {path}: rng_seed must be a "
-                          f"non-negative integer, got {seed!r}")
     targets = raw.get("target_object_ids")
-    if targets is not None and not (isinstance(targets, list)
-                                    and all(map(_is_int, targets))):
-        raise ConfigError(f"invalid config {path}: target_object_ids must "
-                          f"be a list of integers, got {targets!r}")
+    try:
+        check_number("rng_seed", seed, integer=True, at_least=0)
+        if not isinstance(targets, (list, type(None))):
+            raise ValueError("target_object_ids must be a list of "
+                             f"integers, got {targets!r}")
+        for i, target in enumerate(targets or ()):
+            check_number(f"target_object_ids[{i}]", target, integer=True)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config {path}: {exc}") from None
 
     cfg = PipelineConfig(
         calibration_path=calib_path,

@@ -1,4 +1,8 @@
-"""Exception types shared across the fusion pipeline."""
+"""Exception types shared across the fusion pipeline, and the one check
+of a number read from a config, scene or calibration file."""
+
+import math
+import numbers
 
 
 class FusionError(Exception):
@@ -63,3 +67,26 @@ class EmptySequence(FusionError, ValueError):
 
 class ConfigError(FusionError):
     """Pipeline configuration missing or inconsistent."""
+
+
+def check_number(name, value, *, integer=False, at_least=None, above=None,
+                 at_most=None, below=None, error=ValueError) -> None:
+    """Raise error naming name unless value is a number within the bounds.
+
+    A number is a finite numbers.Real and an integer a numbers.Integral
+    (so numpy scalars pass); a bool is neither.
+    """
+    if (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool)
+            and (integer or math.isfinite(value))
+            and (at_least is None or value >= at_least)
+            and (above is None or value > above)
+            and (at_most is None or value <= at_most)
+            and (below is None or value < below)):
+        return
+    kind = "an integer" if integer else "a finite number"
+    limits = " and ".join(f"{op} {bound}" for op, bound in (
+        (">=", at_least), (">", above), ("<=", at_most), ("<", below))
+        if bound is not None)
+    raise error(f"{name} must be {kind}{limits and ' ' + limits}, "
+                f"got {value!r}")

@@ -7,13 +7,12 @@ z up). Cropping keeps a forward sector anchored at the sensor.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientPoints, NoAcceptablePlane
+from .errors import InsufficientPoints, NoAcceptablePlane, check_number
 
 
 @dataclass(frozen=True)
@@ -27,22 +26,14 @@ class RansacPlaneConfig:
     normal_cone_deg: float = 30.0
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie in (0, 1)")
-        if not 0.0 <= self.eps < 1.0:
-            raise ValueError("eps must lie in [0, 1)")
-        if (isinstance(self.n_sample, bool)
-                or not isinstance(self.n_sample, numbers.Integral)
-                or self.n_sample < 3):
-            raise ValueError("n_sample must be an integer of at least 3, "
-                             f"got {self.n_sample!r}")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.boundary_length <= 0 or self.boundary_width <= 0:
-            raise ValueError("boundary extents must be positive")
-        if not 0.0 < self.normal_cone_deg <= 90.0:
-            raise ValueError("normal_cone_deg must lie in (0, 90], got "
-                             f"{self.normal_cone_deg!r}")
+        check_number("p", self.p, above=0, below=1)
+        check_number("eps", self.eps, at_least=0, below=1)
+        check_number("n_sample", self.n_sample, integer=True, at_least=3)
+        check_number("delta", self.delta, above=0)
+        check_number("boundary_length", self.boundary_length, above=0)
+        check_number("boundary_width", self.boundary_width, above=0)
+        check_number("normal_cone_deg", self.normal_cone_deg, above=0,
+                     at_most=90)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,13 @@ index that is not the row number, or only one of u, v blank.
 ``load_sequence`` also rejects, naming the file (and the line, counted
 from 1), a cloud file not named ``frame_<number>.csv``, two cloud files
 of one frame, a JSON line that is not JSON or lacks a key, a detection
-``box`` that is not four numbers, a ground-truth x, y or range that is
-not a number or members that is not a list, detections or ground
-truth naming a frame without a cloud file, and a scene.json that is not
-a JSON object or whose frame_rate is not a finite positive number.
+whose ``box`` is not four finite numbers or whose ``frame`` or
+``object_id`` is not an integer, two detections of one object in one
+frame, a ground-truth frame or object_id that is not an integer, x, y
+or range that is not a finite number or members that is not a list,
+detections or ground truth naming a frame without a cloud file, and a
+scene.json that is not a JSON object or whose frame_rate is not a
+finite positive number.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -39,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .aoi import BoundingBox
-from .errors import EmptySequence
+from .errors import EmptySequence, check_number
 from .smoother import TrackSample
 
 
@@ -163,7 +165,8 @@ def write_detections(seq_dir, detections_by_frame: dict) -> None:
 
 
 def _read_jsonl(path, parse) -> list:
-    """parse(record) of each non-blank line of a JSON-lines file.
+    """(line number, parse(record)) of each non-blank line of a JSON-lines
+    file, lines counted from 1.
 
     Raises ValueError naming the file and the line (counted from 1) when
     a line is not JSON, lacks a key, or has a value parse rejects.
@@ -174,7 +177,7 @@ def _read_jsonl(path, parse) -> list:
             if not line.strip():
                 continue
             try:
-                parsed.append(parse(json.loads(line)))
+                parsed.append((line_no, parse(json.loads(line))))
             except KeyError as exc:
                 raise ValueError(
                     f"{path}, line {line_no}: no key {exc}") from None
@@ -187,6 +190,10 @@ def _detection(rec: dict) -> BoundingBox:
     box = rec["box"]
     if not (isinstance(box, list) and len(box) == 4):
         raise ValueError(f"box is {box!r}, not [u_min, v_min, u_max, v_max]")
+    for i, value in enumerate(box):
+        check_number(f"box[{i}]", value)
+    for key in ("frame", "object_id"):
+        check_number(key, rec[key], integer=True)
     return BoundingBox(frame_id=int(rec["frame"]),
                        object_id=int(rec["object_id"]),
                        class_label=rec["class"],
@@ -195,9 +202,20 @@ def _detection(rec: dict) -> BoundingBox:
 
 
 def read_detections(path) -> dict:
-    """detections.jsonl -> {frame_id: [BoundingBox, ...]}"""
+    """detections.jsonl -> {frame_id: [BoundingBox, ...]}
+
+    A second detection of one object in one frame is a ValueError naming
+    the file and both lines.
+    """
     by_frame: dict = {}
-    for det in _read_jsonl(path, _detection):
+    line_of: dict = {}   # (frame_id, object_id) -> line number
+    for line_no, det in _read_jsonl(path, _detection):
+        key = (det.frame_id, det.object_id)
+        if key in line_of:
+            raise ValueError(f"{path}, line {line_no}: frame {key[0]} "
+                             f"object {key[1]} is also on line "
+                             f"{line_of[key]}")
+        line_of[key] = line_no
         by_frame.setdefault(det.frame_id, []).append(det)
     return by_frame
 
@@ -214,15 +232,15 @@ GROUND_TRUTH_KEYS = ("object_id", "x", "y", "range", "members")
 
 
 def _ground_truth_frame(rec: dict) -> tuple[int, dict]:
+    check_number("frame", rec["frame"], integer=True)
     poses = {}
     for obj in rec["objects"]:
         missing = [key for key in GROUND_TRUTH_KEYS if key not in obj]
         if missing:
             raise KeyError(missing[0])
-        if not all(isinstance(obj[key], (int, float))
-                   for key in ("x", "y", "range")):
-            raise ValueError(f"object {obj['object_id']}: x, y or range "
-                             "is not a number")
+        check_number("object_id", obj["object_id"], integer=True)
+        for key in ("x", "y", "range"):
+            check_number(f"object {obj['object_id']}: {key}", obj[key])
         if not isinstance(obj["members"], list):
             raise ValueError(f"object {obj['object_id']}: members is not "
                              "a list")
@@ -232,7 +250,7 @@ def _ground_truth_frame(rec: dict) -> tuple[int, dict]:
 
 def read_ground_truth(path) -> dict:
     """ground_truth.jsonl -> {frame_id: {object_id: {...}}}"""
-    return dict(_read_jsonl(path, _ground_truth_frame))
+    return dict(frame for _, frame in _read_jsonl(path, _ground_truth_frame))
 
 
 def read_json_object(path) -> dict:
@@ -259,9 +277,10 @@ def read_frame_rate(seq_dir) -> float:
     if not meta_path.exists():
         return 10.0
     rate = read_json_object(meta_path).get("frame_rate", 10.0)
-    if type(rate) not in (int, float) or not 0 < rate <= sys.float_info.max:
-        raise ValueError(f"{meta_path}: frame_rate is {rate!r}, not a finite "
-                         "positive number")
+    try:
+        check_number("frame_rate", rate, above=0)
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     return float(rate)
 
 

@@ -26,11 +26,6 @@ class ObjectLocalization:
     y_m: float
 
 
-def range_of(x: float, y: float, z: float = 0.0) -> float:
-    """Planar distance; z is ignored to avoid overestimating range."""
-    return math.hypot(x, y)
-
-
 def azimuth_of(x: float, y: float) -> float:
     """Angle from the +X axis in degrees, positive toward +Y (left)."""
     if x == 0.0 and y == 0.0:

@@ -9,27 +9,23 @@ standard confusion-matrix sense.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .classes import CLASSES
-from .errors import EmptyInput, LengthMismatch, TooFewSamples, UnknownClass
+from .errors import (EmptyInput, LengthMismatch, TooFewSamples, UnknownClass,
+                     check_number)
 from .stats import student_t_sf
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    fraction: float = 0.15
-    object_length_m: dict = field(default_factory=lambda: {
-        label: row.tolerance_length_m for label, row in CLASSES.items()})
+    fraction: float = 0.15   # of the class's tolerance_length_m
 
     def __post_init__(self):
-        if self.fraction <= 0:
-            raise ValueError("fraction must be positive")
-        if any(v <= 0 for v in self.object_length_m.values()):
-            raise ValueError("object lengths must be positive")
+        check_number("fraction", self.fraction, above=0)
 
 
 @dataclass(frozen=True)
@@ -49,28 +45,22 @@ class GuaranteeConfig:
     t1_fraction: Optional[float] = None  # if set, t1 = fraction of true count
 
     def __post_init__(self):
-        if self.t1 < 0:
-            raise ValueError("t1 must be nonnegative")
-        if not 0.0 < self.t2 <= 1.0:
-            raise ValueError("t2 must lie in (0, 1]")
+        check_number("t1", self.t1, at_least=0)
+        check_number("t2", self.t2, above=0, at_most=1)
+        if self.t1_fraction is not None:
+            check_number("t1_fraction", self.t1_fraction, at_least=0)
 
 
 def tolerance_band(gt_range: float, class_label: str,
                    cfg: ToleranceConfig) -> tuple[float, float]:
-    """Valid range interval around ground truth: +-fraction * object length.
-
-    A class that cfg.object_length_m leaves out takes its length from
-    the class table.
-    """
+    """Valid range interval around ground truth: +-fraction * the
+    class's tolerance length (classes.CLASSES)."""
     if gt_range <= 0:
         raise ValueError("ground-truth range must be positive")
-    length = cfg.object_length_m.get(class_label)
-    if length is None:
-        if class_label not in CLASSES:
-            raise UnknownClass(f"no object length configured for "
-                               f"{class_label!r}")
-        length = CLASSES[class_label].tolerance_length_m
-    half = cfg.fraction * length
+    if class_label not in CLASSES:
+        raise UnknownClass(f"no object length configured for "
+                           f"{class_label!r}")
+    half = cfg.fraction * CLASSES[class_label].tolerance_length_m
     return gt_range - half, gt_range + half
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import ground
 from .aoi import candidate_rows, enlarge_aoi
 from .calib import CalibrationPair, load_calibration, project_xyz
+from .classes import class_params
 from .cluster import (build_range_histogram, planar_ranges,
                       seed_bin_centers, select_candidate_clusters)
 from .config import PipelineConfig
@@ -130,7 +131,7 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
             continue
 
         member_ranges = rows_ranges[members]
-        granularity = cfg.clustering.granularity_for(det.class_label)
+        granularity = class_params(det.class_label).granularity_m
         try:
             centers = seed_bin_centers(member_ranges, cfg.clustering,
                                        cfg.rng_seed)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cluster import CandidateCluster
-from .errors import DegenerateCluster, EmptyInput
+from .errors import DegenerateCluster, EmptyInput, check_number
 from .io import read_json_object
 
 MAX_ROTATION_DEG = 40.0
@@ -48,10 +48,8 @@ class ShapeFilterConfig:
     kl_smoothing: float = 1e-6
 
     def __post_init__(self):
-        if self.sigmoid_gain <= 0:
-            raise ValueError("sigmoid_gain must be positive")
-        if self.kl_smoothing <= 0:
-            raise ValueError("kl_smoothing must be positive")
+        check_number("sigmoid_gain", self.sigmoid_gain, above=0)
+        check_number("kl_smoothing", self.kl_smoothing, above=0)
 
 
 @dataclass

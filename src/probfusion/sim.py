@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional
@@ -25,7 +24,7 @@ from .aoi import BoundingBox, EnlargeRatios
 from .calib import CalibrationPair, CameraIntrinsics, default_extrinsic, project_xyz
 from .classes import CLASSES, class_params
 from .config import write_pipeline_config
-from .errors import InvalidSpec
+from .errors import InvalidSpec, check_number
 from .io import FrameRecord, dump_simulated_sequence, read_json_object
 from .metrics import GuaranteeConfig
 from .shape import BenchmarkShapeRegistry, build_benchmark, compute_descriptor
@@ -42,23 +41,14 @@ SIMULATED_GUARANTEE = GuaranteeConfig(t1=1.0, t2=0.9, t1_fraction=0.2)
 TRAJECTORY_KINDS = ("polynomial", "waypoints")
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """True for a finite real number that is not a bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _are_numbers(values, size=None) -> bool:
-    """True when values is a list or tuple of real numbers (size of them
-    when size is given)."""
-    return (isinstance(values, (list, tuple))
-            and size in (None, len(values))
-            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    for v in values))
+def _check_numbers(name, values, what="a list of numbers", size=None):
+    """InvalidSpec unless values is a list or tuple of numbers (size of
+    them when size is given); what describes that list."""
+    if not (isinstance(values, (list, tuple))
+            and size in (None, len(values))):
+        raise InvalidSpec(f"{name} is {values!r}, not {what}")
+    for i, value in enumerate(values):
+        check_number(f"{name}[{i}]", value, error=InvalidSpec)
 
 
 @dataclass(frozen=True)
@@ -76,19 +66,19 @@ class Trajectory:
                               f"of {', '.join(TRAJECTORY_KINDS)}")
         if self.kind == "polynomial":
             for name in ("x_coeffs", "y_coeffs"):
-                if not _are_numbers(getattr(self, name)):
-                    raise InvalidSpec(f"trajectory {name} is "
-                                      f"{getattr(self, name)!r}, not a "
-                                      "list of numbers")
+                _check_numbers(f"trajectory {name}", getattr(self, name))
             return
-        if not (_are_numbers(self.times) and self.times):
+        _check_numbers("trajectory times", self.times)
+        if not self.times:
             raise InvalidSpec(f"waypoint times are {self.times!r}, not a "
                               "non-empty list of numbers")
         if not (isinstance(self.points, (list, tuple))
-                and len(self.points) == len(self.times)
-                and all(_are_numbers(p, 2) for p in self.points)):
+                and len(self.points) == len(self.times)):
             raise InvalidSpec(f"waypoint points are {self.points!r}, not "
                               f"{len(self.times)} (x, y) pairs, one per time")
+        for i, point in enumerate(self.points):
+            _check_numbers(f"trajectory points[{i}]", point,
+                           "an (x, y) pair", 2)
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise InvalidSpec(f"waypoint times {self.times!r} are not "
                               "strictly increasing")
@@ -115,9 +105,8 @@ class ObjectSpec:
     height: Optional[float] = None
 
     def __post_init__(self):
-        if not _is_integer(self.object_id):
-            raise InvalidSpec(f"object_id is {self.object_id!r}, not an "
-                              "integer")
+        check_number("object_id", self.object_id, integer=True,
+                     error=InvalidSpec)
         if (self.object_id in (GROUND_LABEL, CLUTTER_LABEL)
                 or not -2 ** 63 <= self.object_id < 2 ** 63):
             raise InvalidSpec(f"object_id {self.object_id} cannot label "
@@ -128,6 +117,10 @@ class ObjectSpec:
             raise InvalidSpec(f"object {self.object_id}: class_label is "
                               f"{self.class_label!r}, not one of "
                               f"{', '.join(CLASSES)}")
+        for name in ("length", "width", "height"):
+            if getattr(self, name) is not None:
+                check_number(f"object {self.object_id}: {name}",
+                             getattr(self, name), error=InvalidSpec)
 
     def size(self) -> tuple[float, float, float]:
         default = class_params(self.class_label).size_m
@@ -152,22 +145,14 @@ class SceneSpec:
     def __post_init__(self):
         for name in ("rng_seed", "n_ground_points", "background_clutter",
                      "min_object_points"):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < 0:
-                raise InvalidSpec(f"{name} must be a non-negative integer, "
-                                  f"got {value!r}")
+            check_number(name, getattr(self, name), integer=True, at_least=0,
+                         error=InvalidSpec)
         for name in ("sensor_height", "ground_noise_sigma"):
-            value = getattr(self, name)
-            if not _is_number(value) or value < 0:
-                raise InvalidSpec(f"{name} must be a finite number of at "
-                                  f"least 0, got {value!r}")
-        if not _is_number(self.point_density) or self.point_density <= 0:
-            raise InvalidSpec("point_density must be a finite positive "
-                              f"number, got {self.point_density!r}")
-        if self.frame_rate <= 0:
-            raise InvalidSpec("frame_rate must be positive")
-        if self.duration <= 0:
-            raise InvalidSpec("duration must be positive")
+            check_number(name, getattr(self, name), at_least=0,
+                         error=InvalidSpec)
+        for name in ("point_density", "frame_rate", "duration"):
+            check_number(name, getattr(self, name), above=0,
+                         error=InvalidSpec)
         if self.n_frames < 1:
             raise InvalidSpec(f"duration {self.duration!r} s at "
                               f"{self.frame_rate!r} Hz is less than one frame")
@@ -213,7 +198,7 @@ class SimulatedFrame(FrameRecord):
     ideal_uv: np.ndarray     # (N, 2) ideal pixel mapping, NaN when invalid
     gt_object_pixel_boxes: dict   # object_id -> (u0, v0, u1, v1) or None
     gt_poses: dict           # object_id -> {"x","y","range","class"}
-    applied_shifts: np.ndarray    # (N, 2) pixel shift applied per point
+    pixel_shift: tuple       # (du, dv) added to every valid row's pixel
 
 
 def default_calibration() -> CalibrationPair:
@@ -388,10 +373,10 @@ def render_frame(skeleton: FrameSkeleton, spec: SceneSpec,
     return SimulatedFrame(
         frame_id=skeleton.frame_id, t=skeleton.t,
         cloud=cloud, labels=label_arr,
-        ideal_uv=uv, observed_uv=uv.copy(), uv_valid=valid,
+        ideal_uv=uv, observed_uv=uv, uv_valid=valid,
         detections=detections,
         gt_object_pixel_boxes=gt_boxes, gt_poses=gt_poses,
-        applied_shifts=np.zeros((len(cloud), 2)),
+        pixel_shift=(0.0, 0.0),
     )
 
 
@@ -410,12 +395,9 @@ def inject_mapping_errors(frame: SimulatedFrame, err: ErrorModel,
                       rng.uniform(-hv, hv) if hv else 0.0])
     # Column by column: numpy's broadcast loops over rows of 2 are
     # several times slower.
-    n_points = len(frame.cloud)
-    observed = np.empty((n_points, 2))
-    shifts = np.zeros((n_points, 2))
+    observed = np.empty((len(frame.cloud), 2))
     for j in range(2):
         np.add(frame.ideal_uv[:, j], shift[j], out=observed[:, j])
-        np.copyto(shifts[:, j], shift[j], where=frame.uv_valid)
 
     detections = []
     for det in frame.detections:
@@ -438,7 +420,7 @@ def inject_mapping_errors(frame: SimulatedFrame, err: ErrorModel,
         detections=detections,
         gt_object_pixel_boxes=frame.gt_object_pixel_boxes,
         gt_poses=frame.gt_poses,
-        applied_shifts=shifts,
+        pixel_shift=tuple(shift.tolist()),
     )
 
 

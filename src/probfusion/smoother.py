@@ -7,14 +7,13 @@ fits order-3 polynomials on the inliers and interpolates gaps.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import TooFewInliers, TooFewSamples
+from .errors import TooFewInliers, TooFewSamples, check_number
 
 DETECT_ORDER = 2
 SMOOTH_ORDER = 3
@@ -29,17 +28,14 @@ class SmootherConfig:
     sigma_floor: float = 0.05  # meters
 
     def __post_init__(self):
-        if self.threshold_sigma <= 0:
-            raise ValueError("threshold_sigma must be positive")
-        if self.min_samples <= SMOOTH_ORDER + 1:
-            raise ValueError("min_samples must exceed smooth_order + 1")
-        if self.ransac_subset < DETECT_ORDER + 1:
-            raise ValueError("ransac_subset too small for an order-2 fit")
-        if (isinstance(self.ransac_iterations, bool)
-                or not isinstance(self.ransac_iterations, numbers.Integral)
-                or self.ransac_iterations < 1):
-            raise ValueError("ransac_iterations must be an integer of at "
-                             f"least 1, got {self.ransac_iterations!r}")
+        check_number("threshold_sigma", self.threshold_sigma, above=0)
+        check_number("ransac_iterations", self.ransac_iterations,
+                     integer=True, at_least=1)
+        check_number("ransac_subset", self.ransac_subset, integer=True,
+                     at_least=DETECT_ORDER + 1)
+        check_number("min_samples", self.min_samples, integer=True,
+                     above=SMOOTH_ORDER + 1)
+        check_number("sigma_floor", self.sigma_floor)
 
 
 @dataclass(frozen=True)

@@ -447,7 +447,7 @@ def render_frame(skeleton: FrameSkeleton, spec: SceneSpec,
         ideal_uv=uv, observed_uv=uv.copy(), uv_valid=valid,
         detections=detections,
         gt_object_pixel_boxes=gt_boxes, gt_poses=gt_poses,
-        applied_shifts=np.zeros((len(cloud), 2)),
+        pixel_shift=(0.0, 0.0),
     )
 
 
@@ -464,8 +464,6 @@ def inject_mapping_errors(frame: SimulatedFrame, err: ErrorModel,
                       rng.uniform(-hv, hv) if hv else 0.0])
     observed = frame.ideal_uv.copy()
     observed[frame.uv_valid] += shift
-    shifts = np.zeros((len(frame.cloud), 2))
-    shifts[frame.uv_valid] = shift
 
     detections = []
     for det in frame.detections:
@@ -488,7 +486,7 @@ def inject_mapping_errors(frame: SimulatedFrame, err: ErrorModel,
         detections=detections,
         gt_object_pixel_boxes=frame.gt_object_pixel_boxes,
         gt_poses=frame.gt_poses,
-        applied_shifts=shifts,
+        pixel_shift=tuple(shift.tolist()),
     )
 
 

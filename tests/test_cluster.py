@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from probfusion.classes import class_params
 from probfusion.cluster import (ClusteringConfig, RangeHistogram,
                                 _nearest_center, build_range_histogram,
                                 merge_close_centers, planar_ranges,
@@ -189,8 +190,9 @@ class TestSelectCandidateClusters:
 
 class TestConfigValidation:
     def test_bad_granularity(self):
-        with pytest.raises(ValueError):
-            ClusteringConfig(granularity={"car": 0.0})
+        # Granularity is per class and comes from the class table only.
+        with pytest.raises(TypeError, match="granularity"):
+            ClusteringConfig(granularity={"car": 2.0})
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
@@ -201,10 +203,9 @@ class TestConfigValidation:
             ClusteringConfig(peak_ratio=0.0)
 
     def test_granularity_lookup(self):
-        cfg = ClusteringConfig()
-        assert cfg.granularity_for("car") == 2.0
-        assert cfg.granularity_for("pedestrian") == 0.5
-        assert cfg.granularity_for("unknown_label") == 1.0
+        assert class_params("car").granularity_m == 2.0
+        assert class_params("pedestrian").granularity_m == 0.5
+        assert class_params("unknown_label").granularity_m == 1.0
 
 
 def same_array(a, b):
@@ -300,7 +301,7 @@ class TestMatchesOracle:
     def test_kmeans_then_histogram(self, values, seed, label):
         values = np.array(values)
         cfg = ClusteringConfig()
-        g = cfg.granularity_for(label)
+        g = class_params(label).granularity_m
         centers = oracles.seed_bin_centers(values, cfg, seed)
         assert same_array(seed_bin_centers(values, cfg, seed), centers)
         hist = build_range_histogram(values, centers, cfg, g)

@@ -6,19 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probfusion.errors import EmptyCluster, OriginPoint
-from probfusion.localize import (azimuth_of, localize, range_of,
-                                 representative_point)
-
-
-class TestRangeOf:
-    def test_ignores_height(self):
-        assert range_of(3.0, 4.0, 10.0) == pytest.approx(5.0)
-
-    def test_origin(self):
-        assert range_of(0.0, 0.0, 7.0) == 0.0
-
-    def test_unit(self):
-        assert range_of(1.0, 0.0, 0.0) == 1.0
+from probfusion.localize import azimuth_of, localize, representative_point
 
 
 class TestAzimuthOf:

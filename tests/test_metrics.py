@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from probfusion.classes import CLASSES
 from probfusion.errors import (EmptyInput, LengthMismatch, TooFewSamples,
                                UnknownClass)
 from probfusion.metrics import (GuaranteeConfig, ToleranceConfig, mae_axis,
@@ -24,9 +25,9 @@ class TestToleranceBand:
         assert high == pytest.approx(10.225)
 
     def test_unlisted_class_takes_class_table_length(self):
-        cars_only = ToleranceConfig(object_length_m={"car": 4.5})
-        assert tolerance_band(10.0, "pedestrian", cars_only) == \
-            tolerance_band(10.0, "pedestrian", ToleranceConfig())
+        half = 0.15 * CLASSES["pedestrian"].tolerance_length_m
+        assert tolerance_band(10.0, "pedestrian", ToleranceConfig()) == \
+            (10.0 - half, 10.0 + half)
 
     def test_unknown_class(self):
         with pytest.raises(UnknownClass):
@@ -207,8 +208,9 @@ class TestConfigValidation:
             ToleranceConfig(fraction=0.0)
 
     def test_bad_length(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(object_length_m={"car": -1.0})
+        # Tolerance lengths come from the class table only.
+        with pytest.raises(TypeError, match="object_length_m"):
+            ToleranceConfig(object_length_m={"car": 4.5})
 
     def test_bad_guarantee(self):
         with pytest.raises(ValueError):

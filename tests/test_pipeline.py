@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from probfusion.aoi import BoundingBox
 from probfusion.calib import CalibrationPair, save_calibration
+from probfusion.classes import class_params
 from probfusion.cli import main as cli_main
 from probfusion.config import load_pipeline_config, write_pipeline_config
 from probfusion.errors import ConfigError, EmptySequence
@@ -238,7 +239,7 @@ class TestRunFusionFrame:
         by_id = {loc.object_id: loc for loc in locs}
         for obj_id, pose in gt[0].items():
             assert obj_id in by_id
-            granularity = cfg.clustering.granularity_for(pose["class"])
+            granularity = class_params(pose["class"]).granularity_m
             assert abs(by_id[obj_id].range_m - pose["range"]) <= granularity
 
     def test_errors_still_recover_target(self, tmp_path):
@@ -646,6 +647,14 @@ def first_json_line(name, edit):
     return apply
 
 
+def duplicate_first_detection(seq):
+    """Edit that repeats the first detection as the second line."""
+    path = seq / "detections.jsonl"
+    lines = path.read_text().splitlines()
+    lines.insert(1, lines[0])
+    path.write_text("\n".join(lines) + "\n")
+
+
 def scene_json(text):
     """Edit that replaces the sequence's scene.json."""
     return lambda seq: (seq / "scene.json").write_text(text)
@@ -705,6 +714,26 @@ BAD_INPUTS = [
                      lambda rec: rec.update(box=[0, 0, 10])),
      "detections.jsonl, line 1: box is [0, 0, 10], not [u_min, v_min, "
      "u_max, v_max]"),
+    ("detection repeated", duplicate_first_detection,
+     "detections.jsonl, line 2: frame 0 object 1 is also on line 1"),
+    ("fractional frame",
+     first_json_line("detections.jsonl", lambda rec: rec.update(frame=0.7)),
+     "detections.jsonl, line 1: frame must be an integer, got 0.7"),
+    ("bool frame",
+     first_json_line("detections.jsonl", lambda rec: rec.update(frame=True)),
+     "detections.jsonl, line 1: frame must be an integer, got True"),
+    ("fractional object id",
+     first_json_line("detections.jsonl",
+                     lambda rec: rec.update(object_id=1.5)),
+     "detections.jsonl, line 1: object_id must be an integer, got 1.5"),
+    ("text in box",
+     first_json_line("detections.jsonl",
+                     lambda rec: rec["box"].__setitem__(0, "100")),
+     "detections.jsonl, line 1: box[0] must be a finite number, got '100'"),
+    ("infinite box",
+     first_json_line("detections.jsonl",
+                     lambda rec: rec["box"].__setitem__(2, float("inf"))),
+     "detections.jsonl, line 1: box[2] must be a finite number, got inf"),
     ("ground truth without range",
      first_json_line("ground_truth.jsonl",
                      lambda rec: rec["objects"][0].pop("range")),
@@ -712,7 +741,26 @@ BAD_INPUTS = [
     ("non-numeric ground truth x",
      first_json_line("ground_truth.jsonl",
                      lambda rec: rec["objects"][0].update(x="abc")),
-     "ground_truth.jsonl, line 1: object 1: x, y or range is not a number"),
+     "ground_truth.jsonl, line 1: object 1: x must be a finite number, "
+     "got 'abc'"),
+    ("nan ground truth x",
+     first_json_line("ground_truth.jsonl",
+                     lambda rec: rec["objects"][0].update(x=float("nan"))),
+     "ground_truth.jsonl, line 1: object 1: x must be a finite number, "
+     "got nan"),
+    ("infinite ground truth range",
+     first_json_line("ground_truth.jsonl",
+                     lambda rec: rec["objects"][0].update(range=float("inf"))),
+     "ground_truth.jsonl, line 1: object 1: range must be a finite number, "
+     "got inf"),
+    ("fractional ground truth frame",
+     first_json_line("ground_truth.jsonl", lambda rec: rec.update(frame=0.5)),
+     "ground_truth.jsonl, line 1: frame must be an integer, got 0.5"),
+    ("bool ground truth y",
+     first_json_line("ground_truth.jsonl",
+                     lambda rec: rec["objects"][0].update(y=True)),
+     "ground_truth.jsonl, line 1: object 1: y must be a finite number, "
+     "got True"),
     ("ground truth members not a list",
      first_json_line("ground_truth.jsonl",
                      lambda rec: rec["objects"][0].update(members=5)),
@@ -727,11 +775,11 @@ BAD_INPUTS = [
     ("scene not an object", scene_json("[10]"),
      "scene.json: not a JSON object"),
     ("zero frame rate", scene_frame_rate(0),
-     "scene.json: frame_rate is 0, not a finite positive number"),
+     "scene.json: frame_rate must be a finite number > 0, got 0"),
     ("negative frame rate", scene_frame_rate(-5),
-     "scene.json: frame_rate is -5, not a finite positive number"),
+     "scene.json: frame_rate must be a finite number > 0, got -5"),
     ("text frame rate", scene_frame_rate("10"),
-     "scene.json: frame_rate is '10', not a finite positive number"),
+     "scene.json: frame_rate must be a finite number > 0, got '10'"),
     ("calibration distortion", json_file(
         "calibration.json",
         lambda raw: raw.update(distortion=[0.1, 0, 0, 0, 0])),
@@ -796,6 +844,23 @@ BAD_CONFIG_KEYS = [
     ("targets-text", {"target_object_ids": "1"}, "target_object_ids"),
     ("targets-fraction", {"target_object_ids": [1.5]}, "target_object_ids"),
     ("output-dir-number", {"output_dir": 5}, "output_dir"),
+    ("kmeans-k-fraction", {"clustering": {"kmeans_k": 2.5}},
+     "clustering: kmeans_k"),
+    ("kmeans-max-iter-fraction", {"clustering": {"kmeans_max_iter": 2.5}},
+     "clustering: kmeans_max_iter"),
+    ("ransac-subset-fraction", {"smoother": {"ransac_subset": 4.5}},
+     "smoother: ransac_subset"),
+    ("t1-fraction-text", {"guarantee": {"t1_fraction": "0.2"}},
+     "guarantee: t1_fraction"),
+    ("delta-nan", {"ransac_ground": {"delta": float("nan")}},
+     "ransac_ground: delta"),
+    ("granularity-removed", {"clustering": {"granularity": {"car": 2.0}}},
+     "clustering: ClusteringConfig.__init__() got an unexpected keyword "
+     "argument 'granularity'"),
+    ("object-length-removed",
+     {"tolerance": {"object_length_m": {"car": 4.5}}},
+     "tolerance: ToleranceConfig.__init__() got an unexpected keyword "
+     "argument 'object_length_m'"),
 ]
 
 
@@ -818,24 +883,6 @@ def test_fuse_bad_config_key_exits_2_with_one_line(
     assert isinstance(res.exception, SystemExit)
     assert len(res.output.strip().splitlines()) == 1
     assert key in res.output
-
-
-def test_fuse_tolerance_lengths_fall_back_to_class_table(tmp_path,
-                                                        two_frame_sequence):
-    # The pedestrians take the class table's length, which is also the
-    # default, so the report is the default config's.
-    seq = tmp_path / "seq"
-    shutil.copytree(two_frame_sequence, seq)
-    config = json.loads((seq / "config.json").read_text())
-    config["tolerance"] = {"object_length_m": {"car": 4.5}}
-    (seq / "cars_only.json").write_text(json.dumps(config))
-    for name in ("config.json", "cars_only.json"):
-        res = CliRunner().invoke(cli_main, [
-            "fuse", str(seq), "--config", str(seq / name),
-            "--out", str(tmp_path / name)])
-        assert res.exit_code == 0, res.output
-    assert (tmp_path / "cars_only.json" / "report.json").read_bytes() == \
-        (tmp_path / "config.json" / "report.json").read_bytes()
 
 
 def test_fuse_negative_seed_exits_2_with_one_line(tmp_path,
@@ -878,11 +925,12 @@ BAD_SCENES = [
     ("no-frame", lambda scene: scene.update(duration=0.04),
      "less than one frame"),
     ("duration-infinite", lambda scene: scene.update(duration=float("inf")),
-     "scene.json: cannot convert float infinity to integer"),
+     "scene.json: duration must be a finite number > 0, got inf"),
     ("kind-spline", lambda scene: scene["objects"][0]["trajectory"].update(
         kind="spline"), "'spline'"),
     ("class-truck", first_object(class_label="truck"), "'truck'"),
-    ("id-text", first_object(object_id="x"), "object_id is 'x'"),
+    ("id-text", first_object(object_id="x"),
+     "object_id must be an integer, got 'x'"),
     ("id-repeated", first_object(object_id=2), "not distinct"),
     ("trajectory-number", first_object(trajectory=5),
      "object 1: trajectory is 5, not a JSON object"),
@@ -894,23 +942,22 @@ BAD_SCENES = [
     ("coeffs-text", lambda scene: scene["objects"][0]["trajectory"].update(
         x_coeffs="abc"), "x_coeffs is 'abc'"),
     ("ground-points-text", lambda scene: scene.update(n_ground_points="5"),
-     "scene.json: n_ground_points must be a non-negative integer, got '5'"),
+     "scene.json: n_ground_points must be an integer >= 0, got '5'"),
     ("ground-points-fraction",
      lambda scene: scene.update(n_ground_points=30.5),
-     "scene.json: n_ground_points must be a non-negative integer"),
+     "scene.json: n_ground_points must be an integer >= 0, got 30.5"),
     ("clutter-negative", lambda scene: scene.update(background_clutter=-3),
-     "scene.json: background_clutter must be a non-negative integer"),
+     "scene.json: background_clutter must be an integer >= 0, got -3"),
     ("min-points-bool", lambda scene: scene.update(min_object_points=True),
-     "scene.json: min_object_points must be a non-negative integer"),
+     "scene.json: min_object_points must be an integer >= 0, got True"),
     ("sensor-height-text", lambda scene: scene.update(sensor_height="1.8"),
-     "scene.json: sensor_height must be a finite number of at least 0, "
-     "got '1.8'"),
+     "scene.json: sensor_height must be a finite number >= 0, got '1.8'"),
     ("noise-negative", lambda scene: scene.update(ground_noise_sigma=-0.1),
-     "scene.json: ground_noise_sigma must be a finite number of at least 0"),
+     "scene.json: ground_noise_sigma must be a finite number >= 0, got -0.1"),
     ("density-zero", lambda scene: scene.update(point_density=0),
-     "scene.json: point_density must be a finite positive number"),
+     "scene.json: point_density must be a finite number > 0, got 0"),
     ("density-text", lambda scene: scene.update(point_density="dense"),
-     "scene.json: point_density must be a finite positive number"),
+     "scene.json: point_density must be a finite number > 0, got 'dense'"),
     ("id-ground-label", first_object(object_id=-1),
      "object_id -1 cannot label points"),
     ("id-beyond-64-bits", first_object(object_id=2 ** 70),
@@ -965,7 +1012,7 @@ def test_evaluate_bad_scene_exits_1(tmp_path):
     assert res.exit_code == 1, res.output
     assert isinstance(res.exception, SystemExit)
     assert len(res.output.strip().splitlines()) == 1
-    assert "scene.json: frame_rate is 0, not a finite positive number" \
+    assert "scene.json: frame_rate must be a finite number > 0, got 0" \
         in res.output
 
 

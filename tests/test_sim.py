@@ -154,20 +154,18 @@ class TestInjectMappingErrors:
         out = inject_mapping_errors(frame, ErrorModel())
         assert np.array_equal(out.observed_uv[out.uv_valid],
                               frame.ideal_uv[frame.uv_valid])
-        assert not out.applied_shifts.any()
+        assert out.pixel_shift == (0.0, 0.0)
         assert len(out.detections) == len(frame.detections)
 
     def test_shift_recorded_per_point(self):
         frame = self._frame()
         out = inject_mapping_errors(
             frame, ErrorModel(pixel_shift_halfwidth=(40.0, 12.0)))
-        shifts = out.applied_shifts[out.uv_valid]
         # One synchronization-style shift per frame, shared by all points.
-        assert len(np.unique(shifts, axis=0)) == 1
-        du, dv = shifts[0]
+        du, dv = out.pixel_shift
         assert abs(du) <= 40.0 and abs(dv) <= 12.0
         assert np.allclose(out.observed_uv[out.uv_valid],
-                           frame.ideal_uv[frame.uv_valid] + shifts[0])
+                           frame.ideal_uv[frame.uv_valid] + (du, dv))
 
     def test_ground_truth_untouched(self):
         frame = self._frame()
