@@ -1,6 +1,9 @@
 """Probabilistic LiDAR-camera fusion robust to mapping errors.
 
 Library layout:
+  errors    exception types and the number rule for input files
+  io        sequence-directory file formats
+  config    pipeline configuration loading
   calib     calibration data and pinhole projection
   ground    RANSAC ground-plane removal
   classes   per-class parameter table
@@ -10,6 +13,7 @@ Library layout:
   localize  median-point distance and azimuth
   smoother  polynomial-RANSAC trajectory smoothing
   metrics   banded TPR, MAE, completeness guarantee, t-tests
+  stats     Student-t tail probabilities for the t-tests
   sim       deterministic synthetic-scene oracle
   pipeline  frame/sequence orchestration
   cli       command-line entry points

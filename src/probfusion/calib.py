@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, check_number
+from .errors import CalibrationError, check_number, check_numbers
 
 DEPTH_EPSILON = 1e-6  # meters along the optical axis; at or below is "behind"
 
@@ -54,6 +54,8 @@ class ExtrinsicTransform:
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         t = np.asarray(self.translation, dtype=float).reshape(3)
+        if not np.isfinite(t).all():
+            raise CalibrationError(f"translation {t.tolist()} is not finite")
         if not np.allclose(r @ r.T, np.eye(3), atol=1e-6):
             raise CalibrationError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-6:
@@ -107,21 +109,23 @@ def load_calibration(path) -> CalibrationPair:
 
     Expected keys: intrinsics{fx,fy,ox,oy,width,height},
     extrinsic{rotation: 9 row-major numbers, translation: 3 numbers},
-    distortion: 5 numbers (must all be zero); CalibrationError otherwise.
+    distortion: 5 zeros; every number finite, CalibrationError otherwise.
     """
     try:
         with open(path) as fh:
             raw = json.load(fh)
         intr = CameraIntrinsics(**raw["intrinsics"])
         ext_raw = raw["extrinsic"]
-        extr = ExtrinsicTransform(
-            rotation=np.asarray(ext_raw["rotation"], dtype=float).reshape(3, 3),
-            translation=np.asarray(ext_raw["translation"], dtype=float),
-        )
-        distortion = np.asarray(raw.get("distortion", [0.0] * 5), dtype=float)
-        if distortion.shape != (5,):
-            raise CalibrationError("distortion must hold exactly 5 coefficients")
-        if np.any(distortion != 0.0):
+        distortion = raw.get("distortion", [0.0] * 5)
+        for name, values, size in (
+                ("extrinsic.rotation", ext_raw["rotation"], 9),
+                ("extrinsic.translation", ext_raw["translation"], 3),
+                ("distortion", distortion, 5)):
+            check_numbers(name, values, f"{size} numbers", size,
+                          error=CalibrationError)
+        extr = ExtrinsicTransform(rotation=ext_raw["rotation"],
+                                  translation=ext_raw["translation"])
+        if any(distortion):
             raise CalibrationError("nonzero distortion coefficients are not supported")
     except (KeyError, TypeError, ValueError) as exc:
         raise CalibrationError(f"malformed calibration file {path}: {exc}") from exc

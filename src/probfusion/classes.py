@@ -25,8 +25,3 @@ CLASSES = {
     "escooter_rider": ClassParams(0.5, 1.5, (0.7, 0.7, 1.8), 0.05),
     "other": ClassParams(1.0, 1.0, (1.0, 1.0, 1.0), 0.1),
 }
-
-
-def class_params(class_label: str) -> ClassParams:
-    """The label's row; labels outside the table read the ``other`` row."""
-    return CLASSES.get(class_label, CLASSES["other"])

@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from .config import load_pipeline_config
-from .errors import ConfigError, FusionError
+from .errors import ConfigError, FusionError, check_numbers
 from .io import (read_frame_rate, read_ground_truth, read_json_object,
                  read_trajectory_csv, write_report)
 from .metrics import align_to_ground_truth, mae_axis
@@ -115,6 +115,8 @@ def benchmark_shapes(cluster_files, out, min_samples):
     for path in cluster_files:
         rec = read_json_object(path)
         try:
+            for i, point in enumerate(rec["points"]):
+                check_numbers(f"points[{i}]", point, "a [u, v] pair", 2)
             desc = compute_descriptor(np.asarray(rec["points"], dtype=float))
             if not isinstance(rec["class"], str):
                 raise ValueError(f"class is {rec['class']!r}, not a string")

@@ -55,6 +55,11 @@ def load_pipeline_config(path) -> PipelineConfig:
         raw = read_json_object(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
+    unknown = sorted(raw.keys() - {key for key, _ in STAGES} - {
+        "calibration", "benchmark_registry", "output_dir", "rng_seed",
+        "target_object_ids", "enlarge_ratios"})
+    if unknown:
+        raise ConfigError(f"invalid config {path}: unknown key {unknown[0]!r}")
     base = path.parent
 
     def resolve(key):
@@ -84,7 +89,7 @@ def load_pipeline_config(path) -> PipelineConfig:
             raise ConfigError(f"invalid config {path}: {key}: {exc}") from exc
 
     stages = {key: build(key, cls, raw.get(key, {})) for key, cls in STAGES}
-    ratios = raw.get("enlarge_ratios", {"default": {}})
+    ratios = raw.get("enlarge_ratios", {})
     if not isinstance(ratios, dict):
         raise ConfigError(f"invalid config {path}: enlarge_ratios must map "
                           "class labels to ratios")
@@ -100,7 +105,7 @@ def load_pipeline_config(path) -> PipelineConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from None
 
-    cfg = PipelineConfig(
+    return PipelineConfig(
         calibration_path=calib_path,
         benchmark_registry_path=registry,
         enlarge_ratios={label: build(f"enlarge_ratios.{label}",
@@ -111,9 +116,6 @@ def load_pipeline_config(path) -> PipelineConfig:
         output_dir=resolve("output_dir"),
         **stages,
     )
-    if "default" not in cfg.enlarge_ratios:
-        cfg.enlarge_ratios["default"] = EnlargeRatios()
-    return cfg
 
 
 def write_pipeline_config(path, *, calibration="calibration.json",

@@ -1,5 +1,5 @@
 """Exception types shared across the fusion pipeline, and the one check
-of a number read from a config, scene or calibration file."""
+of a number, or a list of numbers, read from an input file."""
 
 import math
 import numbers
@@ -90,3 +90,15 @@ def check_number(name, value, *, integer=False, at_least=None, above=None,
         if bound is not None)
     raise error(f"{name} must be {kind}{limits and ' ' + limits}, "
                 f"got {value!r}")
+
+
+def check_numbers(name, values, what="a list of numbers", size=None, *,
+                  error=ValueError) -> None:
+    """Raise error unless values is a list or tuple of numbers (size of
+    them when size is given) by check_number's rule; what describes that
+    list in the message."""
+    if not (isinstance(values, (list, tuple))
+            and size in (None, len(values))):
+        raise error(f"{name} is {values!r}, not {what}")
+    for i, value in enumerate(values):
+        check_number(f"{name}[{i}]", value, error=error)

@@ -78,8 +78,7 @@ def min_inlier_count(eps: float, total: int) -> int:
     return math.floor((1.0 - eps) * total)
 
 
-def _fit_plane_lsq(points: np.ndarray,
-                   in_place: bool = False) -> tuple[np.ndarray, float]:
+def _fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares plane through points; returns (unit normal, offset).
 
     The normal is the eigenvector of the smallest eigenvalue of the 3x3
@@ -89,21 +88,16 @@ def _fit_plane_lsq(points: np.ndarray,
     zero scatter, whose first eigenvector (1, 0, 0) lies outside any
     cone around the vertical.
 
-    With in_place, R overwrites points; the result is the same.
+    R overwrites points, so callers pass an array they own.
     """
     n = len(points)
-    if in_place:
-        # Column by column: numpy's broadcast loop over rows of 3 is
-        # twice as slow, and the differences are the same.
-        p0 = points[0].copy()
-        for j in range(3):
-            points[:, j] -= p0[j]
-        rel = points
-    else:
-        p0 = points[0]
-        rel = points - p0
-    mean = np.ones(n) @ rel / n
-    scatter = rel.T @ rel - n * np.outer(mean, mean)
+    # Column by column: numpy's broadcast loop over rows of 3 is twice as
+    # slow, and the differences are the same.
+    p0 = points[0].copy()
+    for j in range(3):
+        points[:, j] -= p0[j]
+    mean = np.ones(n) @ points / n
+    scatter = points.T @ points - n * np.outer(mean, mean)
     _, vecs = np.linalg.eigh(scatter)  # ascending eigenvalues
     normal = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     if normal[2] < 0:
@@ -168,7 +162,7 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
     on large clouds with few outliers.
 
     The refit gathers the winner's inliers into the buffer the trials'
-    distances used and centers them there (_fit_plane_lsq in place), so
+    distances used and centers them there (_fit_plane_lsq), so
     no N x 3 array is allocated.
 
     Raises InsufficientPoints if the cloud is smaller than n_sample and
@@ -193,7 +187,7 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
     suspects = None   # the best plane's outliers, gathered when tested
     for _ in range(n_trials):
         sample = rng.choice(n_points, size=cfg.n_sample, replace=False)
-        normal, offset = _fit_plane_lsq(cloud[sample])
+        normal, offset = _fit_plane_lsq(cloud[sample])  # a gather copy
         if normal[2] < cos_cone:
             continue
         if best_count >= 0 and _worth_testing(n_points,
@@ -223,7 +217,7 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
     points = work[:3 * best_count].reshape(best_count, 3)
     np.take(cloud, np.flatnonzero(best_inside), axis=0, out=points,
             mode="clip")
-    normal, offset = _fit_plane_lsq(points, in_place=True)
+    normal, offset = _fit_plane_lsq(points)
     if normal[2] < cos_cone:
         raise NoAcceptablePlane("refit normal left the allowed cone")
     _plane_distances(cloud, normal, offset, out=dist)

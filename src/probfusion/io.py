@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .aoi import BoundingBox
-from .errors import EmptySequence, check_number
+from .errors import EmptySequence, check_number, check_numbers
 from .smoother import TrackSample
 
 
@@ -188,10 +188,7 @@ def _read_jsonl(path, parse) -> list:
 
 def _detection(rec: dict) -> BoundingBox:
     box = rec["box"]
-    if not (isinstance(box, list) and len(box) == 4):
-        raise ValueError(f"box is {box!r}, not [u_min, v_min, u_max, v_max]")
-    for i, value in enumerate(box):
-        check_number(f"box[{i}]", value)
+    check_numbers("box", box, "[u_min, v_min, u_max, v_max]", 4)
     for key in ("frame", "object_id"):
         check_number(key, rec[key], integer=True)
     return BoundingBox(frame_id=int(rec["frame"]),
@@ -338,7 +335,7 @@ def read_trajectory_csv(path) -> list:
 
     Only t, x and y are required; absent flag columns read as 0. Raises
     ValueError naming the file, and the row (counted from 0 after the
-    header) for a cell that is missing or not a number.
+    header) for a cell that is missing or not a finite number.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -353,6 +350,8 @@ def read_trajectory_csv(path) -> list:
             except (TypeError, ValueError):
                 raise ValueError(f"{path}, row {i}: t, x or y is missing "
                                  "or not a number") from None
+            for name, value in (("t", t), ("x", x), ("y", y)):
+                check_number(f"{path}, row {i}: {name}", value)
             samples.append(TrackSample(
                 t=t, x=x, y=y, outlier=row.get("outlier") == "1",
                 interpolated=row.get("interpolated") == "1"))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cluster import planar_ranges
 from .errors import EmptyCluster, OriginPoint
 
 
@@ -51,7 +52,7 @@ def localize(frame_id: int, object_id: int, class_label: str,
     xyz = np.asarray(cluster_xyz, dtype=float).reshape(-1, 3)
     if len(xyz) == 0:
         raise EmptyCluster("cannot localize an empty cluster")
-    ranges = np.hypot(xyz[:, 0], xyz[:, 1])
+    ranges = planar_ranges(xyz)
     rep = representative_point(ranges)
     x, y = float(xyz[rep, 0]), float(xyz[rep, 1])
     return ObjectLocalization(

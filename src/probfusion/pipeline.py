@@ -19,7 +19,7 @@ import numpy as np
 from . import ground
 from .aoi import candidate_rows, enlarge_aoi
 from .calib import CalibrationPair, load_calibration, project_xyz
-from .classes import class_params
+from .classes import CLASSES
 from .cluster import (build_range_histogram, planar_ranges,
                       seed_bin_centers, select_candidate_clusters)
 from .config import PipelineConfig
@@ -125,57 +125,52 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
 
         members = np.flatnonzero(rows_keep & big.mask(rows_uv))
         member_idx = rows[members]
-        odiag.aoi_point_count = len(member_idx)
-        if len(member_idx) == 0:
-            odiag.status = "NoQualifiedCluster"
-            continue
-
         member_ranges = rows_ranges[members]
-        granularity = class_params(det.class_label).granularity_m
+        odiag.aoi_point_count = len(member_idx)
         try:
+            if len(member_idx) == 0:
+                raise NoQualifiedCluster("no point in the enlarged AOI")
             centers = seed_bin_centers(member_ranges, cfg.clustering,
                                        cfg.rng_seed)
-            hist = build_range_histogram(member_ranges, centers,
-                                         cfg.clustering, granularity)
+            hist = build_range_histogram(
+                member_ranges, centers, cfg.clustering,
+                CLASSES[det.class_label].granularity_m)
             candidates = select_candidate_clusters(hist, cfg.clustering)
-        except (EmptyInput, NoQualifiedCluster) as exc:
+            odiag.candidate_count = len(candidates)
+
+            benchmark = benchmarks.get(det.class_label) if benchmarks else None
+            if len(candidates) > 1 and benchmark is not None:
+                pts_per_cand = [uv[member_idx[c.member_indices]]
+                                for c in candidates]
+                chosen, scores = select_cluster(candidates, pts_per_cand,
+                                                benchmark, cfg.shape_filter)
+                odiag.candidate_scores = [
+                    {"pre_rotation_score": s.pre_rotation_score,
+                     "distance_m": s.distance_m,
+                     "post_rotation_score": s.post_rotation_score,
+                     "rotation_deg": s.rotation_deg,
+                     "rotation_rejected": s.rotation_rejected,
+                     "count": s.cluster.count}
+                    for s in scores]
+            else:
+                chosen = candidates[0]
+
+            chosen_cloud_idx = member_idx[chosen.member_indices]
+            odiag.selected_indices = chosen_cloud_idx.tolist()
+            odiag.selected_ranges = member_ranges[
+                chosen.member_indices].tolist()
+            localizations.append(localize(
+                frame.frame_id, det.object_id, det.class_label,
+                cloud[chosen_cloud_idx]))
+        except (EmptyInput, NoQualifiedCluster, EmptyCluster) as exc:
             odiag.status = type(exc).__name__
-            continue
-        odiag.candidate_count = len(candidates)
-
-        benchmark = benchmarks.get(det.class_label) if benchmarks else None
-        if len(candidates) > 1 and benchmark is not None:
-            pts_per_cand = [uv[member_idx[c.member_indices]]
-                            for c in candidates]
-            chosen, scores = select_cluster(candidates, pts_per_cand,
-                                            benchmark, cfg.shape_filter)
-            odiag.candidate_scores = [
-                {"pre_rotation_score": s.pre_rotation_score,
-                 "distance_m": s.distance_m,
-                 "post_rotation_score": s.post_rotation_score,
-                 "rotation_deg": s.rotation_deg,
-                 "rotation_rejected": s.rotation_rejected,
-                 "count": s.cluster.count}
-                for s in scores]
-        else:
-            chosen = candidates[0]
-
-        chosen_cloud_idx = member_idx[chosen.member_indices]
-        odiag.selected_indices = chosen_cloud_idx.tolist()
-        odiag.selected_ranges = member_ranges[chosen.member_indices].tolist()
-        try:
-            loc = localize(frame.frame_id, det.object_id, det.class_label,
-                           cloud[chosen_cloud_idx])
-        except EmptyCluster:
-            odiag.status = "EmptyCluster"
-            continue
-        localizations.append(loc)
     return localizations, diag
 
 
-def _tpr_block(pairs, guarantee_frames, cfg) -> dict:
-    """TPR means and paired t-test of (baseline, fusion) TPR pairs, and
-    the guarantee over (selected, true members) frames, where defined."""
+def _metrics_block(pairs, guarantee_frames, mae_rows, cfg) -> dict:
+    """TPR means and paired t-test of (baseline, fusion) TPR pairs, the
+    guarantee over (selected, true members) frames, and MAE per axis of
+    (est_x, est_y, gt_x, gt_y) rows, where defined."""
     block: dict = {}
     if pairs:
         baseline, fusion = zip(*pairs)
@@ -189,6 +184,10 @@ def _tpr_block(pairs, guarantee_frames, cfg) -> dict:
         guard = selection_completeness(guarantee_frames, cfg.guarantee)
         block["guarantee"] = {"probability": guard.empirical_probability,
                               "passed": guard.passed}
+    est_x, est_y, gt_x, gt_y = mae_rows
+    for axis, est, truth in (("x", est_x, gt_x), ("y", est_y, gt_y)):
+        if est:
+            block[f"mae_{axis}"] = mae_axis(est, truth)
     return block
 
 
@@ -227,34 +226,26 @@ def _evaluate(frames, gt, cfg, frame_diags, trajectories) -> dict:
     target_pairs, target_guarantee_frames = [], []
     target_mae_rows = ([], [], [], [])  # est_x, est_y, gt_x, gt_y
     for obj_id, entry in sorted(per_object.items()):
-        obj_report = {"class": entry["class"], "frames": entry["frames"],
-                      **_tpr_block(entry["pairs"], entry["guarantee_frames"],
-                                   cfg)}
-        # MAE against the trajectory at ground-truth timestamps.
         mae_rows = align_to_ground_truth(trajectories.get(obj_id, ()), gt,
                                          obj_id, frame_times)
-        est_x, est_y, gt_x, gt_y = mae_rows
-        if est_x:
-            obj_report["mae_x"] = mae_axis(est_x, gt_x)
-            obj_report["mae_y"] = mae_axis(est_y, gt_y)
+        report_objects[str(obj_id)] = {
+            "class": entry["class"], "frames": entry["frames"],
+            **_metrics_block(entry["pairs"], entry["guarantee_frames"],
+                             mae_rows, cfg)}
         if obj_id in targets:
             for rows, obj_rows in zip(target_mae_rows, mae_rows):
                 rows.extend(obj_rows)
             if entry["pairs"]:
                 target_pairs.extend(entry["pairs"])
                 target_guarantee_frames.extend(entry["guarantee_frames"])
-        report_objects[str(obj_id)] = obj_report
 
     aggregate = {"target_object_ids": list(targets),
-                 **_tpr_block(target_pairs, target_guarantee_frames, cfg)}
+                 **_metrics_block(target_pairs, target_guarantee_frames,
+                                  target_mae_rows, cfg)}
     if len(target_pairs) >= 2:
         t1, p1, n1 = one_sample_right_tail_t_test(
             [fusion for _, fusion in target_pairs], 0.5)
         aggregate["one_sample_t_vs_0.5"] = {"t": t1, "p_value": p1, "n": n1}
-    est_x, est_y, gt_x, gt_y = target_mae_rows
-    if est_x:
-        aggregate["mae_x"] = mae_axis(est_x, gt_x)
-        aggregate["mae_y"] = mae_axis(est_y, gt_y)
     return {"objects": report_objects, "aggregate": aggregate}
 
 
@@ -288,10 +279,11 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
             tracks.setdefault(loc.object_id, []).append(
                 TrackSample(t=frame.t, x=loc.x_m, y=loc.y_m))
 
-    # Smoothed tracks are evaluated at every frame time; a track too
-    # short to smooth, one left with too few inliers to fit, or any
-    # track under no_smoother, is kept raw. raw_track_ids lists the
-    # tracks kept raw although the smoother is on.
+    # Smoothed tracks are evaluated at every frame time from the track's
+    # first localization to its last; a track too short to smooth, one
+    # left with too few inliers to fit, or any track under no_smoother,
+    # is kept raw. raw_track_ids lists the tracks kept raw although the
+    # smoother is on.
     frame_times = [frame.t for frame in frames]
     trajectories: dict = {}
     raw_track_ids = []
@@ -301,8 +293,9 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
         elif not no_smoother:
             flags = detect_outliers(samples, cfg.smoother, cfg.rng_seed)
             try:
-                samples = smooth_and_interpolate(samples, flags,
-                                                 grid=frame_times).samples
+                samples = smooth_and_interpolate(samples, flags, grid=[
+                    t for t in frame_times
+                    if samples[0].t <= t <= samples[-1].t]).samples
             except TooFewInliers as exc:
                 log.info("object %d: raw track kept (%s)", obj_id, exc)
                 raw_track_ids.append(obj_id)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cluster import CandidateCluster
-from .errors import DegenerateCluster, EmptyInput, check_number
+from .errors import DegenerateCluster, EmptyInput, check_number, check_numbers
 from .io import read_json_object
 
 MAX_ROTATION_DEG = 40.0
@@ -31,8 +31,10 @@ class ShapeDescriptor:
         w = np.asarray(self.weights, dtype=float).ravel()
         if w.shape != (9,):
             raise ValueError("descriptor needs exactly 9 weights")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        # NaN fails both tests, and an infinity one of them.
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):
+            raise ValueError("weights must be finite, nonnegative and sum "
+                             "to 1")
         object.__setattr__(self, "weights", w)
 
 
@@ -69,15 +71,16 @@ class BenchmarkShapeRegistry:
 
     @classmethod
     def load(cls, path) -> "BenchmarkShapeRegistry":
-        """Registry of a JSON file; an entry that is not 9 weights is a
-        ValueError naming the file and the class."""
+        """Registry of a JSON file; an entry that is not 9 finite weights
+        is a ValueError naming the file and the class."""
         raw = read_json_object(path)
         counts = raw.pop("_sample_counts", {})
         shapes = {}
         for name, w in raw.items():
             try:
+                check_numbers("weights", w, "9 numbers", 9)
                 shapes[name] = ShapeDescriptor(np.asarray(w))
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}: {name}: {exc}") from None
         return cls(shapes=shapes, sample_counts=counts)
 
@@ -239,16 +242,14 @@ def select_cluster(candidates: Sequence[CandidateCluster],
                    cfg: ShapeFilterConfig) -> tuple[CandidateCluster, list[CandidateScore]]:
     """Pick the candidate most similar to the class benchmark.
 
-    A single candidate wins unconditionally. Ties (including degenerate
-    candidates scoring 0) break toward smaller center range. Returns the
-    winner plus all per-candidate scores for diagnostics.
+    Ties (including degenerate candidates scoring 0) break toward smaller
+    center range. Returns the winner plus all per-candidate scores for
+    diagnostics.
     """
     if not candidates:
         raise EmptyInput("no candidate clusters")
     scores = [score_candidate(pts, cand.center_range, benchmark, cfg, cand)
               for cand, pts in zip(candidates, points_2d_per_candidate)]
-    if len(candidates) == 1:
-        return candidates[0], scores
     best = min(range(len(scores)),
                key=lambda i: (-scores[i].post_rotation_score,
                               scores[i].distance_m))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -22,9 +22,9 @@ import numpy as np
 
 from .aoi import BoundingBox, EnlargeRatios
 from .calib import CalibrationPair, CameraIntrinsics, default_extrinsic, project_xyz
-from .classes import CLASSES, class_params
+from .classes import CLASSES
 from .config import write_pipeline_config
-from .errors import InvalidSpec, check_number
+from .errors import InvalidSpec, check_number, check_numbers
 from .io import FrameRecord, dump_simulated_sequence, read_json_object
 from .metrics import GuaranteeConfig
 from .shape import BenchmarkShapeRegistry, build_benchmark, compute_descriptor
@@ -39,16 +39,6 @@ SIMULATED_RATIOS = EnlargeRatios(left=1.0, right=1.0, up=0.5, down=0.5)
 SIMULATED_GUARANTEE = GuaranteeConfig(t1=1.0, t2=0.9, t1_fraction=0.2)
 
 TRAJECTORY_KINDS = ("polynomial", "waypoints")
-
-
-def _check_numbers(name, values, what="a list of numbers", size=None):
-    """InvalidSpec unless values is a list or tuple of numbers (size of
-    them when size is given); what describes that list."""
-    if not (isinstance(values, (list, tuple))
-            and size in (None, len(values))):
-        raise InvalidSpec(f"{name} is {values!r}, not {what}")
-    for i, value in enumerate(values):
-        check_number(f"{name}[{i}]", value, error=InvalidSpec)
 
 
 @dataclass(frozen=True)
@@ -66,9 +56,10 @@ class Trajectory:
                               f"of {', '.join(TRAJECTORY_KINDS)}")
         if self.kind == "polynomial":
             for name in ("x_coeffs", "y_coeffs"):
-                _check_numbers(f"trajectory {name}", getattr(self, name))
+                check_numbers(f"trajectory {name}", getattr(self, name),
+                              error=InvalidSpec)
             return
-        _check_numbers("trajectory times", self.times)
+        check_numbers("trajectory times", self.times, error=InvalidSpec)
         if not self.times:
             raise InvalidSpec(f"waypoint times are {self.times!r}, not a "
                               "non-empty list of numbers")
@@ -77,8 +68,8 @@ class Trajectory:
             raise InvalidSpec(f"waypoint points are {self.points!r}, not "
                               f"{len(self.times)} (x, y) pairs, one per time")
         for i, point in enumerate(self.points):
-            _check_numbers(f"trajectory points[{i}]", point,
-                           "an (x, y) pair", 2)
+            check_numbers(f"trajectory points[{i}]", point, "an (x, y) pair",
+                          2, error=InvalidSpec)
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise InvalidSpec(f"waypoint times {self.times!r} are not "
                               "strictly increasing")
@@ -123,7 +114,7 @@ class ObjectSpec:
                              getattr(self, name), error=InvalidSpec)
 
     def size(self) -> tuple[float, float, float]:
-        default = class_params(self.class_label).size_m
+        default = CLASSES[self.class_label].size_m
         return (self.length or default[0],
                 self.width or default[1],
                 self.height or default[2])
@@ -281,7 +272,7 @@ def _object_points(obj: ObjectSpec, pose: tuple[float, float],
     lateral = np.array([-los[1], los[0], 0.0])
     up = np.array([0.0, 0.0, 1.0])
     base_z = (-spec.sensor_height
-              + class_params(obj.class_label).ground_clearance_m)
+              + CLASSES[obj.class_label].ground_clearance_m)
     center = np.array([x, y, base_z])
     depth = rng.uniform(-0.15, 0.15, size=len(ab))
     pts = (center[None, :]
@@ -406,22 +397,12 @@ def inject_mapping_errors(frame: SimulatedFrame, err: ErrorModel,
         if err.detection_jitter_px:
             du = rng.normal(0.0, err.detection_jitter_px)
             dv = rng.normal(0.0, err.detection_jitter_px)
-            det = BoundingBox(frame_id=det.frame_id, object_id=det.object_id,
-                              class_label=det.class_label,
-                              u_min=det.u_min + du, v_min=det.v_min + dv,
-                              u_max=det.u_max + du, v_max=det.v_max + dv)
+            det = replace(det, u_min=det.u_min + du, v_min=det.v_min + dv,
+                          u_max=det.u_max + du, v_max=det.v_max + dv)
         detections.append(det)
 
-    return SimulatedFrame(
-        frame_id=frame.frame_id, t=frame.t,
-        cloud=frame.cloud, labels=frame.labels,
-        ideal_uv=frame.ideal_uv, observed_uv=observed,
-        uv_valid=frame.uv_valid,
-        detections=detections,
-        gt_object_pixel_boxes=frame.gt_object_pixel_boxes,
-        gt_poses=frame.gt_poses,
-        pixel_shift=tuple(shift.tolist()),
-    )
+    return replace(frame, observed_uv=observed, detections=detections,
+                   pixel_shift=tuple(shift.tolist()))
 
 
 def simulate_sequence(spec: SceneSpec, calib: CalibrationPair,
@@ -513,9 +494,7 @@ def reference_benchmarks(rng_seed: int = 12345,
 
 
 def scene_spec_to_json(spec: SceneSpec) -> dict:
-    payload = asdict(spec)
-    payload["objects"] = [asdict(o) for o in spec.objects]
-    return payload
+    return asdict(spec)
 
 
 def scene_spec_from_json(raw: dict) -> SceneSpec:

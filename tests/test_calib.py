@@ -126,6 +126,11 @@ class TestValidation:
         with pytest.raises(CalibrationError):
             ExtrinsicTransform(rotation=np.eye(3) * 2.0, translation=np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_translation_rejected(self, bad):
+        with pytest.raises(CalibrationError, match="translation"):
+            ExtrinsicTransform(rotation=np.eye(3), translation=[0.0, bad, 0.0])
+
     def test_reflection_rejected(self):
         r = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(CalibrationError):

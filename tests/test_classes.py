@@ -2,7 +2,7 @@
 
 import pytest
 
-from probfusion.classes import CLASSES, class_params
+from probfusion.classes import CLASSES
 
 from conftest import make_box
 
@@ -15,6 +15,5 @@ def test_every_label_has_every_column():
         assert row.tolerance_length_m > 0
         assert len(row.size_m) == 3 and min(row.size_m) > 0
         assert row.ground_clearance_m >= 0
-    assert class_params("truck") is CLASSES["other"]
     with pytest.raises(ValueError):
         make_box(class_label="truck")

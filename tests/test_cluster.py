@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from probfusion.classes import class_params
+from probfusion.classes import CLASSES
 from probfusion.cluster import (ClusteringConfig, RangeHistogram,
                                 _nearest_center, build_range_histogram,
                                 merge_close_centers, planar_ranges,
@@ -203,9 +203,8 @@ class TestConfigValidation:
             ClusteringConfig(peak_ratio=0.0)
 
     def test_granularity_lookup(self):
-        assert class_params("car").granularity_m == 2.0
-        assert class_params("pedestrian").granularity_m == 0.5
-        assert class_params("unknown_label").granularity_m == 1.0
+        assert CLASSES["car"].granularity_m == 2.0
+        assert CLASSES["pedestrian"].granularity_m == 0.5
 
 
 def same_array(a, b):
@@ -301,7 +300,7 @@ class TestMatchesOracle:
     def test_kmeans_then_histogram(self, values, seed, label):
         values = np.array(values)
         cfg = ClusteringConfig()
-        g = class_params(label).granularity_m
+        g = CLASSES[label].granularity_m
         centers = oracles.seed_bin_centers(values, cfg, seed)
         assert same_array(seed_bin_centers(values, cfg, seed), centers)
         hist = build_range_histogram(values, centers, cfg, g)

@@ -111,7 +111,7 @@ class TestFitPlaneLsq:
         z = 0.03 * xy[:, 0] - 0.02 * xy[:, 1] - 1.7 + rng.normal(0, 0.15, n)
         cloud = np.column_stack([xy, z])
         delta = RansacPlaneConfig().delta
-        normal, offset = _fit_plane_lsq(cloud)
+        normal, offset = _fit_plane_lsq(cloud.copy())
         ref_normal, ref_offset = svd_plane(cloud)
         assert np.max(np.abs(normal - ref_normal)) <= 1e-12
         assert abs(offset - ref_offset) <= 1e-10

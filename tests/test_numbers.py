@@ -10,7 +10,7 @@ import pytest
 from probfusion.aoi import EnlargeRatios
 from probfusion.calib import CameraIntrinsics
 from probfusion.config import STAGES
-from probfusion.errors import check_number
+from probfusion.errors import InvalidSpec, check_number, check_numbers
 from probfusion.sim import SceneSpec
 
 # (class, the arguments it needs besides the field under test)
@@ -68,3 +68,19 @@ def test_check_number_message(value, kwargs, message):
 ])
 def test_check_number_accepts(value, kwargs):
     check_number("k", value, **kwargs)
+
+
+@pytest.mark.parametrize("values, message", [
+    ((1.0, 2), None),
+    ([1.0, float("nan")], "xs[1] must be a finite number, got nan"),
+    ([1.0, "2"], "xs[1] must be a finite number, got '2'"),
+    ([1.0], "xs is [1.0], not a pair"),
+    ("12", "xs is '12', not a pair"),
+])
+def test_check_numbers(values, message):
+    if message is None:
+        check_numbers("xs", values, "a pair", 2, error=InvalidSpec)
+        return
+    with pytest.raises(InvalidSpec) as info:
+        check_numbers("xs", values, "a pair", 2, error=InvalidSpec)
+    assert str(info.value) == message

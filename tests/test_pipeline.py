@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from probfusion.aoi import BoundingBox
 from probfusion.calib import CalibrationPair, save_calibration
-from probfusion.classes import class_params
+from probfusion.classes import CLASSES
 from probfusion.cli import main as cli_main
 from probfusion.config import load_pipeline_config, write_pipeline_config
 from probfusion.errors import ConfigError, EmptySequence
@@ -239,7 +239,7 @@ class TestRunFusionFrame:
         by_id = {loc.object_id: loc for loc in locs}
         for obj_id, pose in gt[0].items():
             assert obj_id in by_id
-            granularity = class_params(pose["class"]).granularity_m
+            granularity = CLASSES[pose["class"]].granularity_m
             assert abs(by_id[obj_id].range_m - pose["range"]) <= granularity
 
     def test_errors_still_recover_target(self, tmp_path):
@@ -342,6 +342,22 @@ class TestRunSequence:
             assert all(s.interpolated for s in smooth if s.outlier)
             n_flagged += len(flagged)
         assert n_flagged > 0
+
+    def test_smoothed_track_ends_at_last_localization(self, tmp_path):
+        # The car is localized up to t = 7.2 s of the 12 s scene; its
+        # smoothed track is not extended past that, and MAE counts no
+        # frame after it.
+        seq_dir = tmp_path / "seq"
+        write_sequence_dir(seq_dir, overtaking_scene(0, duration=12.0),
+                           DEFAULT_ERROR_MODEL)
+        cfg = load_pipeline_config(seq_dir / "config.json")
+        run_sequence(seq_dir, cfg, out_dir=tmp_path / "raw", no_smoother=True)
+        run_sequence(seq_dir, cfg, out_dir=tmp_path / "smooth")
+        raw, smooth = (read_trajectory_csv(tmp_path / out / "trajectories"
+                                           / "object_1.csv")
+                       for out in ("raw", "smooth"))
+        assert raw[-1].t <= 7.2
+        assert (smooth[0].t, smooth[-1].t) == (raw[0].t, raw[-1].t)
 
     def test_too_few_inliers_keeps_raw_track(self, tmp_path, monkeypatch):
         # With all but 4 samples flagged, no order-3 fit is possible:
@@ -530,7 +546,16 @@ class TestCli:
         ('{"class": "car"}', "cluster.json: 'points'"),
         ('{"class": 5, "points": [[0, 0], [0, 1], [1, 0]]}',
          "cluster.json: class is 5, not a string"),
-    ], ids=["list", "no-points", "class-number"])
+        ('{"class": "car", "points": [[0, 0], [NaN, 1], [1, 0]]}',
+         "cluster.json: points[1][0] must be a finite number, got nan"),
+        ('{"class": "car", "points": [[0, 0], [0, "1"], [1, 0]]}',
+         "cluster.json: points[1][1] must be a finite number, got '1'"),
+        ('{"class": "car", "points": [[true, 0], [0, 1], [1, 0]]}',
+         "cluster.json: points[0][0] must be a finite number, got True"),
+        ('{"class": "car", "points": [[0, 0, 1], [0, 1, 1]]}',
+         "cluster.json: points[0] is [0, 0, 1], not a [u, v] pair"),
+    ], ids=["list", "no-points", "class-number", "point-nan", "point-text",
+            "point-bool", "point-triple"])
     def test_benchmark_shapes_bad_file_exits_1(self, tmp_path, text, message):
         path = tmp_path / "cluster.json"
         path.write_text(text)
@@ -795,10 +820,31 @@ BAD_INPUTS = [
      "benchmarks.json: not a JSON object"),
     ("benchmark text", json_file("benchmarks.json",
                                  lambda raw: raw.update(car="abc")),
-     "benchmarks.json: car: could not convert string to float"),
+     "benchmarks.json: car: weights is 'abc', not 9 numbers"),
     ("benchmark of 3 weights", json_file("benchmarks.json",
                                          lambda raw: raw.update(car=[1, 2, 3])),
-     "benchmarks.json: car: descriptor needs exactly 9 weights"),
+     "benchmarks.json: car: weights is [1, 2, 3], not 9 numbers"),
+    ("benchmark nan", json_file(
+        "benchmarks.json", lambda raw: raw.update(car=[float("nan")] * 9)),
+     "benchmarks.json: car: weights[0] must be a finite number, got nan"),
+    ("benchmark text weight", json_file(
+        "benchmarks.json",
+        lambda raw: raw["car"].__setitem__(4, repr(raw["car"][4]))),
+     "benchmarks.json: car: weights[4] must be a finite number, got '0."),
+    ("calibration nan translation", json_file(
+        "calibration.json",
+        lambda raw: raw["extrinsic"]["translation"].__setitem__(
+            0, float("nan"))),
+     "calibration.json: extrinsic.translation[0] must be a finite number, "
+     "got nan"),
+    ("calibration text rotation", json_file(
+        "calibration.json",
+        lambda raw: raw["extrinsic"]["rotation"].__setitem__(0, "0")),
+     "calibration.json: extrinsic.rotation[0] must be a finite number, "
+     "got '0'"),
+    ("calibration text distortion", json_file(
+        "calibration.json", lambda raw: raw.update(distortion=["0"] * 5)),
+     "calibration.json: distortion[0] must be a finite number, got '0'"),
 ]
 
 
@@ -861,6 +907,8 @@ BAD_CONFIG_KEYS = [
      {"tolerance": {"object_length_m": {"car": 4.5}}},
      "tolerance: ToleranceConfig.__init__() got an unexpected keyword "
      "argument 'object_length_m'"),
+    ("misspelled-key", {"target_object_id": [1]},
+     "unknown key 'target_object_id'"),
 ]
 
 
@@ -985,7 +1033,11 @@ def test_simulate_bad_scene_exits_1_with_one_line(tmp_path, edit, message):
      "object_1.csv, row 1: t, x or y is missing or not a number"),
     ("t,x,y\r\n0.0,30.0\r\n", "object_1.csv, row 0: t, x or y is missing"),
     ("t,x\r\n0.0,30.0\r\n", "object_1.csv: no column y"),
-], ids=["non-numeric", "short row", "missing column"])
+    ("t,x,y\r\n0.0,30.0,3.0\r\n0.1,nan,3.0\r\n",
+     "object_1.csv, row 1: x must be a finite number, got nan"),
+    ("t,x,y\r\ninf,30.0,3.0\r\n",
+     "object_1.csv, row 0: t must be a finite number, got inf"),
+], ids=["non-numeric", "short row", "missing column", "nan", "infinite"])
 def test_evaluate_bad_trajectory_exits_1(tmp_path, text, message):
     traj = tmp_path / "object_1.csv"
     traj.write_text(text)

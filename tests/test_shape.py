@@ -334,6 +334,13 @@ class TestDescriptorValidation:
         with pytest.raises(ValueError):
             ShapeDescriptor(w)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight(self, bad):
+        w = np.full(9, 1 / 9)
+        w[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ShapeDescriptor(w)
+
     def test_bad_config(self):
         with pytest.raises(ValueError):
             ShapeFilterConfig(sigmoid_gain=0.0)
