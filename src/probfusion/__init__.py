@@ -10,7 +10,7 @@ Library layout:
   aoi       bounding-box enlargement and pixel-membership masks
   cluster   range-histogram mode clustering
   shape     3x3 shape descriptors, KL similarity, cluster selection
-  localize  median-point distance and azimuth
+  localize  median-range point: position and distance
   smoother  polynomial-RANSAC trajectory smoothing
   metrics   banded TPR, MAE, completeness guarantee, t-tests
   stats     Student-t tail probabilities for the t-tests

@@ -13,15 +13,13 @@ from dataclasses import dataclass
 class ClassParams:
     granularity_m: float       # range-histogram bin width
     tolerance_length_m: float  # object length behind the TPR tolerance band
-    size_m: tuple              # simulated (length, width, height)
+    size_m: tuple              # simulated (width, height)
     ground_clearance_m: float  # simulated silhouette base above the ground
 
 
-# Tolerance length and simulated length are separate columns: for the
-# e-scooter rider they differ (1.5 m vs 0.7 m).
 CLASSES = {
-    "car": ClassParams(2.0, 4.5, (4.5, 1.8, 1.5), 0.3),
-    "pedestrian": ClassParams(0.5, 0.6, (0.6, 0.6, 1.7), 0.05),
-    "escooter_rider": ClassParams(0.5, 1.5, (0.7, 0.7, 1.8), 0.05),
-    "other": ClassParams(1.0, 1.0, (1.0, 1.0, 1.0), 0.1),
+    "car": ClassParams(2.0, 4.5, (1.8, 1.5), 0.3),
+    "pedestrian": ClassParams(0.5, 0.6, (0.6, 1.7), 0.05),
+    "escooter_rider": ClassParams(0.5, 1.5, (0.7, 1.8), 0.05),
+    "other": ClassParams(1.0, 1.0, (1.0, 1.0), 0.1),
 }

@@ -138,7 +138,8 @@ def merge_close_centers(centers: np.ndarray, granularity: float,
 
 def _nearest_center(centers: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Index of each value's nearest center in ascending centers, ties to
-    the lower index: np.argmin(|values[:, None] - centers|, axis=1).
+    the lower index: the argmin of |values[:, None] - centers| along
+    axis 1.
 
     Only the centers on either side of a value can be nearest. Padded
     with -inf below and +inf above, they are ext[above - 1] < v <=
@@ -173,8 +174,8 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
     if len(values) == 0:
         raise EmptyInput("no ranges to histogram")
     raw_anchors = np.sort(np.asarray(centers, dtype=float).ravel())
-    nearest = np.argmin(np.abs(values[:, None] - raw_anchors), axis=1)
-    anchor_weights = np.bincount(nearest, minlength=len(raw_anchors)) + 1.0
+    anchor_weights = np.bincount(_nearest_center(raw_anchors, values),
+                                 minlength=len(raw_anchors)) + 1.0
     anchors = merge_close_centers(raw_anchors, granularity,
                                   anchor_weights).tolist()
     g = float(granularity)

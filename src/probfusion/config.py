@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Optional
 
 from .aoi import EnlargeRatios
+from .classes import CLASSES
 from .cluster import ClusteringConfig
 from .errors import ConfigError, check_number
 from .ground import RansacPlaneConfig
@@ -93,6 +94,11 @@ def load_pipeline_config(path) -> PipelineConfig:
     if not isinstance(ratios, dict):
         raise ConfigError(f"invalid config {path}: enlarge_ratios must map "
                           "class labels to ratios")
+    unknown = sorted(ratios.keys() - {"default", *CLASSES})
+    if unknown:
+        raise ConfigError(f"invalid config {path}: unknown key "
+                          f"'enlarge_ratios.{unknown[0]}', not default or "
+                          f"one of {', '.join(CLASSES)}")
     seed = raw.get("rng_seed", 0)
     targets = raw.get("target_object_ids")
     try:

@@ -37,10 +37,6 @@ class EmptyCluster(FusionError):
     """Localization requested on a cluster with no members."""
 
 
-class OriginPoint(FusionError):
-    """Azimuth undefined for a point at the planar origin."""
-
-
 class TooFewSamples(FusionError):
     """Track or sample too short for the requested statistic."""
 
@@ -51,10 +47,6 @@ class TooFewInliers(FusionError):
 
 class LengthMismatch(FusionError):
     """Paired series have different lengths."""
-
-
-class UnknownClass(FusionError):
-    """A class label has no configured parameters."""
 
 
 class InvalidSpec(FusionError, ValueError):

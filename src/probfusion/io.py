@@ -22,11 +22,11 @@ from 1), a cloud file not named ``frame_<number>.csv``, two cloud files
 of one frame, a JSON line that is not JSON or lacks a key, a detection
 whose ``box`` is not four finite numbers or whose ``frame`` or
 ``object_id`` is not an integer, two detections of one object in one
-frame, a ground-truth frame or object_id that is not an integer, x, y
-or range that is not a finite number or members that is not a list,
-detections or ground truth naming a frame without a cloud file, and a
-scene.json that is not a JSON object or whose frame_rate is not a
-finite positive number.
+frame, a ground-truth frame or object_id that is not an integer, x or
+y that is not a finite number, a range that is not a finite number
+> 0, members that is not a list of integers, detections or ground
+truth naming a frame without a cloud file, and a scene.json that is
+not a JSON object or whose frame_rate is not a finite positive number.
 """
 
 from __future__ import annotations
@@ -228,6 +228,18 @@ def write_ground_truth(seq_dir, gt_by_frame: list) -> None:
 GROUND_TRUTH_KEYS = ("object_id", "x", "y", "range", "members")
 
 
+def _is_integer_list(values) -> bool:
+    """Whether values is a list of integers (an empty one passes), by one
+    numpy conversion rather than a check per entry."""
+    if not isinstance(values, list):
+        return False
+    try:
+        array = np.asarray(values)
+    except ValueError:  # nested lists of differing lengths
+        return False
+    return not values or (array.ndim == 1 and array.dtype.kind in "iu")
+
+
 def _ground_truth_frame(rec: dict) -> tuple[int, dict]:
     check_number("frame", rec["frame"], integer=True)
     poses = {}
@@ -236,11 +248,12 @@ def _ground_truth_frame(rec: dict) -> tuple[int, dict]:
         if missing:
             raise KeyError(missing[0])
         check_number("object_id", obj["object_id"], integer=True)
-        for key in ("x", "y", "range"):
-            check_number(f"object {obj['object_id']}: {key}", obj[key])
-        if not isinstance(obj["members"], list):
-            raise ValueError(f"object {obj['object_id']}: members is not "
-                             "a list")
+        name = f"object {obj['object_id']}"
+        for key in ("x", "y"):
+            check_number(f"{name}: {key}", obj[key])
+        check_number(f"{name}: range", obj["range"], above=0)
+        if not _is_integer_list(obj["members"]):
+            raise ValueError(f"{name}: members is not a list of integers")
         poses[int(obj["object_id"])] = obj
     return int(rec["frame"]), poses
 

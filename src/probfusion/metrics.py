@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classes import CLASSES
-from .errors import (EmptyInput, LengthMismatch, TooFewSamples, UnknownClass,
-                     check_number)
+from .errors import EmptyInput, LengthMismatch, TooFewSamples, check_number
 from .stats import student_t_sf
 
 
@@ -57,9 +56,6 @@ def tolerance_band(gt_range: float, class_label: str,
     class's tolerance length (classes.CLASSES)."""
     if gt_range <= 0:
         raise ValueError("ground-truth range must be positive")
-    if class_label not in CLASSES:
-        raise UnknownClass(f"no object length configured for "
-                           f"{class_label!r}")
     half = cfg.fraction * CLASSES[class_label].tolerance_length_m
     return gt_range - half, gt_range + half
 

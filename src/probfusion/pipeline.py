@@ -159,9 +159,8 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
             odiag.selected_indices = chosen_cloud_idx.tolist()
             odiag.selected_ranges = member_ranges[
                 chosen.member_indices].tolist()
-            localizations.append(localize(
-                frame.frame_id, det.object_id, det.class_label,
-                cloud[chosen_cloud_idx]))
+            localizations.append(localize(det.object_id,
+                                          cloud[chosen_cloud_idx]))
         except (EmptyInput, NoQualifiedCluster, EmptyCluster) as exc:
             odiag.status = type(exc).__name__
     return localizations, diag

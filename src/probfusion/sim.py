@@ -91,7 +91,6 @@ class ObjectSpec:
     object_id: int
     class_label: str
     trajectory: Trajectory
-    length: Optional[float] = None
     width: Optional[float] = None
     height: Optional[float] = None
 
@@ -108,16 +107,16 @@ class ObjectSpec:
             raise InvalidSpec(f"object {self.object_id}: class_label is "
                               f"{self.class_label!r}, not one of "
                               f"{', '.join(CLASSES)}")
-        for name in ("length", "width", "height"):
+        for name in ("width", "height"):
             if getattr(self, name) is not None:
                 check_number(f"object {self.object_id}: {name}",
-                             getattr(self, name), error=InvalidSpec)
+                             getattr(self, name), above=0, error=InvalidSpec)
 
-    def size(self) -> tuple[float, float, float]:
+    def size(self) -> tuple[float, float]:
+        """(width, height): the set ones, else the class's."""
         default = CLASSES[self.class_label].size_m
-        return (self.length or default[0],
-                self.width or default[1],
-                self.height or default[2])
+        return (default[0] if self.width is None else self.width,
+                default[1] if self.height is None else self.height)
 
 
 @dataclass(frozen=True)
@@ -150,9 +149,6 @@ class SceneSpec:
         ids = [obj.object_id for obj in self.objects]
         if len(set(ids)) != len(ids):
             raise InvalidSpec(f"object ids {ids} are not distinct")
-        for obj in self.objects:
-            if min(obj.size()) <= 0:
-                raise InvalidSpec(f"object {obj.object_id} has nonpositive size")
 
     @property
     def n_frames(self) -> int:
@@ -205,6 +201,12 @@ def generate_scene(spec: SceneSpec) -> list[FrameSkeleton]:
         t = i / spec.frame_rate
         poses = {obj.object_id: obj.trajectory.position(t)
                  for obj in spec.objects}
+        # The ground truth needs a range > 0 (io._ground_truth_frame).
+        at_origin = [oid for oid, pose in poses.items()
+                     if pose == (0.0, 0.0)]
+        if at_origin:
+            raise InvalidSpec(f"object {at_origin[0]} is at the LiDAR "
+                              f"origin at t = {t} s, where it has no range")
         skeletons.append(FrameSkeleton(frame_id=i, t=t, poses=poses))
     return skeletons
 
@@ -260,14 +262,11 @@ def _object_points(obj: ObjectSpec, pose: tuple[float, float],
     r = math.hypot(x, y)
     if r < 0.5:
         return np.empty((0, 3))
-    _, width, height = obj.size()
-    # Rear/front aspect: the billboard spans the object's width, which for
-    # a car seen along its travel direction is much narrower than its length.
-    sil_w = width
-    sil_h = height
+    # Rear/front aspect: the billboard spans the object's width and height.
+    width, height = obj.size()
     n = max(spec.min_object_points,
-            int(round(spec.point_density * sil_w * sil_h / (r * r))))
-    ab = _sample_silhouette(obj.class_label, sil_w, sil_h, n, rng)
+            int(round(spec.point_density * width * height / (r * r))))
+    ab = _sample_silhouette(obj.class_label, width, height, n, rng)
     los = np.array([x / r, y / r, 0.0])
     lateral = np.array([-los[1], los[0], 0.0])
     up = np.array([0.0, 0.0, 1.0])
@@ -480,7 +479,7 @@ def reference_benchmarks(rng_seed: int = 12345,
     rng = np.random.default_rng(rng_seed)
     benchmarks = {}
     for cls in ("car", "pedestrian", "escooter_rider"):
-        length, width, height = CLASSES[cls].size_m
+        width, height = CLASSES[cls].size_m
         descs = []
         for _ in range(samples_per_class):
             r = rng.uniform(8.0, 40.0)
@@ -505,12 +504,7 @@ def scene_spec_from_json(raw: dict) -> SceneSpec:
                               f"{o['trajectory']!r}, not a JSON object")
         traj = Trajectory(**{k: tuple(v) if isinstance(v, list) else v
                              for k, v in o["trajectory"].items()})
-        objects.append(ObjectSpec(object_id=o["object_id"],
-                                  class_label=o["class_label"],
-                                  trajectory=traj,
-                                  length=o.get("length"),
-                                  width=o.get("width"),
-                                  height=o.get("height")))
+        objects.append(ObjectSpec(**{**o, "trajectory": traj}))
     kwargs = {k: v for k, v in raw.items() if k != "objects"}
     return SceneSpec(objects=tuple(objects), **kwargs)
 

@@ -144,7 +144,7 @@ def test_criterion_03_shape_selection():
     for _ in range(trials):
         cands, pts = [], []
         for cls in ("car", "pedestrian", "car"):
-            _, width, height = CLASSES[cls].size_m
+            width, height = CLASSES[cls].size_m
             r = rng.uniform(8.0, 20.0) if cls == "pedestrian" \
                 else rng.uniform(8.0, 35.0)
             n = max(30, int(round(15000.0 * width * height / (r * r))))

@@ -1,40 +1,12 @@
-"""Representative-point localization: range, azimuth, median rule."""
+"""Representative-point localization: position, range, median rule."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probfusion.errors import EmptyCluster, OriginPoint
-from probfusion.localize import azimuth_of, localize, representative_point
-
-
-class TestAzimuthOf:
-    def test_forward_is_zero(self):
-        assert azimuth_of(1.0, 0.0) == 0.0
-
-    def test_diagonal(self):
-        assert azimuth_of(1.0, 1.0) == pytest.approx(45.0)
-
-    def test_rightward_is_negative(self):
-        assert azimuth_of(0.0, -2.0) == pytest.approx(-90.0)
-
-    def test_origin_raises(self):
-        with pytest.raises(OriginPoint):
-            azimuth_of(0.0, 0.0)
-
-    @given(x=st.floats(-100, 100), y=st.floats(0.001, 100))
-    @settings(max_examples=50, deadline=None)
-    def test_mirror_antisymmetry(self, x, y):
-        assert azimuth_of(x, y) == pytest.approx(-azimuth_of(x, -y))
-
-    @given(x=st.floats(-100, 100), y=st.floats(-100, 100))
-    @settings(max_examples=50, deadline=None)
-    def test_range_convention(self, x, y):
-        if x == 0.0 and y == 0.0:
-            return
-        a = azimuth_of(x, y)
-        assert -180.0 < a <= 180.0
+from probfusion.errors import EmptyCluster
+from probfusion.localize import localize, representative_point
 
 
 class TestRepresentativePoint:
@@ -82,28 +54,41 @@ class TestRepresentativePoint:
 
 class TestLocalize:
     def test_singleton(self):
-        loc = localize(3, 7, "pedestrian", np.array([[3.0, 4.0, 1.0]]))
+        loc = localize(7, np.array([[3.0, 4.0, 1.0]]))
         assert loc.range_m == pytest.approx(5.0)
-        assert loc.azimuth_deg == pytest.approx(np.degrees(np.arctan2(4, 3)))
         assert (loc.x_m, loc.y_m) == (3.0, 4.0)
-        assert (loc.frame_id, loc.object_id, loc.class_label) == \
-            (3, 7, "pedestrian")
+        assert loc.object_id == 7
 
     def test_identical_points(self):
         cluster = np.tile([[6.0, -8.0, 0.5]], (9, 1))
-        loc = localize(0, 1, "car", cluster)
+        loc = localize(1, cluster)
         assert loc.range_m == pytest.approx(10.0)
         assert loc.x_m == 6.0 and loc.y_m == -8.0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyCluster):
-            localize(0, 1, "car", np.zeros((0, 3)))
+            localize(1, np.zeros((0, 3)))
+
+    def test_origin_cluster_localizes(self):
+        # A driver's "no return" rows at (0, 0, 0) localize like any other
+        # point; nothing about the planar origin is undefined.
+        loc = localize(1, np.zeros((10, 3)))
+        assert (loc.x_m, loc.y_m, loc.range_m) == (0.0, 0.0, 0.0)
+
+    @given(x=st.floats(-100, 100), y=st.floats(0.001, 100))
+    @settings(max_examples=50, deadline=None)
+    def test_mirror_symmetry(self, x, y):
+        # Mirroring the cluster across the x axis mirrors its location.
+        cluster = np.array([[x, y, 0.0], [x + 1.0, y, 0.5], [x, y + 2.0, 1.0]])
+        loc = localize(1, cluster)
+        mirrored = localize(1, cluster * [1.0, -1.0, 1.0])
+        assert (mirrored.x_m, mirrored.y_m, mirrored.range_m) == \
+            (loc.x_m, -loc.y_m, loc.range_m)
 
     def test_internal_consistency(self):
         rng = np.random.default_rng(5)
         cluster = rng.uniform([5, -5, -1], [40, 5, 2], size=(31, 3))
-        loc = localize(0, 1, "car", cluster)
+        loc = localize(1, cluster)
         assert loc.range_m == pytest.approx(np.hypot(loc.x_m, loc.y_m),
                                             abs=1e-9)
-        assert -180.0 < loc.azimuth_deg <= 180.0
         assert np.any(np.all(cluster[:, :2] == [loc.x_m, loc.y_m], axis=1))

@@ -6,8 +6,7 @@ import pytest
 import scipy.stats
 
 from probfusion.classes import CLASSES
-from probfusion.errors import (EmptyInput, LengthMismatch, TooFewSamples,
-                               UnknownClass)
+from probfusion.errors import EmptyInput, LengthMismatch, TooFewSamples
 from probfusion.metrics import (GuaranteeConfig, ToleranceConfig, mae_axis,
                                 one_sample_right_tail_t_test, paired_t_test,
                                 selection_completeness, tolerance_band, tpr)
@@ -28,10 +27,6 @@ class TestToleranceBand:
         half = 0.15 * CLASSES["pedestrian"].tolerance_length_m
         assert tolerance_band(10.0, "pedestrian", ToleranceConfig()) == \
             (10.0 - half, 10.0 + half)
-
-    def test_unknown_class(self):
-        with pytest.raises(UnknownClass):
-            tolerance_band(10.0, "unicorn", ToleranceConfig())
 
     def test_nonpositive_range(self):
         with pytest.raises(ValueError):

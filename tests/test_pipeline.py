@@ -776,8 +776,8 @@ BAD_INPUTS = [
     ("infinite ground truth range",
      first_json_line("ground_truth.jsonl",
                      lambda rec: rec["objects"][0].update(range=float("inf"))),
-     "ground_truth.jsonl, line 1: object 1: range must be a finite number, "
-     "got inf"),
+     "ground_truth.jsonl, line 1: object 1: range must be a finite number "
+     "> 0, got inf"),
     ("fractional ground truth frame",
      first_json_line("ground_truth.jsonl", lambda rec: rec.update(frame=0.5)),
      "ground_truth.jsonl, line 1: frame must be an integer, got 0.5"),
@@ -790,6 +790,26 @@ BAD_INPUTS = [
      first_json_line("ground_truth.jsonl",
                      lambda rec: rec["objects"][0].update(members=5)),
      "ground_truth.jsonl, line 1: object 1: members is not a list"),
+    ("ground truth member text",
+     first_json_line("ground_truth.jsonl",
+                     lambda rec: rec["objects"][0]["members"].append("a")),
+     "ground_truth.jsonl, line 1: object 1: members is not a list of "
+     "integers"),
+    ("ground truth member fraction",
+     first_json_line("ground_truth.jsonl",
+                     lambda rec: rec["objects"][0]["members"].append(0.5)),
+     "ground_truth.jsonl, line 1: object 1: members is not a list of "
+     "integers"),
+    ("zero ground truth range",
+     first_json_line("ground_truth.jsonl",
+                     lambda rec: rec["objects"][0].update(range=0)),
+     "ground_truth.jsonl, line 1: object 1: range must be a finite number "
+     "> 0, got 0"),
+    ("negative ground truth range",
+     first_json_line("ground_truth.jsonl",
+                     lambda rec: rec["objects"][0].update(range=-1)),
+     "ground_truth.jsonl, line 1: object 1: range must be a finite number "
+     "> 0, got -1"),
     ("stray cloud file", lambda seq: shutil.copy(
         seq / "clouds" / "frame_000000.csv", seq / "clouds" / "frame_abc.csv"),
      "frame_abc.csv: not a frame_<number>.csv name"),
@@ -909,6 +929,9 @@ BAD_CONFIG_KEYS = [
      "argument 'object_length_m'"),
     ("misspelled-key", {"target_object_id": [1]},
      "unknown key 'target_object_id'"),
+    ("ratios-misspelled-class",
+     {"enlarge_ratios": {"pedestrain": {"left": 3.0}}},
+     "unknown key 'enlarge_ratios.pedestrain'"),
 ]
 
 
@@ -931,6 +954,26 @@ def test_fuse_bad_config_key_exits_2_with_one_line(
     assert isinstance(res.exception, SystemExit)
     assert len(res.output.strip().splitlines()) == 1
     assert key in res.output
+
+
+def test_fuse_cluster_at_planar_origin_exits_0(tmp_path, two_frame_sequence):
+    # Frame 0 becomes ten "no return" rows at (0, 0, z) inside the first
+    # detection's box; the object localizes at the origin and the
+    # sequence goes on.
+    seq = tmp_path / "seq"
+    shutil.copytree(two_frame_sequence, seq)
+    det = read_detections(seq / "detections.jsonl")[0][0]
+    uv = np.tile([(det.u_min + det.u_max) / 2, (det.v_min + det.v_max) / 2],
+                 (10, 1))
+    cloud = np.column_stack([np.zeros((10, 2)), np.linspace(-1.0, 1.0, 10)])
+    write_frame_cloud(seq, 0, cloud, uv, np.ones(10, dtype=bool))
+    res = CliRunner().invoke(cli_main, [
+        "fuse", str(seq), "--config", str(seq / "config.json"),
+        "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    rows = read_trajectory_csv(tmp_path / "out" / "trajectories"
+                               / f"object_{det.object_id}.csv")
+    assert len(rows) == 2
 
 
 def test_fuse_negative_seed_exits_2_with_one_line(tmp_path,
@@ -1010,6 +1053,14 @@ BAD_SCENES = [
      "object_id -1 cannot label points"),
     ("id-beyond-64-bits", first_object(object_id=2 ** 70),
      f"object_id {2 ** 70} cannot label points"),
+    ("width-misspelled", first_object(widht=1.0),
+     "unexpected keyword argument 'widht'"),
+    ("length-removed", first_object(length=10.0),
+     "unexpected keyword argument 'length'"),
+    ("width-zero", first_object(width=0),
+     "object 1: width must be a finite number > 0, got 0"),
+    ("at-lidar-origin", first_object(trajectory={"x_coeffs": [0.0]}),
+     "object 1 is at the LiDAR origin at t = 0.0 s"),
 ]
 
 

@@ -57,11 +57,11 @@ class TestGenerateScene:
     def test_invalid_spec(self):
         car = ObjectSpec(object_id=1, class_label="car",
                          trajectory=Trajectory())
-        flat = dataclasses.replace(car, height=-1.0)
         for build in (
                 lambda: SceneSpec(duration=-1.0),
                 lambda: SceneSpec(frame_rate=0.0),
-                lambda: SceneSpec(objects=(flat,)),
+                lambda: dataclasses.replace(car, height=-1.0),
+                lambda: dataclasses.replace(car, width=0),
                 lambda: SceneSpec(rng_seed=-1),
                 lambda: SceneSpec(rng_seed=1.5),
                 lambda: SceneSpec(rng_seed=True),
