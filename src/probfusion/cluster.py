@@ -7,6 +7,8 @@ sequentially at the class's granularity (classes.CLASSES).
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,17 +51,29 @@ def planar_ranges(xyz: np.ndarray) -> np.ndarray:
     return np.hypot(xyz[:, 0], xyz[:, 1])
 
 
-def _kmeans_pp_init(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    centers = [values[rng.integers(len(values))]]
-    d2 = (values - centers[0]) ** 2  # squared distance to the nearest center
-    for _ in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centers.append(values[rng.integers(len(values))])
-        else:
-            centers.append(values[rng.choice(len(values), p=d2 / total)])
-        np.minimum(d2, (values - centers[-1]) ** 2, out=d2)
-    return np.asarray(centers, dtype=float)
+@functools.lru_cache(maxsize=32)
+def _seeded_state(seed: int) -> dict:
+    """The state np.random.default_rng(seed) starts in."""
+    return np.random.default_rng(seed).bit_generator.state
+
+
+_THREAD = threading.local()
+
+
+def _seeded_generator(seed: int) -> np.random.Generator:
+    """This thread's generator, set to the state np.random.default_rng(seed)
+    starts in, which costs a sixth of seeding a new generator.
+
+    The whole state is set, so what a caller draws does not depend on
+    earlier calls. The generator is the caller's until the next call on
+    the same thread.
+    """
+    generator = getattr(_THREAD, "generator", None)
+    if generator is None:
+        generator = _THREAD.generator = np.random.Generator(
+            np.random.PCG64(0))
+    generator.bit_generator.state = _seeded_state(seed)
+    return generator
 
 
 def seed_bin_centers(ranges: np.ndarray, cfg: ClusteringConfig,
@@ -67,24 +81,45 @@ def seed_bin_centers(ranges: np.ndarray, cfg: ClusteringConfig,
     """1-D K-Means centers over the range values, sorted ascending; seed
     seeds the k-means++ initialization.
 
-    k is kmeans_k capped by the number of distinct values. Iteration
-    stops when the labels repeat (the means would repeat too) or when
-    every center moved by at most 1e-12 + 1e-5 * |old center|, the test
-    of np.allclose(new, old, atol=1e-12).
+    k is kmeans_k capped by the number of distinct values. Each k-means++
+    draw is Generator.choice(n, p=d2 / total)'s own: the cdf of p,
+    normalized by its last entry, searched (side "right") for one
+    Generator.random() value. Only choice's checks of p are left out,
+    so the picks and the generator's state after them are choice's.
+    Iteration stops when the labels repeat (the means would repeat too)
+    or when every center moved by at most 1e-12 + 1e-5 * |old center|,
+    the test of np.allclose(new, old, atol=1e-12).
     """
     values = np.asarray(ranges, dtype=float).ravel()
-    if len(values) == 0:
+    n = len(values)
+    if n == 0:
         raise EmptyInput("no ranges to cluster")
     ordered = np.sort(values)
     n_distinct = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
     k = min(cfg.kmeans_k, n_distinct)
     if k == 1:
         return np.array([values.mean()])
-    rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(values, k, rng)
+    rng = _seeded_generator(seed)
+    picked = values[rng.integers(n)]
+    centers = [float(picked)]
+    d2 = (values - picked) ** 2  # squared distance to the nearest center
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            picked = values[rng.integers(n)]
+        else:
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            picked = values[cdf.searchsorted(rng.random(), side="right")]
+        centers.append(float(picked))
+        if j < k - 1:  # the last center's distances are not needed
+            np.minimum(d2, (values - picked) ** 2, out=d2)
+    # Lloyd iterations on Python floats; a mean is members.sum() / count,
+    # numpy's pairwise sum, as in ndarray.mean.
+    column = values[:, None]
     labels = None
     for _ in range(cfg.kmeans_max_iter):
-        new_labels = np.argmin(np.abs(values[:, None] - centers), axis=1)
+        new_labels = np.abs(column - centers).argmin(axis=1)
         if labels is not None and (new_labels == labels).all():
             break
         labels = new_labels
@@ -92,10 +127,9 @@ def seed_bin_centers(ranges: np.ndarray, cfg: ClusteringConfig,
         for j in range(k):
             members = values[labels == j]
             if len(members):
-                new_centers[j] = members.sum() / len(members)  # == mean()
+                new_centers[j] = float(members.sum() / len(members))
         converged = all(abs(new - old) <= 1e-12 + 1e-5 * abs(old)
-                        for new, old in zip(new_centers.tolist(),
-                                            centers.tolist()))
+                        for new, old in zip(new_centers, centers))
         centers = new_centers
         if converged:
             break

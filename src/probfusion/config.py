@@ -18,6 +18,10 @@ from .shape import ShapeFilterConfig
 from .smoother import SmootherConfig
 
 
+# The ratios of a class that neither its own entry nor "default" sets.
+# EnlargeRatios is frozen, so one instance serves every lookup.
+_DEFAULT_RATIOS = EnlargeRatios()
+
 # The config sections that each configure one stage, with their classes.
 STAGES = (("ransac_ground", RansacPlaneConfig),
           ("clustering", ClusteringConfig),
@@ -44,9 +48,10 @@ class PipelineConfig:
     output_dir: Optional[Path] = None
 
     def ratios_for(self, class_label: str) -> EnlargeRatios:
-        return self.enlarge_ratios.get(class_label,
-                                       self.enlarge_ratios.get(
-                                           "default", EnlargeRatios()))
+        ratios = self.enlarge_ratios
+        if class_label in ratios:
+            return ratios[class_label]
+        return ratios.get("default", _DEFAULT_RATIOS)
 
 
 def load_pipeline_config(path) -> PipelineConfig:

@@ -78,8 +78,10 @@ def min_inlier_count(eps: float, total: int) -> int:
     return math.floor((1.0 - eps) * total)
 
 
-def _fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares plane through points; returns (unit normal, offset).
+def _fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares planes through a stack of point sets: points is
+    (..., n, 3), and the result is the unit normals (..., 3) and offsets
+    (...) of one plane per set of n points.
 
     The normal is the eigenvector of the smallest eigenvalue of the 3x3
     scatter matrix of the centered points, built as ``R.T @ R - n m m^T``
@@ -88,21 +90,33 @@ def _fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float]:
     zero scatter, whose first eigenvector (1, 0, 0) lies outside any
     cone around the vertical.
 
+    numpy's matmul and eigh loop over the stack, calling per set the
+    BLAS or LAPACK routine that a single (n, 3) set gets, and the norm
+    and offset are per-set dot products as well; so each plane of a
+    stack equals, bit for bit, the fit of its set alone.
+
     R overwrites points, so callers pass an array they own.
     """
-    n = len(points)
+    n = points.shape[-2]
     # Column by column: numpy's broadcast loop over rows of 3 is twice as
     # slow, and the differences are the same.
-    p0 = points[0].copy()
+    p0 = points[..., 0, :].copy()
     for j in range(3):
-        points[:, j] -= p0[j]
+        points[..., j] -= p0[..., j, None]
     mean = np.ones(n) @ points / n
-    scatter = points.T @ points - n * np.outer(mean, mean)
+    scatter = (np.matmul(np.swapaxes(points, -1, -2), points)
+               - n * (mean[..., :, None] * mean[..., None, :]))
     _, vecs = np.linalg.eigh(scatter)  # ascending eigenvalues
-    normal = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-    if normal[2] < 0:
-        normal = -normal
-    return normal, float(normal @ (p0 + mean))
+    first = np.ascontiguousarray(vecs[..., :, 0])
+    # np.linalg.norm of a vector: the square root of its dot with itself.
+    normals = first / np.sqrt(_dot(first, first))[..., None]
+    np.negative(normals, out=normals, where=normals[..., 2:] < 0)
+    return normals, _dot(normals, p0 + mean)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes, one BLAS dot per pair of vectors."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _plane_distances(cloud: np.ndarray, normal: np.ndarray, offset: float,
@@ -161,9 +175,12 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
     runs only where it is cheap next to a full pass (_worth_testing):
     on large clouds with few outliers.
 
-    The refit gathers the winner's inliers into the buffer the trials'
-    distances used and centers them there (_fit_plane_lsq), so
-    no N x 3 array is allocated.
+    All trial samples are drawn first, in the order the trials take
+    them, and their planes are solved as one (trials, n_sample, 3)
+    stack (_fit_plane_lsq), each the plane its sample alone would give.
+    The refit is a stack of one: it gathers the winner's inliers into
+    the buffer the trials' distances used and centers them there, so no
+    N x 3 array is allocated.
 
     Raises InsufficientPoints if the cloud is smaller than n_sample and
     NoAcceptablePlane when no trial meets the inlier floor.
@@ -185,9 +202,11 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
     dist = work[:n_points]
     best_count, best_inside = -1, None
     suspects = None   # the best plane's outliers, gathered when tested
-    for _ in range(n_trials):
-        sample = rng.choice(n_points, size=cfg.n_sample, replace=False)
-        normal, offset = _fit_plane_lsq(cloud[sample])  # a gather copy
+    samples = [rng.choice(n_points, size=cfg.n_sample, replace=False)
+               for _ in range(n_trials)]
+    # A gather copy, which _fit_plane_lsq may overwrite.
+    normals, offsets = _fit_plane_lsq(cloud[np.array(samples)])
+    for normal, offset in zip(normals, offsets.tolist()):
         if normal[2] < cos_cone:
             continue
         if best_count >= 0 and _worth_testing(n_points,
@@ -217,7 +236,8 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
     points = work[:3 * best_count].reshape(best_count, 3)
     np.take(cloud, np.flatnonzero(best_inside), axis=0, out=points,
             mode="clip")
-    normal, offset = _fit_plane_lsq(points)
+    normals, offsets = _fit_plane_lsq(points[None])
+    normal, offset = normals[0], float(offsets[0])
     if normal[2] < cos_cone:
         raise NoAcceptablePlane("refit normal left the allowed cone")
     _plane_distances(cloud, normal, offset, out=dist)

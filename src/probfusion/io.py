@@ -230,14 +230,16 @@ GROUND_TRUTH_KEYS = ("object_id", "x", "y", "range", "members")
 
 def _is_integer_list(values) -> bool:
     """Whether values is a list of integers (an empty one passes), by one
-    numpy conversion rather than a check per entry."""
+    numpy conversion rather than a check per entry. A bool is not an
+    integer here, though numpy converts [1, True] to integers."""
     if not isinstance(values, list):
         return False
     try:
         array = np.asarray(values)
     except ValueError:  # nested lists of differing lengths
         return False
-    return not values or (array.ndim == 1 and array.dtype.kind in "iu")
+    return not values or (array.ndim == 1 and array.dtype.kind in "iu"
+                          and bool not in map(type, values))
 
 
 def _ground_truth_frame(rec: dict) -> tuple[int, dict]:

@@ -94,7 +94,7 @@ def principal_axis_angle(points_2d: np.ndarray) -> RotationEstimate:
     pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
     if _all_coincide(pts):
         raise DegenerateCluster("need at least 2 distinct points for PCA")
-    return _axis_estimate(pts)
+    return _axis_estimate(pts, pts.mean(axis=0))
 
 
 def _all_coincide(pts: np.ndarray) -> bool:
@@ -102,8 +102,8 @@ def _all_coincide(pts: np.ndarray) -> bool:
     return len(pts) == 0 or not (pts != pts[0]).any()
 
 
-def _axis_estimate(pts: np.ndarray) -> RotationEstimate:
-    centered = pts - pts.mean(axis=0)
+def _axis_estimate(pts: np.ndarray, centroid: np.ndarray) -> RotationEstimate:
+    centered = pts - centroid
     cov = centered.T @ centered / len(pts)
     eigvals, eigvecs = np.linalg.eigh(cov)
     major = eigvecs[:, np.argmax(eigvals)]  # (e_u, e_v)
@@ -125,10 +125,15 @@ def derotate(points_2d: np.ndarray, est: RotationEstimate) -> np.ndarray:
     pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
     if est.rejected or est.angle_deg == 0.0:
         return pts.copy()
-    theta = math.radians(-est.angle_deg)
+    return _rotate_about(pts, -est.angle_deg, pts.mean(axis=0))
+
+
+def _rotate_about(pts: np.ndarray, angle_deg: float,
+                  centroid: np.ndarray) -> np.ndarray:
+    """pts rotated counter-clockwise by angle_deg about centroid."""
+    theta = math.radians(angle_deg)
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])
-    centroid = pts.mean(axis=0)
     return (pts - centroid) @ rot.T + centroid
 
 
@@ -208,6 +213,8 @@ def score_candidate(points_2d: np.ndarray, center_range: float,
     """Similarity to the benchmark before and after de-rotation.
 
     A candidate without 2 distinct points is degenerate and scores 0.
+    One centroid serves the axis estimate and the de-rotation; when the
+    rotation is skipped, the post-rotation score is the pre-rotation one.
     """
     pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
     if _all_coincide(pts):
@@ -215,20 +222,24 @@ def score_candidate(points_2d: np.ndarray, center_range: float,
                               post_rotation_score=0.0, distance_m=center_range,
                               rotation_deg=0.0, rotation_rejected=False,
                               degenerate=True)
-    pre = _cell_weights(pts)
-    est = _axis_estimate(pts)
-    if est.rejected or est.angle_deg == 0.0:
-        post = pre  # derotate would return the points unchanged
-    else:
-        post = _cell_weights(derotate(pts, est))
     qw = _smoothed(benchmark.weights, cfg.kl_smoothing)
-    k = cfg.sigmoid_gain
+
+    def score(weights):
+        return similarity_score(_kl(_smoothed(weights, cfg.kl_smoothing),
+                                    qw), cfg.sigmoid_gain)
+
+    centroid = pts.mean(axis=0)
+    est = _axis_estimate(pts, centroid)
+    pre_score = score(_cell_weights(pts))
+    if est.rejected or est.angle_deg == 0.0:
+        post_score = pre_score  # derotate would return the points unchanged
+    else:
+        post_score = score(_cell_weights(
+            _rotate_about(pts, -est.angle_deg, centroid)))
     return CandidateScore(
         cluster=cluster,
-        pre_rotation_score=similarity_score(
-            _kl(_smoothed(pre, cfg.kl_smoothing), qw), k),
-        post_rotation_score=similarity_score(
-            _kl(_smoothed(post, cfg.kl_smoothing), qw), k),
+        pre_rotation_score=pre_score,
+        post_rotation_score=post_score,
         distance_m=center_range,
         rotation_deg=est.angle_deg,
         rotation_rejected=est.rejected,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -496,6 +496,10 @@ def scene_spec_to_json(spec: SceneSpec) -> dict:
     return asdict(spec)
 
 
+# The keys of an object in scene.json.
+OBJECT_KEYS = frozenset(f.name for f in fields(ObjectSpec))
+
+
 def scene_spec_from_json(raw: dict) -> SceneSpec:
     objects = []
     for o in raw.get("objects", []):
@@ -504,6 +508,10 @@ def scene_spec_from_json(raw: dict) -> SceneSpec:
                               f"{o['trajectory']!r}, not a JSON object")
         traj = Trajectory(**{k: tuple(v) if isinstance(v, list) else v
                              for k, v in o["trajectory"].items()})
+        unknown = sorted(o.keys() - OBJECT_KEYS)
+        if unknown:
+            raise InvalidSpec(f"object {o.get('object_id')}: unknown key "
+                              f"{unknown[0]!r}")
         objects.append(ObjectSpec(**{**o, "trajectory": traj}))
     kwargs = {k: v for k, v in raw.items() if k != "objects"}
     return SceneSpec(objects=tuple(objects), **kwargs)

@@ -238,11 +238,39 @@ class TestMatchesOracle:
            seed=st.integers(0, 2 ** 32 - 1))
     @example(data=(0.5, np.array([20.0] * 7)), k=3, seed=0)
     @example(data=(0.5, np.array([20.0, 20.5, 20.0, 20.5])), k=3, seed=1)
+    @example(data=(0.5, np.array([20.0, 21.5, 20.5, 30.0, 29.5])), k=2,
+             seed=7)
     def test_seed_bin_centers(self, data, k, seed):
         _, values = data
         cfg = ClusteringConfig(kmeans_k=k)
         assert same_array(seed_bin_centers(values, cfg, seed),
                           oracles.seed_bin_centers(values, cfg, seed))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seed_bin_centers_zero_total(self, k, seed):
+        # Differences below 1e-162 square to 0, so after the first
+        # center, whichever it is, every squared distance is 0 and each
+        # further center is drawn by the total <= 0 branch.
+        values = np.array([0.0, 1e-170, 2e-170, 3e-170, 2e-170])
+        assert not ((values[:, None] - values) ** 2).any()
+        cfg = ClusteringConfig(kmeans_k=k)
+        assert same_array(seed_bin_centers(values, cfg, seed),
+                          oracles.seed_bin_centers(values, cfg, seed))
+
+    def test_seed_bin_centers_ignore_call_history(self):
+        # Each call seeds its own draws: calls with other values, k and
+        # seeds in between leave a call's centers as they were.
+        rng = np.random.default_rng(3)
+        values = rng.uniform(8.0, 55.0, 25)
+        cfg = ClusteringConfig()
+        first = seed_bin_centers(values, cfg, seed=1)
+        for seed in (0, 1, 2, 2 ** 32 - 1):
+            for k in (2, 3, 5):
+                seed_bin_centers(rng.uniform(8.0, 55.0, 30),
+                                 ClusteringConfig(kmeans_k=k), seed)
+            assert same_array(seed_bin_centers(values, cfg, seed=1), first)
+        assert same_array(first, oracles.seed_bin_centers(values, cfg, 1))
 
     @settings(deadline=None, max_examples=200)
     @given(base=st.floats(1.0, 60.0),

@@ -133,6 +133,65 @@ class TestFitPlaneLsq:
             assert normal[2] < cone
 
 
+def same_plane(normal, offset, ref_normal, ref_offset):
+    """Whether two (normal, offset) planes are equal, bit for bit."""
+    return (normal.shape == ref_normal.shape
+            and normal.tobytes() == ref_normal.tobytes()
+            and np.float64(offset).tobytes() ==
+            np.float64(ref_offset).tobytes())
+
+
+@st.composite
+def trial_stacks(draw):
+    """A (trials, n_sample, 3) stack of trial samples: scattered points,
+    points near a tilted ground plane, samples of one repeated point and
+    samples with repeated rows."""
+    n_sample = draw(st.integers(3, 10))
+    n_trials = draw(st.integers(1, 20))
+    extent = draw(st.sampled_from([70.0, 1e3, 1e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xy = rng.uniform([0.0, -extent / 4], [extent, extent / 4],
+                     size=(n_trials, n_sample, 2))
+    z = (0.01 * xy[..., 0] - 0.02 * xy[..., 1] - 1.7
+         + rng.normal(0.0, draw(st.sampled_from([0.0, 0.02, 2.0])),
+                      (n_trials, n_sample)))
+    stack = np.concatenate([xy, z[..., None]], axis=-1)
+    kinds = draw(st.lists(st.sampled_from(["as drawn", "one point",
+                                           "repeated rows"]),
+                          min_size=n_trials, max_size=n_trials))
+    for t, kind in enumerate(kinds):
+        if kind == "one point":
+            stack[t] = stack[t, 0]
+        elif kind == "repeated rows":
+            stack[t] = stack[t, rng.integers(0, 2, n_sample)]
+    return stack
+
+
+class TestFitPlaneStack:
+    """Each plane of a stacked fit is the plane that oracles.py fits to
+    its sample alone, bit for bit."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(trial_stacks())
+    def test_trial_by_trial(self, stack):
+        normals, offsets = _fit_plane_lsq(stack.copy())
+        assert normals.shape == (len(stack), 3)
+        assert offsets.shape == (len(stack),)
+        for t, sample in enumerate(stack):
+            ref_normal, ref_offset = oracles._fit_plane_lsq(sample)
+            assert same_plane(normals[t], offsets[t], ref_normal,
+                              ref_offset), t
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_refit_of_a_full_sweep(self, seed):
+        # The refit is a stack of one set of about 120k points.
+        cloud, _ = make_plane_scene(n_ground=120_000, n_object=300,
+                                    seed=seed)
+        normals, offsets = _fit_plane_lsq(cloud[None].copy())
+        ref_normal, ref_offset = oracles._fit_plane_lsq(cloud)
+        assert same_plane(normals[0], offsets[0], ref_normal, ref_offset)
+
+
 class TestFitGroundPlane:
     def test_exact_plane(self):
         rng = np.random.default_rng(1)
@@ -388,7 +447,7 @@ class TestFitMatchesOracle:
             return distances(points, *args, **kwargs)
 
         def marking_fit(points, *args, **kwargs):
-            if len(points) > cfg.n_sample:
+            if points.shape[-2] > cfg.n_sample:
                 events.append("refit")
             return fit_lsq(points, *args, **kwargs)
 

@@ -13,11 +13,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probfusion.aoi import BoundingBox
+from probfusion.aoi import BoundingBox, EnlargeRatios
 from probfusion.calib import CalibrationPair, save_calibration
 from probfusion.classes import CLASSES
 from probfusion.cli import main as cli_main
-from probfusion.config import load_pipeline_config, write_pipeline_config
+from probfusion.config import (PipelineConfig, load_pipeline_config,
+                               write_pipeline_config)
 from probfusion.errors import ConfigError, EmptySequence
 from probfusion.io import (WRITE_BLOCK_ROWS, load_sequence,
                            read_detections, read_frame_cloud,
@@ -185,6 +186,32 @@ class TestPipelineConfig:
         assert cfg.clustering.kmeans_k == 3
         assert cfg.ratios_for("car").left == 1.0
         assert cfg.ratios_for("car").up == 0.0
+
+    def test_ratios_for_builds_no_ratios(self, monkeypatch):
+        # Looked up once per detection: the lookup of a class's own
+        # ratios, of "default" and of the library default builds none.
+        car, default = EnlargeRatios(left=2.0), EnlargeRatios(left=3.0)
+        configs = [PipelineConfig(Path("calibration.json"),
+                                  enlarge_ratios=ratios)
+                   for ratios in ({"car": car, "default": default},
+                                  {"car": car}, {})]
+        built = []
+        post_init = EnlargeRatios.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(EnlargeRatios, "__post_init__",
+                            counting_post_init)
+        assert configs[0].ratios_for("car") is car
+        assert configs[0].ratios_for("pedestrian") is default
+        assert configs[1].ratios_for("pedestrian") == EnlargeRatios()
+        built.clear()
+        for cfg in configs:
+            for label in CLASSES:
+                cfg.ratios_for(label)
+        assert built == []
 
     def test_missing_calibration_entry(self, tmp_path):
         path = tmp_path / "config.json"
@@ -795,6 +822,11 @@ BAD_INPUTS = [
                      lambda rec: rec["objects"][0]["members"].append("a")),
      "ground_truth.jsonl, line 1: object 1: members is not a list of "
      "integers"),
+    ("ground truth member bool",
+     first_json_line("ground_truth.jsonl",
+                     lambda rec: rec["objects"][0]["members"].append(True)),
+     "ground_truth.jsonl, line 1: object 1: members is not a list of "
+     "integers"),
     ("ground truth member fraction",
      first_json_line("ground_truth.jsonl",
                      lambda rec: rec["objects"][0]["members"].append(0.5)),
@@ -1025,6 +1057,8 @@ BAD_SCENES = [
     ("id-repeated", first_object(object_id=2), "not distinct"),
     ("trajectory-number", first_object(trajectory=5),
      "object 1: trajectory is 5, not a JSON object"),
+    ("object-key-unknown", lambda scene: scene["objects"][1].update(
+        colour="red"), "object 2: unknown key 'colour'"),
     ("waypoints-mismatched", waypoints([0.0, 1.0], [[30.0, 3.0]]),
      "not 2 (x, y) pairs"),
     ("waypoints-empty", waypoints([], []), "waypoint times are ()"),
@@ -1054,9 +1088,9 @@ BAD_SCENES = [
     ("id-beyond-64-bits", first_object(object_id=2 ** 70),
      f"object_id {2 ** 70} cannot label points"),
     ("width-misspelled", first_object(widht=1.0),
-     "unexpected keyword argument 'widht'"),
+     "object 1: unknown key 'widht'"),
     ("length-removed", first_object(length=10.0),
-     "unexpected keyword argument 'length'"),
+     "object 1: unknown key 'length'"),
     ("width-zero", first_object(width=0),
      "object 1: width must be a finite number > 0, got 0"),
     ("at-lidar-origin", first_object(trajectory={"x_coeffs": [0.0]}),
