@@ -3,7 +3,10 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
+import os
 import shutil
+import signal
 import tempfile
 from pathlib import Path
 
@@ -19,8 +22,8 @@ from probfusion.classes import CLASSES
 from probfusion.cli import main as cli_main
 from probfusion.config import (PipelineConfig, load_pipeline_config,
                                write_pipeline_config)
-from probfusion.errors import ConfigError, EmptySequence
-from probfusion.io import (WRITE_BLOCK_ROWS, load_sequence,
+from probfusion.errors import ConfigError, EmptySequence, FusionError
+from probfusion.io import (WRITE_BLOCK_ROWS, _map_frames, load_sequence,
                            read_detections, read_frame_cloud,
                            read_ground_truth, read_trajectory_csv,
                            write_detections, write_frame_cloud,
@@ -174,6 +177,99 @@ class TestLoadSequence:
         assert cfg.guarantee == SIMULATED_GUARANTEE
         assert cfg.target_object_ids == [spec.objects[0].object_id]
         assert cfg.rng_seed == spec.rng_seed == 4
+
+
+def use_cpus(monkeypatch, n):
+    """Make the process look as if it may run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def within_30_s():
+    """Fail the test, instead of hanging the suite, after 30 s."""
+    def expire(signum, frame):
+        raise TimeoutError("still waiting after 30 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("within_30_s")
+class TestMapFrames:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n_calls", range(1, 8))
+    def test_results_in_call_order(self, monkeypatch, cpus, n_calls):
+        use_cpus(monkeypatch, cpus)
+        got = _map_frames(lambda i, j: (i + j, os.getpid()),
+                          [(i, 10 * i) for i in range(n_calls)])
+        assert [value for value, _ in got] == [11 * i for i in range(n_calls)]
+        # One contiguous share per process, the first the caller's.
+        pids = [pid for _, pid in got]
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == min(cpus, n_calls)
+        assert sorted(pids, key=pids.index) == pids
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n_calls", range(1, 8))
+    def test_earliest_failure_raised(self, monkeypatch, cpus, n_calls):
+        use_cpus(monkeypatch, cpus)
+        for first_bad in range(n_calls):
+            def fn(i):
+                if i >= first_bad:  # later calls fail with the other type
+                    raise (OSError if i % 2 else ValueError)(f"call {i}")
+                return i
+            error = OSError if first_bad % 2 else ValueError
+            with pytest.raises(error) as raised:
+                _map_frames(fn, [(i,) for i in range(n_calls)])
+            assert type(raised.value) is error
+            assert str(raised.value) == f"call {first_bad}"
+            assert multiprocessing.active_children() == []
+
+    def test_child_exit_without_sending(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        caller = os.getpid()
+
+        def fn(i):
+            if os.getpid() != caller:
+                os._exit(7)
+            return i
+        with pytest.raises(FusionError, match="exited with code 7 "):
+            _map_frames(fn, [(i,) for i in range(4)])
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_and_two_write_and_read_the_same(self, monkeypatch,
+                                                     tmp_path):
+        spec = small_scene(seed=2)
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            write_sequence_dir(tmp_path / str(cpus), spec, DEFAULT_ERROR_MODEL)
+        files = sorted(path.relative_to(tmp_path / "1")
+                       for path in (tmp_path / "1").rglob("*"))
+        assert files == sorted(path.relative_to(tmp_path / "2")
+                               for path in (tmp_path / "2").rglob("*"))
+        assert Path("clouds/frame_000011.csv") in files
+        for name in files:
+            if (tmp_path / "1" / name).is_file():
+                assert (tmp_path / "1" / name).read_bytes() == \
+                    (tmp_path / "2" / name).read_bytes(), name
+        loaded = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            loaded.append(load_sequence(tmp_path / "1"))
+        (one, gt_one), (two, gt_two) = loaded
+        assert gt_one == gt_two
+        assert len(one) == len(two) == 12
+        for a, b in zip(one, two):
+            assert (a.frame_id, a.t, a.detections) == \
+                (b.frame_id, b.t, b.detections)
+            for name in ("cloud", "observed_uv", "uv_valid"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x.dtype, x.shape, x.flags["C_CONTIGUOUS"]) == \
+                    (y.dtype, y.shape, y.flags["C_CONTIGUOUS"]), name
+                assert x.tobytes() == y.tobytes(), name
 
 
 class TestPipelineConfig:
@@ -707,6 +803,15 @@ def duplicate_first_detection(seq):
     path.write_text("\n".join(lines) + "\n")
 
 
+def bad_byte(name, line_no):
+    """Edit that starts one line of a file with a byte UTF-8 never has."""
+    def apply(seq):
+        lines = (seq / name).read_bytes().splitlines(keepends=True)
+        lines[line_no] = b"\xff" + lines[line_no]
+        (seq / name).write_bytes(b"".join(lines))
+    return apply
+
+
 def scene_json(text):
     """Edit that replaces the sequence's scene.json."""
     return lambda seq: (seq / "scene.json").write_text(text)
@@ -750,6 +855,14 @@ BAD_INPUTS = [
      "frame_000001.csv, row 5: u or v is not finite"),
     ("nan u and v", cloud_line(6, "5,1.0,2.0,3.0,nan,nan"),
      "frame_000001.csv, row 5: u and v are not finite"),
+    ("undecodable cloud row", bad_byte("clouds/frame_000001.csv", 6),
+     "frame_000001.csv, line 7: not UTF-8 text"),
+    ("undecodable cloud header", bad_byte("clouds/frame_000000.csv", 0),
+     "frame_000000.csv, line 1: not UTF-8 text"),
+    ("undecodable detections", bad_byte("detections.jsonl", 1),
+     "detections.jsonl, line 2: not UTF-8 text"),
+    ("undecodable ground truth", bad_byte("ground_truth.jsonl", 0),
+     "ground_truth.jsonl, line 1: not UTF-8 text"),
     ("detections without cloud", lambda seq: append_line(
         seq / "detections.jsonl", json.dumps(
             {"box": [0, 0, 10, 10], "class": "car", "frame": 9,
@@ -1113,19 +1226,22 @@ def test_simulate_bad_scene_exits_1_with_one_line(tmp_path, edit, message):
     assert message in res.output
 
 
-@pytest.mark.parametrize("text, message", [
-    ("t,x,y\r\n0.0,30.0,3.0\r\n0.1,abc,3.0\r\n",
+@pytest.mark.parametrize("data, message", [
+    (b"t,x,y\r\n0.0,30.0,3.0\r\n0.1,abc,3.0\r\n",
      "object_1.csv, row 1: t, x or y is missing or not a number"),
-    ("t,x,y\r\n0.0,30.0\r\n", "object_1.csv, row 0: t, x or y is missing"),
-    ("t,x\r\n0.0,30.0\r\n", "object_1.csv: no column y"),
-    ("t,x,y\r\n0.0,30.0,3.0\r\n0.1,nan,3.0\r\n",
+    (b"t,x,y\r\n0.0,30.0\r\n", "object_1.csv, row 0: t, x or y is missing"),
+    (b"t,x\r\n0.0,30.0\r\n", "object_1.csv: no column y"),
+    (b"t,x,y\r\n0.0,30.0,3.0\r\n0.1,nan,3.0\r\n",
      "object_1.csv, row 1: x must be a finite number, got nan"),
-    ("t,x,y\r\ninf,30.0,3.0\r\n",
+    (b"t,x,y\r\ninf,30.0,3.0\r\n",
      "object_1.csv, row 0: t must be a finite number, got inf"),
-], ids=["non-numeric", "short row", "missing column", "nan", "infinite"])
-def test_evaluate_bad_trajectory_exits_1(tmp_path, text, message):
+    (b"t,x,y\r\n0.0,30.0,3.0\r\n0.1,\xff,3.0\r\n",
+     "object_1.csv, line 3: not UTF-8 text"),
+], ids=["non-numeric", "short row", "missing column", "nan", "infinite",
+        "undecodable"])
+def test_evaluate_bad_trajectory_exits_1(tmp_path, data, message):
     traj = tmp_path / "object_1.csv"
-    traj.write_text(text)
+    traj.write_bytes(data)
     write_ground_truth(tmp_path, [{"frame": 0, "objects": []}])
     res = CliRunner().invoke(cli_main, [
         "evaluate", str(traj),
