@@ -30,17 +30,20 @@ not a JSON object or whose frame_rate is not a finite positive number.
 A byte that is not UTF-8 is named by its file and line too.
 
 Frame files are independent of each other, so ``dump_simulated_sequence``
-and ``load_sequence`` write and read them in one contiguous share of the
-frames per CPU the process may run on: forked children run every share
-but the first, the calling process runs the first. The bytes written,
-the arrays read and the message of the first failing frame are those of
-a single process.
+and ``load_sequence`` write and read them with one process per CPU the
+process may run on, at most two: the calling process and a forked child
+each claim the next frame until none is left. The bytes written, the
+arrays read and the message of the first failing frame are those of a
+single process. After a failing frame, frames the other process had
+already claimed are still written or read whole, where one process
+would have stopped at the failing frame. In a daemonic process (a
+``multiprocessing.Pool`` worker), or where ``fork`` is unavailable, the
+calling process does every frame.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import os
 import re
@@ -70,6 +73,9 @@ CLOUD_HEADER = ",".join(CLOUD_COLUMNS)
 # Rows formatted per write. Formatting a whole 3.3k-point frame at once
 # is no faster and raises the writer's heap peak from 0.24 to 2.0 MB.
 WRITE_BLOCK_ROWS = 256
+# Processes that write or read the frame files of a sequence: one per
+# CPU, but no more than the 2 CPUs the sharing has been measured on.
+FRAME_PROCESSES = 2
 
 
 def cloud_csv_path(seq_dir, frame_id: int) -> Path:
@@ -433,30 +439,31 @@ def dump_simulated_sequence(seq_dir, frames, calib, spec) -> None:
 
 
 def _map_frames(fn, calls: list) -> list:
-    """[fn(*args) for args in calls], in call order, with the calls split
-    into one contiguous share per CPU this process may run on.
+    """[fn(*args) for args in calls], in call order, run by the calling
+    process and forked children: one process per CPU this process may
+    run on, at most FRAME_PROCESSES.
 
-    Forked children run every share but the first and the calling
-    process runs the first, so each call's files are written or read by
-    exactly one process. A share stops at its first failing call, and
+    Each process claims the next call from a shared counter until none
+    is left, so a process on a busy CPU claims fewer calls, and each
+    call's files are written or read by exactly one process. A failing
+    call stops all further claims; the calls already claimed finish, and
     the exception of the earliest failing call is raised, as one process
     would raise it. A child that ends without sending its results raises
-    FusionError naming its exit code. Every child is ended before this
+    FusionError naming its exit code. Every child has ended before this
     returns or raises.
     """
     # Imported on first use: it adds ~10 ms, about 6%, to importing the
     # CLI.
     import multiprocessing
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        cpus = 1
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        cpus = 1  # a daemonic process may not start children
     elif hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    n = max(1, min(cpus, len(calls)))
-    shares = [calls[len(calls) * i // n:len(calls) * (i + 1) // n]
-              for i in range(n)]
+    next_call = multiprocessing.Value("q", 0)
     children = []
     try:
         # fork, not a Pool: a Pool unpickles results on a thread of its
@@ -464,25 +471,27 @@ def _map_frames(fn, calls: list) -> list:
         # fork hands fn and the calls to a child without pickling them.
         # A child only formats or parses text and writes or reads its own
         # files, so it takes no lock that a thread of the parent may hold.
-        for share in shares[1:]:
+        for _ in range(min(cpus, FRAME_PROCESSES, len(calls)) - 1):
             receiver, sender = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.get_context("fork").Process(
-                target=_send_share, args=(sender, fn, share))
+                target=_send_claimed, args=(sender, fn, calls, next_call))
             children.append((child, receiver))
             child.start()
             # Only the child may hold the sending end, or a child that
             # dies would leave the receiver waiting instead of at EOF.
             sender.close()
+        outcomes = _run_claimed(fn, calls, next_call)
+        for child, receiver in children:
+            outcomes += _receive_claimed(child, receiver)
         results = []
-        for ok, value in itertools.chain(
-                _run_share(fn, shares[0]),
-                *(_receive_share(child, receiver, len(share))
-                  for (child, receiver), share in zip(children, shares[1:]))):
+        for _, ok, value in sorted(outcomes, key=lambda outcome: outcome[0]):
             if not ok:
                 raise value
             results.append(value)
         return results
     finally:
+        # Children are still running only when this process was
+        # interrupted or a child died.
         for child, receiver in children:
             receiver.close()
             if child.pid is not None:
@@ -490,37 +499,48 @@ def _map_frames(fn, calls: list) -> list:
                 child.join()
 
 
-def _run_share(fn, share) -> list:
-    """(True, fn(*args)) for each call of a share in order, up to the
-    first call that raises, which gives (False, exception) and ends it."""
+def _run_claimed(fn, calls, next_call) -> list:
+    """(i, True, fn(*calls[i])) for each call i this process claims, in
+    claim order, until no call is left. A call that raises gives
+    (i, False, exception), ends the list and stops every process from
+    claiming more."""
     outcomes = []
-    for args in share:
+    while True:
+        with next_call.get_lock():
+            i = next_call.value
+            next_call.value = i + 1
+        if i >= len(calls):
+            return outcomes
         try:
-            outcomes.append((True, fn(*args)))
+            outcomes.append((i, True, fn(*calls[i])))
         except Exception as exc:
-            outcomes.append((False, exc))
-            break
-    return outcomes
+            with next_call.get_lock():
+                next_call.value = len(calls)
+            outcomes.append((i, False, exc))
+            return outcomes
 
 
-def _send_share(sender, fn, share) -> None:
-    """A child's body: run the whole share, then send one message per
-    outcome. Sending only after the share is done keeps a child from
-    blocking on a full pipe while the parent runs its own share."""
-    for outcome in _run_share(fn, share):
+def _send_claimed(sender, fn, calls, next_call) -> None:
+    """A child's body: run the calls it claims, then send one message per
+    outcome and None after the last. Sending only when the claims are
+    done keeps a child from blocking on a full pipe while the parent runs
+    calls of its own. Ctrl-C interrupts the parent alone, which then ends
+    the child."""
+    import signal  # multiprocessing has imported it already
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for outcome in _run_claimed(fn, calls, next_call):
         sender.send(outcome)
+    sender.send(None)
     sender.close()
 
 
-def _receive_share(child, receiver, n_calls):
-    """The outcomes a child sends, as _run_share returns them, read one at
-    a time; the caller stops reading at the first failed one."""
-    for _ in range(n_calls):
-        try:
-            outcome = receiver.recv()
-        except EOFError:
-            child.join()
-            raise FusionError(
-                f"a frame file worker exited with code {child.exitcode} "
-                f"before sending its results") from None
-        yield outcome
+def _receive_claimed(child, receiver) -> list:
+    """The outcomes a child sends, up to its closing None."""
+    try:
+        return list(iter(receiver.recv, None))
+    except EOFError:
+        child.join()
+        raise FusionError(
+            f"a frame file worker exited with code {child.exitcode} "
+            f"before sending its results") from None
