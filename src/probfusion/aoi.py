@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -56,17 +57,18 @@ class EnlargeRatios:
 
 
 def enlarge_aoi(box: BoundingBox, ratios: EnlargeRatios,
-                intr: CameraIntrinsics) -> BoundingBox:
-    """Grow the box by per-side fractions of its size, clamped to the image."""
+                intr: CameraIntrinsics) -> Optional[BoundingBox]:
+    """Grow the box by per-side fractions of its size, clamped to the
+    image; None when the grown box has no area inside the image."""
     w = box.width
     h = box.height
-    return replace(
-        box,
-        u_min=max(0.0, box.u_min - ratios.left * w),
-        u_max=min(float(intr.width), box.u_max + ratios.right * w),
-        v_min=max(0.0, box.v_min - ratios.up * h),
-        v_max=min(float(intr.height), box.v_max + ratios.down * h),
-    )
+    u_min = max(0.0, box.u_min - ratios.left * w)
+    u_max = min(float(intr.width), box.u_max + ratios.right * w)
+    v_min = max(0.0, box.v_min - ratios.up * h)
+    v_max = min(float(intr.height), box.v_max + ratios.down * h)
+    if not (u_min < u_max and v_min < v_max):
+        return None
+    return replace(box, u_min=u_min, u_max=u_max, v_min=v_min, v_max=v_max)
 
 
 def candidate_rows(uv: np.ndarray, valid: np.ndarray,

@@ -79,9 +79,8 @@ def simulate(scene, seed, out, ideal):
 @click.option("--seed", type=int, default=None,
               help="Override the config rng_seed.")
 @click.option("--out", type=click.Path(file_okay=False), default=None)
-@click.option("--baseline-only", is_flag=True)
 @click.option("--no-smoother", is_flag=True)
-def fuse(sequence_dir, config_path, seed, out, baseline_only, no_smoother):
+def fuse(sequence_dir, config_path, seed, out, no_smoother):
     """Run the fusion pipeline over a sequence directory."""
     cfg = load_pipeline_config(config_path)
     if seed is not None:
@@ -90,7 +89,6 @@ def fuse(sequence_dir, config_path, seed, out, baseline_only, no_smoother):
                               f"got {seed}")
         cfg.rng_seed = seed
     report = run_sequence(sequence_dir, cfg, out_dir=out,
-                          baseline_only=baseline_only,
                           no_smoother=no_smoother)
     agg = report.get("evaluation", {}).get("aggregate", {})
     if "baseline_tpr_mean" in agg:

@@ -26,8 +26,10 @@ class ClusteringConfig:
 
     def __post_init__(self):
         check_number("kmeans_k", self.kmeans_k, integer=True, at_least=1)
-        check_number("kmeans_max_iter", self.kmeans_max_iter, integer=True)
-        check_number("min_peak_count", self.min_peak_count, integer=True)
+        check_number("kmeans_max_iter", self.kmeans_max_iter, integer=True,
+                     at_least=1)
+        check_number("min_peak_count", self.min_peak_count, integer=True,
+                     at_least=0)
         check_number("peak_ratio", self.peak_ratio, above=0, at_most=1)
 
 

@@ -30,13 +30,13 @@ not a JSON object or whose frame_rate is not a finite positive number.
 A byte that is not UTF-8 is named by its file and line too.
 
 Frame files are independent of each other, so ``dump_simulated_sequence``
-and ``load_sequence`` write and read them with one process per CPU the
-process may run on, at most two: the calling process and a forked child
-each claim the next frame until none is left. The bytes written, the
-arrays read and the message of the first failing frame are those of a
-single process. After a failing frame, frames the other process had
-already claimed are still written or read whole, where one process
-would have stopped at the failing frame. In a daemonic process (a
+and ``load_sequence`` share them between the calling process and one
+forked child when the process may run on two or more CPUs: each claims
+the next frame until none is left. The bytes written, the arrays read
+and the message of the first failing frame are those of a single
+process. After a failing frame, frames the other process had already
+claimed are still written or read whole, where one process would have
+stopped at the failing frame. On one CPU, in a daemonic process (a
 ``multiprocessing.Pool`` worker), or where ``fork`` is unavailable, the
 calling process does every frame.
 """
@@ -73,9 +73,6 @@ CLOUD_HEADER = ",".join(CLOUD_COLUMNS)
 # Rows formatted per write. Formatting a whole 3.3k-point frame at once
 # is no faster and raises the writer's heap peak from 0.24 to 2.0 MB.
 WRITE_BLOCK_ROWS = 256
-# Processes that write or read the frame files of a sequence: one per
-# CPU, but no more than the 2 CPUs the sharing has been measured on.
-FRAME_PROCESSES = 2
 
 
 def cloud_csv_path(seq_dir, frame_id: int) -> Path:
@@ -439,9 +436,9 @@ def dump_simulated_sequence(seq_dir, frames, calib, spec) -> None:
 
 
 def _map_frames(fn, calls: list) -> list:
-    """[fn(*args) for args in calls], in call order, run by the calling
-    process and forked children: one process per CPU this process may
-    run on, at most FRAME_PROCESSES.
+    """[fn(*args) for args in calls], in call order. Where this process
+    may run on two or more CPUs and fork a child, and there are two or
+    more calls, the calling process and one forked child share them.
 
     Each process claims the next call from a shared counter until none
     is left, so a process on a busy CPU claims fewer calls, and each
@@ -449,40 +446,42 @@ def _map_frames(fn, calls: list) -> list:
     call stops all further claims; the calls already claimed finish, and
     the exception of the earliest failing call is raised, as one process
     would raise it. A child that ends without sending its results raises
-    FusionError naming its exit code. Every child has ended before this
+    FusionError naming its exit code. The child has ended before this
     returns or raises.
     """
     # Imported on first use: it adds ~10 ms, about 6%, to importing the
     # CLI.
     import multiprocessing
 
-    if ("fork" not in multiprocessing.get_all_start_methods()
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if (cpus < 2 or len(calls) < 2
+            or "fork" not in multiprocessing.get_all_start_methods()
+            # A daemonic process may not start children.
             or multiprocessing.current_process().daemon):
-        cpus = 1  # a daemonic process may not start children
-    elif hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+        return [fn(*args) for args in calls]
     next_call = multiprocessing.Value("q", 0)
-    children = []
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    # fork, not a Pool: a Pool unpickles results on a thread of its own,
+    # in a second malloc arena that raises the peak memory, and fork
+    # hands fn and the calls to the child without pickling them. The
+    # child only formats or parses text and writes or reads its own
+    # files, so it takes no lock that a thread of the parent may hold.
+    child = multiprocessing.get_context("fork").Process(
+        target=_send_claimed, args=(sender, fn, calls, next_call))
     try:
-        # fork, not a Pool: a Pool unpickles results on a thread of its
-        # own, in a second malloc arena that raises the peak memory, and
-        # fork hands fn and the calls to a child without pickling them.
-        # A child only formats or parses text and writes or reads its own
-        # files, so it takes no lock that a thread of the parent may hold.
-        for _ in range(min(cpus, FRAME_PROCESSES, len(calls)) - 1):
-            receiver, sender = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.get_context("fork").Process(
-                target=_send_claimed, args=(sender, fn, calls, next_call))
-            children.append((child, receiver))
-            child.start()
-            # Only the child may hold the sending end, or a child that
-            # dies would leave the receiver waiting instead of at EOF.
-            sender.close()
+        child.start()
+        # Only the child may hold the sending end, or a child that dies
+        # would leave the receiver waiting instead of at EOF.
+        sender.close()
         outcomes = _run_claimed(fn, calls, next_call)
-        for child, receiver in children:
-            outcomes += _receive_claimed(child, receiver)
+        try:
+            outcomes += iter(receiver.recv, None)
+        except EOFError:
+            child.join()
+            raise FusionError(
+                f"a frame file worker exited with code {child.exitcode} "
+                f"before sending its results") from None
         results = []
         for _, ok, value in sorted(outcomes, key=lambda outcome: outcome[0]):
             if not ok:
@@ -490,20 +489,19 @@ def _map_frames(fn, calls: list) -> list:
             results.append(value)
         return results
     finally:
-        # Children are still running only when this process was
-        # interrupted or a child died.
-        for child, receiver in children:
-            receiver.close()
-            if child.pid is not None:
-                child.terminate()
-                child.join()
+        # The child is still running only when this process was
+        # interrupted or the child died.
+        receiver.close()
+        if child.pid is not None:
+            child.terminate()
+            child.join()
 
 
 def _run_claimed(fn, calls, next_call) -> list:
     """(i, True, fn(*calls[i])) for each call i this process claims, in
     claim order, until no call is left. A call that raises gives
-    (i, False, exception), ends the list and stops every process from
-    claiming more."""
+    (i, False, exception), ends the list and stops the other process
+    from claiming more."""
     outcomes = []
     while True:
         with next_call.get_lock():
@@ -523,7 +521,7 @@ def _run_claimed(fn, calls, next_call) -> list:
 def _send_claimed(sender, fn, calls, next_call) -> None:
     """A child's body: run the calls it claims, then send one message per
     outcome and None after the last. Sending only when the claims are
-    done keeps a child from blocking on a full pipe while the parent runs
+    done keeps the child from blocking on a full pipe while the parent runs
     calls of its own. Ctrl-C interrupts the parent alone, which then ends
     the child."""
     import signal  # multiprocessing has imported it already
@@ -534,13 +532,3 @@ def _send_claimed(sender, fn, calls, next_call) -> None:
     sender.send(None)
     sender.close()
 
-
-def _receive_claimed(child, receiver) -> list:
-    """The outcomes a child sends, up to its closing None."""
-    try:
-        return list(iter(receiver.recv, None))
-    except EOFError:
-        child.join()
-        raise FusionError(
-            f"a frame file worker exited with code {child.exitcode} "
-            f"before sending its results") from None

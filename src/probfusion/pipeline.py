@@ -24,7 +24,8 @@ from .cluster import (build_range_histogram, planar_ranges,
                       seed_bin_centers, select_candidate_clusters)
 from .config import PipelineConfig
 from .errors import (EmptyCluster, EmptyInput, InsufficientPoints,
-                     NoAcceptablePlane, NoQualifiedCluster, TooFewInliers)
+                     NoAcceptablePlane, NoQualifiedCluster, TooFewInliers,
+                     TooFewSamples)
 from .io import FrameRecord, load_sequence, write_report, write_trajectory_csv
 from .localize import ObjectLocalization, localize
 from .metrics import (align_to_ground_truth, mae_axis,
@@ -110,7 +111,8 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
     # contiguously.
     bigs = [enlarge_aoi(det, cfg.ratios_for(det.class_label),
                         calib.intrinsics) for det in frame.detections]
-    rows = candidate_rows(uv, uv_valid, [*frame.detections, *bigs])
+    rows = candidate_rows(uv, uv_valid, [
+        *frame.detections, *(big for big in bigs if big is not None)])
     rows_uv = np.asfortranarray(uv[rows])
     rows_keep = keep[rows]
     rows_ranges = planar_ranges(cloud[rows])
@@ -123,7 +125,9 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
         # Baseline path: raw mapping, original AOI, no preprocessing.
         odiag.baseline_ranges = rows_ranges[det.mask(rows_uv)].tolist()
 
-        members = np.flatnonzero(rows_keep & big.mask(rows_uv))
+        # An enlarged AOI with no area inside the image holds no point.
+        members = (np.flatnonzero(rows_keep & big.mask(rows_uv))
+                   if big is not None else np.empty(0, dtype=np.intp))
         member_idx = rows[members]
         member_ranges = rows_ranges[members]
         odiag.aoi_point_count = len(member_idx)
@@ -250,7 +254,6 @@ def _evaluate(frames, gt, cfg, frame_diags, trajectories) -> dict:
 
 def run_sequence(seq_dir, cfg: PipelineConfig,
                  out_dir=None,
-                 baseline_only: bool = False,
                  no_smoother: bool = False) -> dict:
     """Fuse a whole sequence directory; writes trajectories and a report.
 
@@ -272,8 +275,6 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
     for frame in frames:
         locs, diag = run_fusion_frame(frame, calib, cfg, benchmarks)
         frame_diags.append(diag)
-        if baseline_only:
-            continue
         for loc in locs:
             tracks.setdefault(loc.object_id, []).append(
                 TrackSample(t=frame.t, x=loc.x_m, y=loc.y_m))
@@ -287,15 +288,13 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
     trajectories: dict = {}
     raw_track_ids = []
     for obj_id, samples in sorted(tracks.items()):
-        if not no_smoother and len(samples) < cfg.smoother.min_samples:
-            raw_track_ids.append(obj_id)
-        elif not no_smoother:
-            flags = detect_outliers(samples, cfg.smoother, cfg.rng_seed)
+        if not no_smoother:
             try:
+                flags = detect_outliers(samples, cfg.smoother, cfg.rng_seed)
                 samples = smooth_and_interpolate(samples, flags, grid=[
                     t for t in frame_times
                     if samples[0].t <= t <= samples[-1].t]).samples
-            except TooFewInliers as exc:
+            except (TooFewSamples, TooFewInliers) as exc:
                 log.info("object %d: raw track kept (%s)", obj_id, exc)
                 raw_track_ids.append(obj_id)
         trajectories[obj_id] = samples
@@ -306,7 +305,6 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
         "sequence": seq_dir.name,
         "n_frames": len(frames),
         "rng_seed": cfg.rng_seed,
-        "baseline_only": baseline_only,
         "smoother": not no_smoother,
         "raw_track_ids": raw_track_ids,
         "soft_failures": sum(

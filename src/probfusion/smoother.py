@@ -35,7 +35,7 @@ class SmootherConfig:
                      at_least=DETECT_ORDER + 1)
         check_number("min_samples", self.min_samples, integer=True,
                      above=SMOOTH_ORDER + 1)
-        check_number("sigma_floor", self.sigma_floor)
+        check_number("sigma_floor", self.sigma_floor, at_least=0)
 
 
 @dataclass(frozen=True)

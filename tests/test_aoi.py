@@ -31,6 +31,14 @@ class TestEnlargeAoi:
                                              up=0.0, down=0.0), intr)
         assert big.u_max == 640.0
 
+    @pytest.mark.parametrize("edges", [(700, 50, 750, 150),
+                                       (-200, 50, -130, 150),
+                                       (100, 500, 200, 560)])
+    def test_no_area_inside_image_is_none(self, intr, edges):
+        # Right of, left of and below the 640 x 480 image, by more than
+        # the enlargement reaches.
+        assert enlarge_aoi(make_box(*edges), EnlargeRatios(), intr) is None
+
     def test_metadata_preserved(self, intr):
         box = make_box(class_label="pedestrian", object_id=7)
         big = enlarge_aoi(box, EnlargeRatios(), intr)
