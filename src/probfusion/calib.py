@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -98,10 +97,10 @@ def project_xyz(intr: CameraIntrinsics, extr: ExtrinsicTransform,
     return uv, valid
 
 
-def default_extrinsic(translation: Sequence[float] = (0.0, 0.0, 0.0)) -> ExtrinsicTransform:
+def default_extrinsic() -> ExtrinsicTransform:
     """Extrinsic for a camera colocated with the LiDAR, looking forward."""
     return ExtrinsicTransform(rotation=LIDAR_TO_CAMERA_AXES.copy(),
-                              translation=np.asarray(translation, dtype=float))
+                              translation=np.zeros(3))
 
 
 def load_calibration(path) -> CalibrationPair:

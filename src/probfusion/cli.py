@@ -60,15 +60,15 @@ def main():
               help="Scene rng_seed; default the scene file's, or 0.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @click.option("--ideal", is_flag=True,
-              help="Skip error injection (zero-error oracle sequence).")
+              help="Simulate with the all-zero ErrorModel (ideal mappings).")
 def simulate(scene, seed, out, ideal):
     """Generate a synthetic sequence directory with ground truth."""
     spec = (simmod.load_scene_spec(scene) if scene is not None
             else simmod.overtaking_scene())
     if seed is not None:
         spec = dataclasses.replace(spec, rng_seed=seed)
-    frames = simmod.write_sequence_dir(
-        out, spec, None if ideal else simmod.DEFAULT_ERROR_MODEL)
+    err = simmod.ErrorModel() if ideal else simmod.DEFAULT_ERROR_MODEL
+    frames = simmod.write_sequence_dir(out, spec, err)
     click.echo(f"wrote {len(frames)} frames to {out}")
 
 
@@ -101,8 +101,7 @@ def fuse(sequence_dir, config_path, seed, out, no_smoother):
 @click.argument("cluster_files", nargs=-1,
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-@click.option("--min-samples", type=int, default=10, show_default=True)
-def benchmark_shapes(cluster_files, out, min_samples):
+def benchmark_shapes(cluster_files, out):
     """Build a benchmark registry from labeled cluster files.
 
     Each input is a JSON file {"class": ..., "points": [[u, v], ...]}.
@@ -122,7 +121,7 @@ def benchmark_shapes(cluster_files, out, min_samples):
         except (KeyError, TypeError, ValueError, FusionError) as exc:
             raise ValueError(f"bad cluster file {path}: {exc}") from None
     registry = BenchmarkShapeRegistry(
-        shapes={cls: build_benchmark(descs, min_samples=min_samples)
+        shapes={cls: build_benchmark(descs)
                 for cls, descs in by_class.items()},
         sample_counts={cls: len(descs) for cls, descs in by_class.items()})
     registry.save(out)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -139,22 +138,19 @@ def seed_bin_centers(ranges: np.ndarray, cfg: ClusteringConfig,
 
 
 def merge_close_centers(centers: np.ndarray, granularity: float,
-                        weights: Optional[np.ndarray] = None) -> np.ndarray:
+                        weights: np.ndarray) -> np.ndarray:
     """Collapse anchor centers closer than one bin width.
 
     Two anchors inside the same granularity window would split a single
-    object's points across bins; they are replaced by their (optionally
-    weighted) mean. Scanning in ascending order, an anchor joins the
+    object's points across bins; they are replaced by their weighted
+    mean. Scanning in ascending order, an anchor joins the
     current group when it lies less than one granularity above the
     group's mean.
     """
     centers = np.asarray(centers, dtype=float).ravel()
     order = np.argsort(centers)
     centers = centers[order]
-    if weights is None:
-        weights = np.ones_like(centers)
-    else:
-        weights = np.asarray(weights, dtype=float).ravel()[order]
+    weights = np.asarray(weights, dtype=float).ravel()[order]
     cs, ws = centers.tolist(), weights.tolist()
     means: list[float] = []  # the last one is the open group's
     for i, (c, w) in enumerate(zip(cs, ws)):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -37,15 +37,13 @@ class PipelineConfig:
     benchmark_registry_path: Optional[Path] = None
     ransac_ground: RansacPlaneConfig = field(default_factory=RansacPlaneConfig)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
-    enlarge_ratios: dict = field(
-        default_factory=lambda: {"default": EnlargeRatios()})
+    enlarge_ratios: dict = field(default_factory=dict)
     shape_filter: ShapeFilterConfig = field(default_factory=ShapeFilterConfig)
     smoother: SmootherConfig = field(default_factory=SmootherConfig)
     tolerance: ToleranceConfig = field(default_factory=ToleranceConfig)
     guarantee: GuaranteeConfig = field(default_factory=GuaranteeConfig)
     target_object_ids: Optional[list] = None  # None = aggregate all objects
     rng_seed: int = 0  # seeds ground RANSAC, K-Means and the smoother
-    output_dir: Optional[Path] = None
 
     def ratios_for(self, class_label: str) -> EnlargeRatios:
         ratios = self.enlarge_ratios
@@ -62,8 +60,8 @@ def load_pipeline_config(path) -> PipelineConfig:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     unknown = sorted(raw.keys() - {key for key, _ in STAGES} - {
-        "calibration", "benchmark_registry", "output_dir", "rng_seed",
-        "target_object_ids", "enlarge_ratios"})
+        "calibration", "benchmark_registry", "rng_seed", "target_object_ids",
+        "enlarge_ratios"})
     if unknown:
         raise ConfigError(f"invalid config {path}: unknown key {unknown[0]!r}")
     base = path.parent
@@ -124,7 +122,6 @@ def load_pipeline_config(path) -> PipelineConfig:
                         for label, vals in ratios.items()},
         target_object_ids=targets,
         rng_seed=seed,
-        output_dir=resolve("output_dir"),
         **stages,
     )
 
@@ -133,7 +130,6 @@ def write_pipeline_config(path, *, calibration="calibration.json",
                           benchmark_registry=None, **overrides) -> None:
     """Write a config JSON with the library defaults plus overrides."""
     payload = {"calibration": str(calibration), "rng_seed": 0,
-               "enlarge_ratios": {"default": asdict(EnlargeRatios())},
                **{key: {} for key, _ in STAGES}}
     if benchmark_registry is not None:
         payload["benchmark_registry"] = str(benchmark_registry)

@@ -110,7 +110,6 @@ def align_to_ground_truth(samples, gt: dict, object_id: int,
 class GuaranteeResult:
     empirical_probability: float
     passed: bool
-    per_frame_missed: list
 
 
 def selection_completeness(per_frame: Sequence[tuple],
@@ -123,20 +122,16 @@ def selection_completeness(per_frame: Sequence[tuple],
     """
     if not per_frame:
         raise EmptyInput("no frames to evaluate")
-    missed = []
     ok = 0
     for selected, true_members in per_frame:
         true_set = set(int(i) for i in true_members)
         hit = len(true_set & set(int(i) for i in selected))
         m = len(true_set) - hit
-        missed.append(m)
         t1 = g.t1 if g.t1_fraction is None else g.t1_fraction * len(true_set)
         if m < t1:
             ok += 1
     prob = ok / len(per_frame)
-    return GuaranteeResult(empirical_probability=prob,
-                           passed=prob >= g.t2,
-                           per_frame_missed=missed)
+    return GuaranteeResult(empirical_probability=prob, passed=prob >= g.t2)
 
 
 def paired_t_test(before: Sequence[float],

@@ -255,13 +255,13 @@ def _evaluate(frames, gt, cfg, frame_diags, trajectories) -> dict:
 def run_sequence(seq_dir, cfg: PipelineConfig,
                  out_dir=None,
                  no_smoother: bool = False) -> dict:
-    """Fuse a whole sequence directory; writes trajectories and a report.
+    """Fuse a whole sequence directory; writes trajectories and a report
+    to out_dir, by default <seq_dir>/output.
 
     Returns the report dict (also written to <out>/report.json).
     """
     seq_dir = Path(seq_dir)
-    out = Path(out_dir) if out_dir is not None else \
-        (cfg.output_dir or seq_dir / "output")
+    out = Path(out_dir) if out_dir is not None else seq_dir / "output"
     out.mkdir(parents=True, exist_ok=True)
 
     frames, gt = load_sequence(seq_dir)  # raises EmptySequence

@@ -166,7 +166,9 @@ def _smoothed(weights: np.ndarray, smoothing: float) -> np.ndarray:
 
 
 def _kl(pw: np.ndarray, qw: np.ndarray) -> float:
-    return float(np.sum(pw * np.log(pw / qw)))
+    # The sum rounds to just below 0 when pw equals qw or nearly so;
+    # KL is never negative.
+    return max(float(np.sum(pw * np.log(pw / qw))), 0.0)
 
 
 def kl_divergence(p: ShapeDescriptor, q: ShapeDescriptor,
@@ -177,10 +179,14 @@ def kl_divergence(p: ShapeDescriptor, q: ShapeDescriptor,
 
 
 def similarity_score(d_kl: float, k: float = 1.0) -> float:
-    """Map a KL distance onto (0, 1]: 2 / (1 + exp(k * d))."""
+    """Map a KL distance onto [0, 1]: 2 / (1 + exp(k * d)), which is 0
+    where exp(k * d) overflows a float."""
     if d_kl < 0:
         raise ValueError("KL divergence cannot be negative")
-    return 2.0 / (1.0 + math.exp(k * d_kl))
+    try:
+        return 2.0 / (1.0 + math.exp(k * d_kl))
+    except OverflowError:
+        return 0.0
 
 
 def build_benchmark(descriptors: Sequence[ShapeDescriptor],

@@ -40,6 +40,11 @@ SIMULATED_GUARANTEE = GuaranteeConfig(t1=1.0, t2=0.9, t1_fraction=0.2)
 
 TRAJECTORY_KINDS = ("polynomial", "waypoints")
 
+POINT_DENSITY = 15000.0  # LiDAR returns per m^2 at 1 m range
+# reference_benchmarks' generator seed and silhouettes per class.
+REFERENCE_SEED = 12345
+REFERENCE_SAMPLES = 40
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -128,7 +133,7 @@ class SceneSpec:
     background_clutter: int = 30     # spurious points per frame
     n_ground_points: int = 3000
     sensor_height: float = 1.8       # LiDAR above ground, meters
-    point_density: float = 15000.0   # points per m^2 at 1 m range
+    point_density: float = POINT_DENSITY
     min_object_points: int = 3
     rng_seed: int = 0
 
@@ -162,8 +167,15 @@ class ErrorModel:
     dropout: float = 0.0                       # probability a detection is lost
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout <= 1.0:
-            raise InvalidSpec("dropout must lie in [0, 1]")
+        check_numbers("pixel_shift_halfwidth", self.pixel_shift_halfwidth,
+                      "a (u, v) pair of half-widths", 2, error=InvalidSpec)
+        for i, halfwidth in enumerate(self.pixel_shift_halfwidth):
+            check_number(f"pixel_shift_halfwidth[{i}]", halfwidth,
+                         at_least=0, error=InvalidSpec)
+        check_number("detection_jitter_px", self.detection_jitter_px,
+                     at_least=0, error=InvalidSpec)
+        check_number("dropout", self.dropout, at_least=0, at_most=1,
+                     error=InvalidSpec)
 
 
 DEFAULT_ERROR_MODEL = ErrorModel(pixel_shift_halfwidth=(40.0, 12.0),
@@ -405,26 +417,23 @@ def inject_mapping_errors(frame: SimulatedFrame, err: ErrorModel,
 
 
 def simulate_sequence(spec: SceneSpec, calib: CalibrationPair,
-                      err: Optional[ErrorModel] = None) -> list[SimulatedFrame]:
-    """generate -> render -> inject for every frame."""
-    frames = []
-    for skel in generate_scene(spec):
-        frame = render_frame(skel, spec, calib)
-        if err is not None:
-            frame = inject_mapping_errors(frame, err, rng_seed=spec.rng_seed)
-        frames.append(frame)
-    return frames
+                      err: ErrorModel = ErrorModel()) -> list[SimulatedFrame]:
+    """generate -> render -> inject err for every frame; the default
+    ErrorModel() is all zeros, which keeps the ideal mappings and boxes."""
+    return [inject_mapping_errors(render_frame(skel, spec, calib), err,
+                                  rng_seed=spec.rng_seed)
+            for skel in generate_scene(spec)]
 
 
 def write_sequence_dir(out, spec: SceneSpec,
-                       error_model: Optional[ErrorModel]) -> list[SimulatedFrame]:
-    """Simulate spec and write it as a sequence directory that fuse reads.
+                       error_model: ErrorModel) -> list[SimulatedFrame]:
+    """Simulate spec with error_model and write it as a sequence
+    directory that fuse reads; ErrorModel() writes an ideal sequence.
 
     Besides the frames (io.dump_simulated_sequence) the directory holds
     the reference shape benchmarks as benchmarks.json and a config.json
     with SIMULATED_RATIOS, SIMULATED_GUARANTEE, the scene's rng_seed and
-    its first object as target. error_model None keeps the ideal pixel
-    mappings. Returns the simulated frames.
+    its first object as target. Returns the simulated frames.
     """
     out = Path(out)
     calib = default_calibration()
@@ -469,26 +478,26 @@ def overtaking_scene(rng_seed: int = 0, duration: float = 5.2,
                      rng_seed=rng_seed)
 
 
-def reference_benchmarks(rng_seed: int = 12345,
-                         samples_per_class: int = 40) -> dict:
+def reference_benchmarks() -> dict:
     """Per-class benchmark descriptors from the class samplers.
 
     Stands in for the paper-style manual labeling step: descriptors of
-    freshly sampled silhouettes at varied ranges are averaged per class.
+    REFERENCE_SAMPLES freshly sampled silhouettes at varied ranges are
+    averaged per class.
     """
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(REFERENCE_SEED)
     benchmarks = {}
     for cls in ("car", "pedestrian", "escooter_rider"):
         width, height = CLASSES[cls].size_m
         descs = []
-        for _ in range(samples_per_class):
+        for _ in range(REFERENCE_SAMPLES):
             r = rng.uniform(8.0, 40.0)
-            n = max(30, int(round(15000.0 * width * height / (r * r))))
+            n = max(30, int(round(POINT_DENSITY * width * height / (r * r))))
             ab = _sample_silhouette(cls, width, height, n, rng)
             # Image v grows downward; flip b so "up" matches image rows.
             pts = np.column_stack([ab[:, 0], -ab[:, 1]])
             descs.append(compute_descriptor(pts))
-        benchmarks[cls] = build_benchmark(descs, min_samples=10)
+        benchmarks[cls] = build_benchmark(descs)
     return benchmarks
 
 

@@ -27,9 +27,10 @@ from probfusion.pipeline import run_fusion_frame, run_sequence
 from probfusion.shape import (ShapeFilterConfig, compute_descriptor, derotate,
                               principal_axis_angle, select_cluster)
 from probfusion.sim import (DEFAULT_ERROR_MODEL, SIMULATED_GUARANTEE,
-                            _sample_silhouette, default_calibration,
-                            overtaking_scene, reference_benchmarks,
-                            simulate_sequence, write_sequence_dir)
+                            ErrorModel, _sample_silhouette,
+                            default_calibration, overtaking_scene,
+                            reference_benchmarks, simulate_sequence,
+                            write_sequence_dir)
 from probfusion.shape import BenchmarkShapeRegistry
 from probfusion.smoother import (SmootherConfig, TrackSample, detect_outliers,
                                  smooth_and_interpolate)
@@ -92,7 +93,8 @@ def sequence_reports(tmp_path_factory):
     the default error model, each fused twice for the determinism check."""
     tmp = tmp_path_factory.mktemp("acceptance")
     out = {}
-    for label, err in (("ideal", None), ("errors", DEFAULT_ERROR_MODEL)):
+    for label, err in (("ideal", ErrorModel()),
+                       ("errors", DEFAULT_ERROR_MODEL)):
         seq_dir = tmp / f"seq_{label}"
         write_sequence_dir(seq_dir, overtaking_scene(rng_seed=0), err)
         cfg = load_pipeline_config(seq_dir / "config.json")

@@ -65,11 +65,13 @@ class TestSeedBinCenters:
 
 class TestMergeCloseCenters:
     def test_far_centers_untouched(self):
-        out = merge_close_centers(np.array([10.0, 30.0]), 2.0)
+        out = merge_close_centers(np.array([10.0, 30.0]), 2.0,
+                                  np.array([1.0, 1.0]))
         assert np.allclose(out, [10.0, 30.0])
 
     def test_close_pair_collapses_to_mean(self):
-        out = merge_close_centers(np.array([10.0, 10.8]), 2.0)
+        out = merge_close_centers(np.array([10.0, 10.8]), 2.0,
+                                  np.array([1.0, 1.0]))
         assert np.allclose(out, [10.4])
 
     def test_weighted_merge_follows_heavy_center(self):
@@ -275,16 +277,14 @@ class TestMatchesOracle:
     @settings(deadline=None, max_examples=200)
     @given(base=st.floats(1.0, 60.0),
            offsets=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12),
-           weights=st.none() | st.lists(st.floats(1.0, 400.0),
-                                        min_size=12, max_size=12),
+           weights=st.lists(st.floats(1.0, 400.0), min_size=12, max_size=12),
            g=st.floats(0.1, 4.0))
-    @example(base=-0.0, offsets=[-0.0, 2.0], weights=None, g=1.0)
+    @example(base=-0.0, offsets=[-0.0, 2.0], weights=[1.0] * 12, g=1.0)
     def test_merge_close_centers(self, base, offsets, weights, g):
         # Offsets within 3 m and bins up to 4 m wide make groups of 8
         # and more anchors, whose means numpy sums pairwise.
         centers = np.array(offsets) + base
-        if weights is not None:
-            weights = np.array(weights[:len(centers)])
+        weights = np.array(weights[:len(centers)])
         assert same_array(merge_close_centers(centers, g, weights),
                           oracles.merge_close_centers(centers, g, weights))
 

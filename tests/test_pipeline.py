@@ -41,7 +41,7 @@ from probfusion import smoother as smoother_module
 from probfusion.pipeline import run_fusion_frame, run_sequence
 from probfusion.shape import BenchmarkShapeRegistry
 from probfusion.sim import (DEFAULT_ERROR_MODEL, SIMULATED_GUARANTEE,
-                            SIMULATED_RATIOS, default_calibration,
+                            SIMULATED_RATIOS, ErrorModel, default_calibration,
                             overtaking_scene, reference_benchmarks,
                             save_scene_spec, scene_spec_to_json,
                             simulate_sequence, write_sequence_dir)
@@ -431,7 +431,7 @@ class TestPipelineConfig:
 
 
 class TestRunFusionFrame:
-    def _setup(self, tmp_path, err=None):
+    def _setup(self, tmp_path, err=ErrorModel()):
         write_sequence_dir(tmp_path, small_scene(), err)
         loaded, gt = load_sequence(tmp_path)
         cfg = load_pipeline_config(tmp_path / "config.json")
@@ -617,7 +617,7 @@ class TestRunSequence:
 
     def test_empty_sequence_raises(self, tmp_path):
         seq_dir = tmp_path / "seq"
-        write_sequence_dir(seq_dir, small_scene(), None)
+        write_sequence_dir(seq_dir, small_scene(), ErrorModel())
         cfg = load_pipeline_config(seq_dir / "config.json")
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -805,6 +805,16 @@ class TestCli:
         res = runner.invoke(cli_main, ["benchmark-shapes",
                                        "--out", str(tmp_path / "b.json")])
         assert res.exit_code == 1
+
+    def test_benchmark_shapes_min_samples_removed(self, tmp_path):
+        path = tmp_path / "cluster.json"
+        path.write_text('{"class": "car", "points": [[0, 0], [0, 1]]}')
+        res = CliRunner().invoke(cli_main, [
+            "benchmark-shapes", str(path), "--out", str(tmp_path / "b.json"),
+            "--min-samples", "3"])
+        assert res.exit_code == 2
+        assert "No such option '--min-samples'" in res.output
+        assert not (tmp_path / "b.json").exists()
 
     def test_evaluate_command(self, tmp_path):
         runner = CliRunner()
@@ -1127,7 +1137,7 @@ BAD_INPUTS = [
 @pytest.fixture(scope="module")
 def two_frame_sequence(tmp_path_factory):
     seq_dir = tmp_path_factory.mktemp("clean")
-    write_sequence_dir(seq_dir, small_scene(duration=0.2), None)
+    write_sequence_dir(seq_dir, small_scene(duration=0.2), ErrorModel())
     return seq_dir
 
 
@@ -1165,7 +1175,8 @@ BAD_CONFIG_KEYS = [
     ("seed-fraction", {"rng_seed": 1.5}, "rng_seed"),
     ("targets-text", {"target_object_ids": "1"}, "target_object_ids"),
     ("targets-fraction", {"target_object_ids": [1.5]}, "target_object_ids"),
-    ("output-dir-number", {"output_dir": 5}, "output_dir"),
+    ("output-dir-number", {"output_dir": 5}, "unknown key 'output_dir'"),
+    ("output-dir", {"output_dir": "out"}, "unknown key 'output_dir'"),
     ("kmeans-k-fraction", {"clustering": {"kmeans_k": 2.5}},
      "clustering: kmeans_k"),
     ("kmeans-max-iter-fraction", {"clustering": {"kmeans_max_iter": 2.5}},
@@ -1216,6 +1227,20 @@ def test_fuse_bad_config_key_exits_2_with_one_line(
     assert isinstance(res.exception, SystemExit)
     assert len(res.output.strip().splitlines()) == 1
     assert key in res.output
+
+
+def test_fuse_huge_sigmoid_gain_exits_0(tmp_path, two_frame_sequence):
+    # exp(gain * KL) overflows a float for the candidates least like
+    # their benchmark; they score the limit 0 instead of ending fuse.
+    seq = tmp_path / "seq"
+    shutil.copytree(two_frame_sequence, seq)
+    config = json.loads((seq / "config.json").read_text())
+    config["shape_filter"] = {"sigmoid_gain": 1000}
+    (seq / "config.json").write_text(json.dumps(config))
+    res = CliRunner().invoke(cli_main, [
+        "fuse", str(seq), "--config", str(seq / "config.json"),
+        "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
 
 
 def test_fuse_cluster_at_planar_origin_exits_0(tmp_path, two_frame_sequence):

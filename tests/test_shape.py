@@ -199,6 +199,21 @@ class TestKlDivergence:
         q = ShapeDescriptor(b / b.sum())
         assert kl_divergence(p, q) >= -1e-12
 
+    def test_own_benchmark_not_negative(self):
+        # The benchmark of one descriptor is its weights renormalized,
+        # which differ in the last bit; the KL sum then rounds to
+        # -2.2e-16, and scoring the points against it used to raise.
+        pts = np.array([[0, 3], [2, 2], [0, 3], [1, 3], [0, 0], [3, 2],
+                        [1, 3]], dtype=float)
+        d = compute_descriptor(pts)
+        with pytest.warns(UserWarning):
+            bench = build_benchmark([d])
+        assert kl_divergence(d, bench) == 0.0
+        cand = CandidateCluster(member_indices=np.arange(7),
+                                center_range=10.0, count=7)
+        score = score_candidate(pts, 10.0, bench, ShapeFilterConfig(), cand)
+        assert score.pre_rotation_score == 1.0
+
 
 class TestSimilarityScore:
     def test_zero_distance_full_score(self):
@@ -212,6 +227,11 @@ class TestSimilarityScore:
         ss = [similarity_score(float(d), k=1.0) for d in ds]
         assert all(a > b for a, b in zip(ss, ss[1:]))
         assert ss[-1] < 1e-10
+
+    def test_overflow_scores_zero(self):
+        assert similarity_score(709.0) == 2.0 / (1.0 + math.exp(709.0))
+        assert similarity_score(710.0) == 0.0
+        assert similarity_score(1.0, k=1e300) == 0.0
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
@@ -289,6 +309,18 @@ class TestSelectCluster:
                                        ShapeFilterConfig(sigmoid_gain=k))
             winners.add(id(chosen))
         assert len(winners) == 1
+
+    def test_huge_gain_selects(self):
+        # KL is 0.63 for the car and 0.02 for the pedestrian, so
+        # exp(10^4 * KL) overflows for the car alone; its score is the
+        # limit 0.
+        bench = self._ped_benchmark()
+        cands = [self._candidate(300, 10.0), self._candidate(300, 20.0)]
+        pts = [car_like(seed=4), pedestrian_like(seed=4)]
+        chosen, scores = select_cluster(
+            cands, pts, bench, ShapeFilterConfig(sigmoid_gain=10_000))
+        assert chosen is cands[1]
+        assert scores[0].post_rotation_score == 0.0
 
     def test_degenerate_candidate_loses(self):
         bench = self._ped_benchmark()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,23 @@ class TestInjectMappingErrors:
         with pytest.raises(InvalidSpec):
             ErrorModel(dropout=1.5)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"pixel_shift_halfwidth": (math.nan, 0.0)},
+         "pixel_shift_halfwidth[0] must be a finite number, got nan"),
+        ({"pixel_shift_halfwidth": (-40.0, 12.0)},
+         "pixel_shift_halfwidth[0] must be a finite number >= 0, got -40.0"),
+        ({"pixel_shift_halfwidth": (40.0,)},
+         "pixel_shift_halfwidth is (40.0,), not a (u, v) pair"),
+        ({"detection_jitter_px": -2},
+         "detection_jitter_px must be a finite number >= 0, got -2"),
+        ({"dropout": math.inf},
+         "dropout must be a finite number >= 0 and <= 1, got inf"),
+    ], ids=["shift-nan", "shift-negative", "shift-one", "jitter-negative",
+            "dropout-inf"])
+    def test_invalid_field_names_it(self, fields, message):
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            ErrorModel(**fields)
+
 
 class TestSimulateSequence:
     def test_end_to_end_determinism(self):
@@ -252,12 +270,21 @@ class TestMatchesOracle:
             assert frame_fields(a) == frame_fields(b)
         return got
 
-    @pytest.mark.parametrize("err", [None, DEFAULT_ERROR_MODEL],
+    @pytest.mark.parametrize("err", [ErrorModel(), DEFAULT_ERROR_MODEL],
                              ids=["ideal", "errors"])
     def test_default_scene(self, err):
         frames = self.assert_same_frames(overtaking_scene(),
                                          default_calibration(), err)
         assert all(fr.detections for fr in frames)
+
+    def test_no_error_model_is_ideal(self):
+        # The oracle keeps no error model as the frames render_frame
+        # returns, untouched.
+        spec = overtaking_scene(duration=1.0)
+        got = simulate_sequence(spec, default_calibration())
+        ref = oracles.simulate_sequence(spec, default_calibration(), None)
+        assert [frame_fields(a) for a in got] == \
+            [frame_fields(b) for b in ref]
 
     def test_full_sweep(self):
         spec = dataclasses.replace(overtaking_scene(rng_seed=1),
