@@ -74,7 +74,9 @@ def enlarge_aoi(box: BoundingBox, ratios: EnlargeRatios,
 def candidate_rows(uv: np.ndarray, valid: np.ndarray,
                    boxes: list[BoundingBox]) -> np.ndarray:
     """Ascending indices of the valid rows of an (N, 2) pixel array that
-    lie in the bounding rectangle of boxes (none without boxes).
+    lie in the bounding rectangle of boxes (none without boxes). valid
+    is a boolean mask of the rows, or the ascending indices of the valid
+    rows.
 
     Boxes are half-open, so every box's mask is False off these rows:
     ``valid & box.mask(uv)`` is True exactly on ``rows[box.mask(uv[rows])]``.
@@ -86,4 +88,6 @@ def candidate_rows(uv: np.ndarray, valid: np.ndarray,
                    v_min=min(b.v_min for b in boxes),
                    u_max=max(b.u_max for b in boxes),
                    v_max=max(b.v_max for b in boxes))
-    return np.flatnonzero(valid & hull.mask(uv))
+    if valid.dtype == bool:
+        return np.flatnonzero(valid & hull.mask(uv))
+    return valid[hull.mask(uv[valid])]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -120,9 +121,17 @@ def benchmark_shapes(cluster_files, out):
             by_class.setdefault(rec["class"], []).append(desc)
         except (KeyError, TypeError, ValueError, FusionError) as exc:
             raise ValueError(f"bad cluster file {path}: {exc}") from None
+    shapes = {}
+    for cls, descs in by_class.items():
+        # A class with fewer samples than recommended gets one stderr
+        # line naming it, not Python's warning with a source line.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            shapes[cls] = build_benchmark(descs)
+        for warning in caught:
+            click.echo(f"warning: {cls}: {warning.message}", err=True)
     registry = BenchmarkShapeRegistry(
-        shapes={cls: build_benchmark(descs)
-                for cls, descs in by_class.items()},
+        shapes=shapes,
         sample_counts={cls: len(descs) for cls, descs in by_class.items()})
     registry.save(out)
     click.echo(f"wrote benchmarks for {sorted(by_class)} to {out}")

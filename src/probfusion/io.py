@@ -435,6 +435,13 @@ def dump_simulated_sequence(seq_dir, frames, calib, spec) -> None:
     write_ground_truth(seq_dir, gt_records)
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_frames(fn, calls: list) -> list:
     """[fn(*args) for args in calls], in call order. Where this process
     may run on two or more CPUs and fork a child, and there are two or
@@ -453,9 +460,7 @@ def _map_frames(fn, calls: list) -> list:
     # CLI.
     import multiprocessing
 
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if (cpus < 2 or len(calls) < 2
+    if (usable_cpus() < 2 or len(calls) < 2
             or "fork" not in multiprocessing.get_all_start_methods()
             # A daemonic process may not start children.
             or multiprocessing.current_process().daemon):

@@ -1,22 +1,25 @@
 """Frame- and sequence-level orchestration of the fusion pipeline.
 
-Stage order per frame: crop -> ground fit/removal (skipped gracefully
-when no acceptable plane exists) -> projection -> per detection:
-enlarge AOI -> box mask -> mode clustering -> shape selection
-(skipped for a single candidate) -> localization. Per-object failures
-are soft: they are recorded in diagnostics and become trajectory gaps.
+Stage order per frame: projection -> baseline ranges in the original
+boxes (on a second thread for a large cloud, where two CPUs are free)
+beside crop -> ground fit/removal (skipped gracefully when no
+acceptable plane exists) -> enlarge AOI -> per detection: box mask on
+the kept rows -> mode clustering -> shape selection (skipped for a
+single candidate) -> localization. Per-object failures are soft: they
+are recorded in diagnostics and become trajectory gaps.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import ground
+from . import cluster, ground
 from .aoi import candidate_rows, enlarge_aoi
 from .calib import CalibrationPair, load_calibration, project_xyz
 from .classes import CLASSES
@@ -26,7 +29,8 @@ from .config import PipelineConfig
 from .errors import (EmptyCluster, EmptyInput, InsufficientPoints,
                      NoAcceptablePlane, NoQualifiedCluster, TooFewInliers,
                      TooFewSamples)
-from .io import FrameRecord, load_sequence, write_report, write_trajectory_csv
+from .io import (FrameRecord, load_sequence, usable_cpus, write_report,
+                 write_trajectory_csv)
 from .localize import ObjectLocalization, localize
 from .metrics import (align_to_ground_truth, mae_axis,
                       one_sample_right_tail_t_test, paired_t_test,
@@ -60,6 +64,33 @@ class FrameDiagnostics:
     objects: dict = field(default_factory=dict)  # object_id -> ObjectDiagnostics
 
 
+# Where the process may run on two or more CPUs, a cloud of at least
+# this many points takes its baseline ranges on a second thread while
+# the calling thread removes the ground. Below it, the two threads
+# trade the GIL for more than the thread saves. Threaded against inline
+# frames of the overtaking scene with 3k-120k ground points, medians of
+# 20-40 interleaved passes on 2 vCPUs, measured several times: +12% to
+# +45% at 3k points, +6% to +24% at 10k-20k, -9% to +16% at 30k-40k,
+# -3% to -11% at 50k, -7% to -15% at 60k-80k and -17% to -22% at 120k.
+THREADED_BASELINE_POINTS = 50_000
+
+
+def _baseline_ranges(cloud, uv, uv_valid, detections) -> list[list]:
+    """The baseline path, one list per detection: the planar ranges of
+    the valid points in the detection's original box, in cloud order,
+    with the raw mapping and no preprocessing.
+
+    It reaches planar_ranges through the cluster module: a traced run
+    rebinds this module's names to wrappers that assume one thread.
+    """
+    rows = candidate_rows(uv, uv_valid, detections)
+    # np.take gathers rows about twice as fast as uv[rows]. Column-major,
+    # so that a box mask reads u and v contiguously.
+    rows_uv = np.asfortranarray(np.take(uv, rows, axis=0))
+    ranges = cluster.planar_ranges(np.take(cloud, rows, axis=0))
+    return [ranges[det.mask(rows_uv)].tolist() for det in detections]
+
+
 def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
                      cfg: PipelineConfig,
                      benchmarks: Optional[BenchmarkShapeRegistry] = None,
@@ -68,33 +99,6 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
     diag = FrameDiagnostics(frame_id=frame.frame_id)
     cloud = np.asarray(frame.cloud, dtype=float).reshape(-1, 3)
 
-    crop = ground.crop_mask(cloud, cfg.ransac_ground)
-    diag.cropped_count = int(np.count_nonzero(crop))
-
-    # A crop that keeps every point of a contiguous cloud would copy it
-    # unchanged; the fit then reads the cloud itself.
-    if diag.cropped_count == len(cloud) and cloud.flags.c_contiguous:
-        cropped = cloud
-    else:
-        cropped = np.compress(crop, cloud, axis=0)
-    keep = crop.copy()
-    try:
-        model = ground.fit_ground_plane(cropped, cfg.ransac_ground,
-                                        cfg.rng_seed)
-        # A fit of the cloud itself has already marked the points within
-        # delta of its plane; any other fit is measured on the cloud.
-        if cropped is cloud and model.inliers is not None:
-            removed = model.inliers
-        else:
-            removed = ground.ground_mask(cloud, model,
-                                         cfg.ransac_ground.delta)
-        keep &= ~removed
-        diag.ground_removed_count = (diag.cropped_count
-                                     - int(np.count_nonzero(keep)))
-    except (InsufficientPoints, NoAcceptablePlane) as exc:
-        diag.ground_skipped = True
-        log.info("frame %d: ground removal skipped (%s)", frame.frame_id, exc)
-
     # Observed pixel mappings carry any upstream mapping error; recompute
     # from geometry only when the sequence provides none.
     if frame.observed_uv is not None:
@@ -102,31 +106,83 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
         uv_valid = np.asarray(frame.uv_valid, dtype=bool)
     else:
         uv, uv_valid = project_xyz(calib.intrinsics, calib.extrinsic, cloud)
-    diag.projected_count = int(np.count_nonzero(keep & uv_valid))
 
-    # Box masks, ranges and indices are taken on the valid rows inside
-    # the rectangle around all boxes, which hold every member of every
-    # box; rows is ascending, so every index list keeps cloud order.
-    # rows_uv is column-major, so that a box mask reads u and v
-    # contiguously.
-    bigs = [enlarge_aoi(det, cfg.ratios_for(det.class_label),
-                        calib.intrinsics) for det in frame.detections]
-    rows = candidate_rows(uv, uv_valid, [
-        *frame.detections, *(big for big in bigs if big is not None)])
-    rows_uv = np.asfortranarray(uv[rows])
-    rows_keep = keep[rows]
-    rows_ranges = planar_ranges(cloud[rows])
+    # The baseline path reads no ground result, so a large frame takes
+    # it on a second thread beside the ground removal. The thread has
+    # ended before this function returns or raises.
+    outcome = []
+
+    def take_baseline():
+        try:
+            outcome.append(_baseline_ranges(cloud, uv, uv_valid,
+                                            frame.detections))
+        except BaseException as exc:
+            outcome.append(exc)
+
+    thread = None
+    if len(cloud) >= THREADED_BASELINE_POINTS and usable_cpus() >= 2:
+        thread = threading.Thread(target=take_baseline, daemon=True)
+        thread.start()
+    try:
+        crop = ground.crop_mask(cloud, cfg.ransac_ground)
+        diag.cropped_count = int(np.count_nonzero(crop))
+
+        # A crop that keeps every point of a contiguous cloud would copy
+        # it unchanged; the fit then reads the cloud itself.
+        if diag.cropped_count == len(cloud) and cloud.flags.c_contiguous:
+            cropped = cloud
+        else:
+            cropped = np.compress(crop, cloud, axis=0)
+        keep = crop.copy()
+        try:
+            model = ground.fit_ground_plane(cropped, cfg.ransac_ground,
+                                            cfg.rng_seed)
+            # A fit of the cloud itself has already marked the points
+            # within delta of its plane; any other fit is measured on the
+            # cloud.
+            if cropped is cloud and model.inliers is not None:
+                removed = model.inliers
+            else:
+                removed = ground.ground_mask(cloud, model,
+                                             cfg.ransac_ground.delta)
+            keep &= ~removed
+            diag.ground_removed_count = (diag.cropped_count
+                                         - int(np.count_nonzero(keep)))
+        except (InsufficientPoints, NoAcceptablePlane) as exc:
+            diag.ground_skipped = True
+            log.info("frame %d: ground removal skipped (%s)",
+                     frame.frame_id, exc)
+        kept = np.flatnonzero(keep & uv_valid)
+        diag.projected_count = len(kept)
+
+        # Member masks, ranges and indices are taken on the kept rows
+        # inside the rectangle around the enlarged boxes, which hold
+        # every member of every enlarged box; rows is ascending, so every
+        # index list keeps cloud order.
+        bigs = [enlarge_aoi(det, cfg.ratios_for(det.class_label),
+                            calib.intrinsics) for det in frame.detections]
+        rows = candidate_rows(uv, kept, [big for big in bigs
+                                         if big is not None])
+        rows_uv = np.asfortranarray(np.take(uv, rows, axis=0))
+        rows_ranges = planar_ranges(np.take(cloud, rows, axis=0))
+    finally:
+        if thread is not None:
+            thread.join()
+    if thread is None:
+        take_baseline()
+    baseline_ranges, = outcome
+    if isinstance(baseline_ranges, BaseException):
+        raise baseline_ranges
     localizations = []
-    for det, big in zip(frame.detections, bigs):
+    for det, big, det_baseline in zip(frame.detections, bigs,
+                                      baseline_ranges):
         odiag = ObjectDiagnostics(object_id=det.object_id,
-                                  class_label=det.class_label)
+                                  class_label=det.class_label,
+                                  baseline_ranges=det_baseline)
         diag.objects[det.object_id] = odiag
 
-        # Baseline path: raw mapping, original AOI, no preprocessing.
-        odiag.baseline_ranges = rows_ranges[det.mask(rows_uv)].tolist()
-
         # An enlarged AOI with no area inside the image holds no point.
-        members = (np.flatnonzero(rows_keep & big.mask(rows_uv))
+        members = (np.flatnonzero(big.mask(rows_uv))
                    if big is not None else np.empty(0, dtype=np.intp))
         member_idx = rows[members]
         member_ranges = rows_ranges[members]

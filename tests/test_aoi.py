@@ -152,6 +152,9 @@ class TestCandidateRows:
                          dtype=bool)
         rows = candidate_rows(uv, valid, boxes)
         assert np.all(np.diff(rows) > 0)
+        # The valid rows given as indices select the same rows.
+        assert np.array_equal(
+            candidate_rows(uv, np.flatnonzero(valid), boxes), rows)
         if not boxes:
             assert len(rows) == 0
         for box in boxes:

@@ -8,6 +8,7 @@ import os
 import shutil
 import signal
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -24,8 +25,9 @@ from probfusion.cli import main as cli_main
 from probfusion.config import (PipelineConfig, load_pipeline_config,
                                write_pipeline_config)
 from probfusion.errors import ConfigError, EmptySequence, FusionError
-from probfusion.io import (WRITE_BLOCK_ROWS, _map_frames, cloud_csv_path,
-                           load_sequence,
+from probfusion.ground import RansacPlaneConfig
+from probfusion.io import (WRITE_BLOCK_ROWS, FrameRecord, _map_frames,
+                           cloud_csv_path, load_sequence,
                            read_detections, read_frame_cloud,
                            read_ground_truth, read_trajectory_csv,
                            write_detections, write_frame_cloud,
@@ -39,6 +41,7 @@ from probfusion import pipeline as pipeline_module
 from probfusion import shape as shape_module
 from probfusion import smoother as smoother_module
 from probfusion.pipeline import run_fusion_frame, run_sequence
+from probfusion.pipeline import _baseline_ranges as BASELINE_RANGES
 from probfusion.shape import BenchmarkShapeRegistry
 from probfusion.sim import (DEFAULT_ERROR_MODEL, SIMULATED_GUARANTEE,
                             SIMULATED_RATIOS, ErrorModel, default_calibration,
@@ -625,6 +628,137 @@ class TestRunSequence:
             run_sequence(empty, cfg, out_dir=tmp_path / "out")
 
 
+@pytest.fixture(scope="module")
+def dense_frame():
+    """The first frame of the default fixture with a 120k-point sweep of
+    ground points, as the dense benchmark workload builds its frames,
+    with its calibration and the reference benchmark shapes."""
+    spec = dataclasses.replace(overtaking_scene(rng_seed=1),
+                               n_ground_points=120_000, frame_rate=1.0,
+                               duration=1.0)
+    calib = default_calibration()
+    fr = simulate_sequence(spec, calib, DEFAULT_ERROR_MODEL)[0]
+    frame = FrameRecord(frame_id=fr.frame_id, t=fr.t, cloud=fr.cloud,
+                        observed_uv=fr.observed_uv, uv_valid=fr.uv_valid,
+                        detections=fr.detections)
+    registry = BenchmarkShapeRegistry(shapes=reference_benchmarks(),
+                                      sample_counts={})
+    return frame, calib, registry
+
+
+class TestThreadedBaseline:
+    """Where two CPUs are free, a cloud of THREADED_BASELINE_POINTS or
+    more takes its baseline ranges on a second thread. Every output is
+    the one of the inline path, an exception of either thread reaches
+    the caller, and no thread outlives the call."""
+
+    @staticmethod
+    def fuse(monkeypatch, frame, calib, cfg, registry, cpus):
+        """run_fusion_frame as if on cpus CPUs; also, for each call of
+        _baseline_ranges, whether it ran on the calling thread."""
+        use_cpus(monkeypatch, cpus)
+        caller, on_caller = threading.current_thread(), []
+
+        def spy(*args):
+            on_caller.append(threading.current_thread() is caller)
+            return BASELINE_RANGES(*args)
+
+        monkeypatch.setattr(pipeline_module, "_baseline_ranges", spy)
+        before = threading.active_count()
+        result = run_fusion_frame(frame, calib, cfg, registry)
+        assert threading.active_count() == before
+        return result, on_caller
+
+    @pytest.mark.parametrize("variant", ["as simulated", "no detections",
+                                         "box outside the image",
+                                         "ground skipped"])
+    def test_threaded_equals_inline(self, monkeypatch, dense_frame, variant):
+        frame, calib, registry = dense_frame
+        cfg = conftest.in_memory_config()
+        if variant == "no detections":
+            frame = dataclasses.replace(frame, detections=[])
+        elif variant == "box outside the image":
+            # The image is 1280 wide, so the enlarged box is None.
+            ghost = BoundingBox(frame.frame_id, 99, "pedestrian",
+                                1400.0, 300.0, 1450.0, 400.0)
+            frame = dataclasses.replace(
+                frame, detections=[*frame.detections, ghost])
+        elif variant == "ground skipped":
+            # With eps 0 a plane must hold every cropped point.
+            cfg = dataclasses.replace(
+                cfg, ransac_ground=RansacPlaneConfig(eps=0.0))
+        assert len(frame.cloud) >= pipeline_module.THREADED_BASELINE_POINTS
+        threaded, threaded_on_caller = self.fuse(monkeypatch, frame, calib,
+                                                 cfg, registry, cpus=2)
+        inline, inline_on_caller = self.fuse(monkeypatch, frame, calib, cfg,
+                                             registry, cpus=1)
+        assert (threaded_on_caller, inline_on_caller) == ([False], [True])
+        assert repr(threaded) == repr(inline)
+
+        locs, diag = threaded
+        assert diag.ground_skipped == (variant == "ground skipped")
+        assert len(diag.objects) == len(frame.detections)
+        if variant == "as simulated":
+            assert locs
+        if variant == "box outside the image":
+            assert diag.objects[99].status == "NoQualifiedCluster"
+        # The baseline path holds every valid point in the original box.
+        for det in frame.detections:
+            inside = frame.uv_valid & det.mask(frame.observed_uv)
+            assert (diag.objects[det.object_id].baseline_ranges
+                    == np.hypot(*frame.cloud[inside, :2].T).tolist())
+
+    def test_small_cloud_stays_inline(self, monkeypatch):
+        calib = default_calibration()
+        fr = simulate_sequence(small_scene(duration=0.1), calib,
+                               DEFAULT_ERROR_MODEL)[0]
+        assert len(fr.cloud) < pipeline_module.THREADED_BASELINE_POINTS
+        _, on_caller = self.fuse(monkeypatch, fr, calib,
+                                 conftest.in_memory_config(), None, cpus=2)
+        assert on_caller == [True]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_baseline_exception_reaches_caller(self, monkeypatch,
+                                               dense_frame, cpus):
+        frame, calib, registry = dense_frame
+
+        def fail(*args):
+            raise RuntimeError("baseline failed")
+
+        monkeypatch.setattr(pipeline_module, "_baseline_ranges", fail)
+        use_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="baseline failed"):
+            run_fusion_frame(frame, calib, conftest.in_memory_config(),
+                             registry)
+        assert threading.active_count() == before
+
+    def test_caller_exception_waits_for_thread(self, monkeypatch,
+                                               dense_frame):
+        # The crop fails while the baseline thread is still asleep; the
+        # crop's exception is raised once the thread has ended.
+        frame, calib, registry = dense_frame
+        ended = []
+
+        def slow(*args):
+            time.sleep(0.2)
+            ended.append(True)
+            return BASELINE_RANGES(*args)
+
+        def fail(*args):
+            raise RuntimeError("crop failed")
+
+        monkeypatch.setattr(pipeline_module, "_baseline_ranges", slow)
+        monkeypatch.setattr(ground_module, "crop_mask", fail)
+        use_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="crop failed"):
+            run_fusion_frame(frame, calib, conftest.in_memory_config(),
+                             registry)
+        assert ended == [True]
+        assert threading.active_count() == before
+
+
 class TestStageOracles:
     """Fusing with the library's stages gives what fusing with the
     reference versions in oracles.py gives: the same localizations and
@@ -774,6 +908,25 @@ class TestCli:
         reg = BenchmarkShapeRegistry.load(out)
         assert "pedestrian" in reg.shapes
         assert reg.sample_counts["pedestrian"] == 12
+
+    def test_benchmark_shapes_few_samples_one_line(self, tmp_path):
+        # Fewer than 10 files of a class: one stderr line naming the
+        # class, not Python's warning with a source path and line.
+        files = []
+        for cls, n in (("car", 2), ("pedestrian", 12)):
+            for i in range(n):
+                path = tmp_path / f"{cls}_{i}.json"
+                path.write_text(json.dumps({"class": cls, "points": [
+                    [0, 0], [0, 1 + i], [1, 0], [1, 1]]}))
+                files.append(str(path))
+        res = CliRunner().invoke(cli_main, ["benchmark-shapes", *files,
+                                            "--out", str(tmp_path / "b.json")])
+        assert res.exit_code == 0, res.output
+        assert res.stderr.splitlines() == [
+            "warning: car: benchmark built from only 2 samples "
+            "(recommended minimum 10)"]
+        reg = BenchmarkShapeRegistry.load(tmp_path / "b.json")
+        assert reg.sample_counts == {"car": 2, "pedestrian": 12}
 
     @pytest.mark.parametrize("text, message", [
         ("[1]", "cluster.json: not a JSON object"),
