@@ -397,10 +397,12 @@ def read_trajectory_csv(path) -> list:
 
 
 def write_report(path, report: dict) -> None:
-    """Canonical JSON: sorted keys, fixed indentation, trailing newline."""
+    """Canonical JSON: sorted keys, fixed indentation, trailing newline.
+    A NaN or an infinity raises ValueError before the file is opened,
+    instead of being written as a token that is not JSON."""
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def dump_simulated_sequence(seq_dir, frames, calib, spec) -> None:

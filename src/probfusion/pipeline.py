@@ -1,25 +1,28 @@
 """Frame- and sequence-level orchestration of the fusion pipeline.
 
-Stage order per frame: projection -> baseline ranges in the original
-boxes (on a second thread for a large cloud, where two CPUs are free)
-beside crop -> ground fit/removal (skipped gracefully when no
-acceptable plane exists) -> enlarge AOI -> per detection: box mask on
-the kept rows -> mode clustering -> shape selection (skipped for a
-single candidate) -> localization. Per-object failures are soft: they
-are recorded in diagnostics and become trajectory gaps.
+Stage order per frame: projection -> crop -> ground fit/removal
+(skipped gracefully when no acceptable plane exists) -> enlarge AOI ->
+per detection: box mask on the kept rows -> mode clustering -> shape
+selection (skipped for a single candidate) -> localization. Per-object
+failures are soft: they are recorded in diagnostics and become
+trajectory gaps.
+
+The baseline that the evaluation compares the fusion with (the raw
+mapping in the original boxes, baseline_ranges) is not part of the
+fusion: run_sequence takes it per frame only for a sequence with
+ground truth.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import cluster, ground
+from . import ground
 from .aoi import candidate_rows, enlarge_aoi
 from .calib import CalibrationPair, load_calibration, project_xyz
 from .classes import CLASSES
@@ -29,7 +32,7 @@ from .config import PipelineConfig
 from .errors import (EmptyCluster, EmptyInput, InsufficientPoints,
                      NoAcceptablePlane, NoQualifiedCluster, TooFewInliers,
                      TooFewSamples)
-from .io import (FrameRecord, load_sequence, usable_cpus, write_report,
+from .io import (FrameRecord, load_sequence, write_report,
                  write_trajectory_csv)
 from .localize import ObjectLocalization, localize
 from .metrics import (align_to_ground_truth, mae_axis,
@@ -50,7 +53,6 @@ class ObjectDiagnostics:
     candidate_count: int = 0
     selected_indices: list = field(default_factory=list)  # cloud indices
     selected_ranges: list = field(default_factory=list)
-    baseline_ranges: list = field(default_factory=list)
     candidate_scores: list = field(default_factory=list)  # Fig-8 style rows
 
 
@@ -64,31 +66,31 @@ class FrameDiagnostics:
     objects: dict = field(default_factory=dict)  # object_id -> ObjectDiagnostics
 
 
-# Where the process may run on two or more CPUs, a cloud of at least
-# this many points takes its baseline ranges on a second thread while
-# the calling thread removes the ground. Below it, the two threads
-# trade the GIL for more than the thread saves. Threaded against inline
-# frames of the overtaking scene with 3k-120k ground points, medians of
-# 20-40 interleaved passes on 2 vCPUs, measured several times: +12% to
-# +45% at 3k points, +6% to +24% at 10k-20k, -9% to +16% at 30k-40k,
-# -3% to -11% at 50k, -7% to -15% at 60k-80k and -17% to -22% at 120k.
-THREADED_BASELINE_POINTS = 50_000
+def _pixels(frame, calib: CalibrationPair):
+    """The frame's cloud and its pixel mapping: the observed one, which
+    carries any upstream mapping error, or, where the sequence provides
+    none, the one recomputed from geometry."""
+    cloud = np.asarray(frame.cloud, dtype=float).reshape(-1, 3)
+    if frame.observed_uv is not None:
+        uv = np.asarray(frame.observed_uv, dtype=float).reshape(-1, 2)
+        uv_valid = np.asarray(frame.uv_valid, dtype=bool)
+    else:
+        uv, uv_valid = project_xyz(calib.intrinsics, calib.extrinsic, cloud)
+    return cloud, uv, uv_valid
 
 
-def _baseline_ranges(cloud, uv, uv_valid, detections) -> list[list]:
-    """The baseline path, one list per detection: the planar ranges of
-    the valid points in the detection's original box, in cloud order,
-    with the raw mapping and no preprocessing.
-
-    It reaches planar_ranges through the cluster module: a traced run
-    rebinds this module's names to wrappers that assume one thread.
-    """
-    rows = candidate_rows(uv, uv_valid, detections)
+def baseline_ranges(frame, calib: CalibrationPair) -> list[list]:
+    """The baseline the evaluation compares the fusion with, one list
+    per detection: the planar ranges of the valid points in the
+    detection's original box, in cloud order, with the raw mapping and
+    no preprocessing."""
+    cloud, uv, uv_valid = _pixels(frame, calib)
+    rows = candidate_rows(uv, uv_valid, frame.detections)
     # np.take gathers rows about twice as fast as uv[rows]. Column-major,
     # so that a box mask reads u and v contiguously.
     rows_uv = np.asfortranarray(np.take(uv, rows, axis=0))
-    ranges = cluster.planar_ranges(np.take(cloud, rows, axis=0))
-    return [ranges[det.mask(rows_uv)].tolist() for det in detections]
+    ranges = planar_ranges(np.take(cloud, rows, axis=0))
+    return [ranges[det.mask(rows_uv)].tolist() for det in frame.detections]
 
 
 def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
@@ -97,88 +99,54 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
                      ) -> tuple[list[ObjectLocalization], FrameDiagnostics]:
     """Fuse one frame; returns localizations plus stage diagnostics."""
     diag = FrameDiagnostics(frame_id=frame.frame_id)
-    cloud = np.asarray(frame.cloud, dtype=float).reshape(-1, 3)
+    cloud, uv, uv_valid = _pixels(frame, calib)
 
-    # Observed pixel mappings carry any upstream mapping error; recompute
-    # from geometry only when the sequence provides none.
-    if frame.observed_uv is not None:
-        uv = np.asarray(frame.observed_uv, dtype=float).reshape(-1, 2)
-        uv_valid = np.asarray(frame.uv_valid, dtype=bool)
+    crop = ground.crop_mask(cloud, cfg.ransac_ground)
+    diag.cropped_count = int(np.count_nonzero(crop))
+
+    # A crop that keeps every point of a contiguous cloud would copy
+    # it unchanged; the fit then reads the cloud itself.
+    if diag.cropped_count == len(cloud) and cloud.flags.c_contiguous:
+        cropped = cloud
     else:
-        uv, uv_valid = project_xyz(calib.intrinsics, calib.extrinsic, cloud)
-
-    # The baseline path reads no ground result, so a large frame takes
-    # it on a second thread beside the ground removal. The thread has
-    # ended before this function returns or raises.
-    outcome = []
-
-    def take_baseline():
-        try:
-            outcome.append(_baseline_ranges(cloud, uv, uv_valid,
-                                            frame.detections))
-        except BaseException as exc:
-            outcome.append(exc)
-
-    thread = None
-    if len(cloud) >= THREADED_BASELINE_POINTS and usable_cpus() >= 2:
-        thread = threading.Thread(target=take_baseline, daemon=True)
-        thread.start()
+        cropped = np.compress(crop, cloud, axis=0)
+    keep = crop.copy()
     try:
-        crop = ground.crop_mask(cloud, cfg.ransac_ground)
-        diag.cropped_count = int(np.count_nonzero(crop))
-
-        # A crop that keeps every point of a contiguous cloud would copy
-        # it unchanged; the fit then reads the cloud itself.
-        if diag.cropped_count == len(cloud) and cloud.flags.c_contiguous:
-            cropped = cloud
+        model = ground.fit_ground_plane(cropped, cfg.ransac_ground,
+                                        cfg.rng_seed)
+        # A fit of the cloud itself has already marked the points
+        # within delta of its plane; any other fit is measured on the
+        # cloud.
+        if cropped is cloud and model.inliers is not None:
+            removed = model.inliers
         else:
-            cropped = np.compress(crop, cloud, axis=0)
-        keep = crop.copy()
-        try:
-            model = ground.fit_ground_plane(cropped, cfg.ransac_ground,
-                                            cfg.rng_seed)
-            # A fit of the cloud itself has already marked the points
-            # within delta of its plane; any other fit is measured on the
-            # cloud.
-            if cropped is cloud and model.inliers is not None:
-                removed = model.inliers
-            else:
-                removed = ground.ground_mask(cloud, model,
-                                             cfg.ransac_ground.delta)
-            keep &= ~removed
-            diag.ground_removed_count = (diag.cropped_count
-                                         - int(np.count_nonzero(keep)))
-        except (InsufficientPoints, NoAcceptablePlane) as exc:
-            diag.ground_skipped = True
-            log.info("frame %d: ground removal skipped (%s)",
-                     frame.frame_id, exc)
-        kept = np.flatnonzero(keep & uv_valid)
-        diag.projected_count = len(kept)
+            removed = ground.ground_mask(cloud, model,
+                                         cfg.ransac_ground.delta)
+        keep &= ~removed
+        diag.ground_removed_count = (diag.cropped_count
+                                     - int(np.count_nonzero(keep)))
+    except (InsufficientPoints, NoAcceptablePlane) as exc:
+        diag.ground_skipped = True
+        log.info("frame %d: ground removal skipped (%s)",
+                 frame.frame_id, exc)
+    kept = np.flatnonzero(keep & uv_valid)
+    diag.projected_count = len(kept)
 
-        # Member masks, ranges and indices are taken on the kept rows
-        # inside the rectangle around the enlarged boxes, which hold
-        # every member of every enlarged box; rows is ascending, so every
-        # index list keeps cloud order.
-        bigs = [enlarge_aoi(det, cfg.ratios_for(det.class_label),
-                            calib.intrinsics) for det in frame.detections]
-        rows = candidate_rows(uv, kept, [big for big in bigs
-                                         if big is not None])
-        rows_uv = np.asfortranarray(np.take(uv, rows, axis=0))
-        rows_ranges = planar_ranges(np.take(cloud, rows, axis=0))
-    finally:
-        if thread is not None:
-            thread.join()
-    if thread is None:
-        take_baseline()
-    baseline_ranges, = outcome
-    if isinstance(baseline_ranges, BaseException):
-        raise baseline_ranges
+    # Member masks, ranges and indices are taken on the kept rows
+    # inside the rectangle around the enlarged boxes, which hold
+    # every member of every enlarged box; rows is ascending, so every
+    # index list keeps cloud order.
+    bigs = [enlarge_aoi(det, cfg.ratios_for(det.class_label),
+                        calib.intrinsics) for det in frame.detections]
+    rows = candidate_rows(uv, kept, [big for big in bigs
+                                     if big is not None])
+    rows_uv = np.asfortranarray(np.take(uv, rows, axis=0))
+    rows_ranges = planar_ranges(np.take(cloud, rows, axis=0))
+
     localizations = []
-    for det, big, det_baseline in zip(frame.detections, bigs,
-                                      baseline_ranges):
+    for det, big in zip(frame.detections, bigs):
         odiag = ObjectDiagnostics(object_id=det.object_id,
-                                  class_label=det.class_label,
-                                  baseline_ranges=det_baseline)
+                                  class_label=det.class_label)
         diag.objects[det.object_id] = odiag
 
         # An enlarged AOI with no area inside the image holds no point.
@@ -226,6 +194,14 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
     return localizations, diag
 
 
+def _t_block(t_stat, p_val, n) -> dict:
+    """A t-test in the report. A zero-variance sample gives t = +-inf,
+    which JSON cannot hold; t is then null (unknown), and p and n are
+    kept."""
+    return {"t": t_stat if np.isfinite(t_stat) else None, "p_value": p_val,
+            "n": n}
+
+
 def _metrics_block(pairs, guarantee_frames, mae_rows, cfg) -> dict:
     """TPR means and paired t-test of (baseline, fusion) TPR pairs, the
     guarantee over (selected, true members) frames, and MAE per axis of
@@ -236,9 +212,7 @@ def _metrics_block(pairs, guarantee_frames, mae_rows, cfg) -> dict:
         block["baseline_tpr_mean"] = float(np.mean(baseline))
         block["fusion_tpr_mean"] = float(np.mean(fusion))
         if len(pairs) >= 2:
-            t_stat, p_val, n_pairs = paired_t_test(baseline, fusion)
-            block["paired_t"] = {"t": t_stat, "p_value": p_val,
-                                 "n": n_pairs}
+            block["paired_t"] = _t_block(*paired_t_test(baseline, fusion))
     if guarantee_frames:
         guard = selection_completeness(guarantee_frames, cfg.guarantee)
         block["guarantee"] = {"probability": guard.empirical_probability,
@@ -250,18 +224,23 @@ def _metrics_block(pairs, guarantee_frames, mae_rows, cfg) -> dict:
     return block
 
 
-def _evaluate(frames, gt, cfg, frame_diags, trajectories) -> dict:
+def _evaluate(frames, gt, cfg, frame_diags, frame_baselines,
+              trajectories) -> dict:
     """Per-object and aggregate metrics against simulator ground truth.
 
-    A frame counts for an object when the ground truth has the object;
-    it gives a TPR pair when both the baseline and the selected point
-    sets are non-empty. The aggregate takes the target objects (all by
+    frame_baselines holds baseline_ranges of each frame. A frame counts
+    for an object when the ground truth has the object; it gives a TPR
+    pair when both the baseline and the selected point sets are
+    non-empty. The aggregate takes the target objects (all by
     default) in id order: TPR and guarantee from those with pairs, MAE
     from every one.
     """
     per_object: dict = {}
-    for frame, diag in zip(frames, frame_diags):
+    for frame, diag, frame_baseline in zip(frames, frame_diags,
+                                           frame_baselines):
         gt_frame = gt.get(frame.frame_id, {})
+        baselines = dict(zip([det.object_id for det in frame.detections],
+                             frame_baseline))
         for obj_id, odiag in diag.objects.items():
             gt_obj = gt_frame.get(obj_id)
             if gt_obj is None:
@@ -272,11 +251,11 @@ def _evaluate(frames, gt, cfg, frame_diags, trajectories) -> dict:
             entry["frames"] += 1
             entry["guarantee_frames"].append(
                 (odiag.selected_indices, gt_obj["members"]))
-            if odiag.baseline_ranges and odiag.selected_ranges:
+            if baselines[obj_id] and odiag.selected_ranges:
                 entry["pairs"].append(tuple(
                     tpr(ranges, gt_obj["range"], odiag.class_label,
                         cfg.tolerance).rate
-                    for ranges in (odiag.baseline_ranges,
+                    for ranges in (baselines[obj_id],
                                    odiag.selected_ranges)))
 
     frame_times = {frame.frame_id: frame.t for frame in frames}
@@ -302,9 +281,9 @@ def _evaluate(frames, gt, cfg, frame_diags, trajectories) -> dict:
                  **_metrics_block(target_pairs, target_guarantee_frames,
                                   target_mae_rows, cfg)}
     if len(target_pairs) >= 2:
-        t1, p1, n1 = one_sample_right_tail_t_test(
-            [fusion for _, fusion in target_pairs], 0.5)
-        aggregate["one_sample_t_vs_0.5"] = {"t": t1, "p_value": p1, "n": n1}
+        aggregate["one_sample_t_vs_0.5"] = _t_block(
+            *one_sample_right_tail_t_test(
+                [fusion for _, fusion in target_pairs], 0.5))
     return {"objects": report_objects, "aggregate": aggregate}
 
 
@@ -326,11 +305,13 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
     if cfg.benchmark_registry_path is not None:
         benchmarks = BenchmarkShapeRegistry.load(cfg.benchmark_registry_path)
 
-    frame_diags = []
+    frame_diags, frame_baselines = [], []
     tracks: dict = {}
     for frame in frames:
         locs, diag = run_fusion_frame(frame, calib, cfg, benchmarks)
         frame_diags.append(diag)
+        if gt is not None:
+            frame_baselines.append(baseline_ranges(frame, calib))
         for loc in locs:
             tracks.setdefault(loc.object_id, []).append(
                 TrackSample(t=frame.t, x=loc.x_m, y=loc.y_m))
@@ -371,7 +352,7 @@ def run_sequence(seq_dir, cfg: PipelineConfig,
     }
     if gt is not None:
         report["evaluation"] = _evaluate(frames, gt, cfg, frame_diags,
-                                         trajectories)
+                                         frame_baselines, trajectories)
     write_report(out / "report.json", report)
     return report
 

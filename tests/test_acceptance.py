@@ -23,7 +23,8 @@ from probfusion.localize import representative_point
 from probfusion.metrics import (ToleranceConfig, one_sample_right_tail_t_test,
                                 paired_t_test, selection_completeness,
                                 tolerance_band, tpr)
-from probfusion.pipeline import run_fusion_frame, run_sequence
+from probfusion.pipeline import (baseline_ranges, run_fusion_frame,
+                                 run_sequence)
 from probfusion.shape import (ShapeFilterConfig, compute_descriptor, derotate,
                               principal_axis_angle, select_cluster)
 from probfusion.sim import (DEFAULT_ERROR_MODEL, SIMULATED_GUARANTEE,
@@ -66,10 +67,11 @@ def run_hypothesis_trials(seeds):
             odiag = diag.objects.get(1)
             if odiag is None:
                 continue
+            baseline = dict(zip([det.object_id for det in fr.detections],
+                                baseline_ranges(fr, calib)))[1]
             gt_range = fr.gt_poses[1]["range"]
-            if odiag.baseline_ranges and odiag.selected_ranges:
-                b_list.append(tpr(odiag.baseline_ranges, gt_range,
-                                  "car", tol).rate)
+            if baseline and odiag.selected_ranges:
+                b_list.append(tpr(baseline, gt_range, "car", tol).rate)
                 f_list.append(tpr(odiag.selected_ranges, gt_range,
                                   "car", tol).rate)
             members = np.nonzero(fr.labels == 1)[0].tolist()

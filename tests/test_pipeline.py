@@ -40,8 +40,8 @@ from probfusion import io as io_module
 from probfusion import pipeline as pipeline_module
 from probfusion import shape as shape_module
 from probfusion import smoother as smoother_module
-from probfusion.pipeline import run_fusion_frame, run_sequence
-from probfusion.pipeline import _baseline_ranges as BASELINE_RANGES
+from probfusion.pipeline import (baseline_ranges, run_fusion_frame,
+                                 run_sequence)
 from probfusion.shape import BenchmarkShapeRegistry
 from probfusion.sim import (DEFAULT_ERROR_MODEL, SIMULATED_GUARANTEE,
                             SIMULATED_RATIOS, ErrorModel, default_calibration,
@@ -646,33 +646,16 @@ def dense_frame():
     return frame, calib, registry
 
 
-class TestThreadedBaseline:
-    """Where two CPUs are free, a cloud of THREADED_BASELINE_POINTS or
-    more takes its baseline ranges on a second thread. Every output is
-    the one of the inline path, an exception of either thread reaches
-    the caller, and no thread outlives the call."""
-
-    @staticmethod
-    def fuse(monkeypatch, frame, calib, cfg, registry, cpus):
-        """run_fusion_frame as if on cpus CPUs; also, for each call of
-        _baseline_ranges, whether it ran on the calling thread."""
-        use_cpus(monkeypatch, cpus)
-        caller, on_caller = threading.current_thread(), []
-
-        def spy(*args):
-            on_caller.append(threading.current_thread() is caller)
-            return BASELINE_RANGES(*args)
-
-        monkeypatch.setattr(pipeline_module, "_baseline_ranges", spy)
-        before = threading.active_count()
-        result = run_fusion_frame(frame, calib, cfg, registry)
-        assert threading.active_count() == before
-        return result, on_caller
+class TestBaselineRanges:
+    """The baseline is evaluation, apart from the fusion: it holds the
+    ranges of every valid point in each original box, run_fusion_frame
+    starts no thread, and a sequence without ground truth never takes
+    the baseline."""
 
     @pytest.mark.parametrize("variant", ["as simulated", "no detections",
                                          "box outside the image",
                                          "ground skipped"])
-    def test_threaded_equals_inline(self, monkeypatch, dense_frame, variant):
+    def test_raw_box_ranges(self, monkeypatch, dense_frame, variant):
         frame, calib, registry = dense_frame
         cfg = conftest.in_memory_config()
         if variant == "no detections":
@@ -687,76 +670,56 @@ class TestThreadedBaseline:
             # With eps 0 a plane must hold every cropped point.
             cfg = dataclasses.replace(
                 cfg, ransac_ground=RansacPlaneConfig(eps=0.0))
-        assert len(frame.cloud) >= pipeline_module.THREADED_BASELINE_POINTS
-        threaded, threaded_on_caller = self.fuse(monkeypatch, frame, calib,
-                                                 cfg, registry, cpus=2)
-        inline, inline_on_caller = self.fuse(monkeypatch, frame, calib, cfg,
-                                             registry, cpus=1)
-        assert (threaded_on_caller, inline_on_caller) == ([False], [True])
-        assert repr(threaded) == repr(inline)
+        results = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            before = threading.active_count()
+            results.append(run_fusion_frame(frame, calib, cfg, registry))
+            assert threading.active_count() == before
+        assert repr(results[0]) == repr(results[1])
 
-        locs, diag = threaded
+        locs, diag = results[0]
         assert diag.ground_skipped == (variant == "ground skipped")
         assert len(diag.objects) == len(frame.detections)
         if variant == "as simulated":
             assert locs
         if variant == "box outside the image":
             assert diag.objects[99].status == "NoQualifiedCluster"
-        # The baseline path holds every valid point in the original box.
-        for det in frame.detections:
+        baselines = baseline_ranges(frame, calib)
+        assert len(baselines) == len(frame.detections)
+        for det, baseline in zip(frame.detections, baselines):
             inside = frame.uv_valid & det.mask(frame.observed_uv)
-            assert (diag.objects[det.object_id].baseline_ranges
-                    == np.hypot(*frame.cloud[inside, :2].T).tolist())
+            assert baseline == np.hypot(*frame.cloud[inside, :2].T).tolist()
+        if variant == "box outside the image":
+            assert baselines[-1] == []
 
-    def test_small_cloud_stays_inline(self, monkeypatch):
-        calib = default_calibration()
-        fr = simulate_sequence(small_scene(duration=0.1), calib,
-                               DEFAULT_ERROR_MODEL)[0]
-        assert len(fr.cloud) < pipeline_module.THREADED_BASELINE_POINTS
-        _, on_caller = self.fuse(monkeypatch, fr, calib,
-                                 conftest.in_memory_config(), None, cpus=2)
-        assert on_caller == [True]
+    def test_sequence_without_ground_truth(self, monkeypatch, tmp_path):
+        # One baseline per frame with ground truth, none without; the
+        # trajectories are the same either way.
+        with_gt, without_gt = tmp_path / "with_gt", tmp_path / "without_gt"
+        frames = write_sequence_dir(with_gt, small_scene(),
+                                    DEFAULT_ERROR_MODEL)
+        shutil.copytree(with_gt, without_gt)
+        (without_gt / "ground_truth.jsonl").unlink()
+        cfg = load_pipeline_config(with_gt / "config.json")
+        calls = []
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_baseline_exception_reaches_caller(self, monkeypatch,
-                                               dense_frame, cpus):
-        frame, calib, registry = dense_frame
+        def spy(frame, calib):
+            calls.append(frame.frame_id)
+            return baseline_ranges(frame, calib)
 
-        def fail(*args):
-            raise RuntimeError("baseline failed")
-
-        monkeypatch.setattr(pipeline_module, "_baseline_ranges", fail)
-        use_cpus(monkeypatch, cpus)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="baseline failed"):
-            run_fusion_frame(frame, calib, conftest.in_memory_config(),
-                             registry)
-        assert threading.active_count() == before
-
-    def test_caller_exception_waits_for_thread(self, monkeypatch,
-                                               dense_frame):
-        # The crop fails while the baseline thread is still asleep; the
-        # crop's exception is raised once the thread has ended.
-        frame, calib, registry = dense_frame
-        ended = []
-
-        def slow(*args):
-            time.sleep(0.2)
-            ended.append(True)
-            return BASELINE_RANGES(*args)
-
-        def fail(*args):
-            raise RuntimeError("crop failed")
-
-        monkeypatch.setattr(pipeline_module, "_baseline_ranges", slow)
-        monkeypatch.setattr(ground_module, "crop_mask", fail)
-        use_cpus(monkeypatch, 2)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="crop failed"):
-            run_fusion_frame(frame, calib, conftest.in_memory_config(),
-                             registry)
-        assert ended == [True]
-        assert threading.active_count() == before
+        monkeypatch.setattr(pipeline_module, "baseline_ranges", spy)
+        report = run_sequence(with_gt, cfg, out_dir=tmp_path / "out_gt")
+        assert calls == [frame.frame_id for frame in frames]
+        assert "evaluation" in report
+        calls.clear()
+        report = run_sequence(without_gt, cfg, out_dir=tmp_path / "out")
+        assert calls == []
+        assert "evaluation" not in report
+        written = [{path.name: path.read_bytes()
+                    for path in (tmp_path / out / "trajectories").iterdir()}
+                   for out in ("out_gt", "out")]
+        assert written[0] and written[0] == written[1]
 
 
 class TestStageOracles:
@@ -998,6 +961,41 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert json.loads((seq / "scene.json").read_text())["rng_seed"] == 0
         assert json.loads((seq / "config.json").read_text())["rng_seed"] == 0
+
+    def test_zero_variance_t_is_null(self, tmp_path):
+        # A lone car on a road without ground points: every frame's
+        # fusion TPR is 1, so the one-sample t-test has zero variance
+        # and t = inf, which JSON cannot hold; it is written as null.
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({
+            "duration": 1.0, "frame_rate": 10.0, "n_ground_points": 0,
+            "objects": [{"object_id": 1, "class_label": "car",
+                         "trajectory": {"x_coeffs": [20.0],
+                                        "y_coeffs": [0.0]}}]}))
+        seq, out = tmp_path / "seq", tmp_path / "out"
+        runner = CliRunner()
+        res = runner.invoke(cli_main, ["simulate", "--scene", str(scene),
+                                       "--out", str(seq)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(cli_main, ["fuse", str(seq), "--config",
+                                       str(seq / "config.json"),
+                                       "--out", str(out)])
+        assert res.exit_code == 0, res.output
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=reject)
+        one_sample = report["evaluation"]["aggregate"]["one_sample_t_vs_0.5"]
+        assert one_sample == {"t": None, "p_value": 0.0, "n": 10}
+
+    def test_write_report_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "report.json"
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                write_report(path, {"t": value})
+            assert not path.exists()
 
     def test_evaluate_reads_frame_rate_from_scene(self, tmp_path):
         # At 5 Hz, pairing by a fixed 10 Hz would match the wrong frames.
