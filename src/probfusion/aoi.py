@@ -70,24 +70,3 @@ def enlarge_aoi(box: BoundingBox, ratios: EnlargeRatios,
         return None
     return replace(box, u_min=u_min, u_max=u_max, v_min=v_min, v_max=v_max)
 
-
-def candidate_rows(uv: np.ndarray, valid: np.ndarray,
-                   boxes: list[BoundingBox]) -> np.ndarray:
-    """Ascending indices of the valid rows of an (N, 2) pixel array that
-    lie in the bounding rectangle of boxes (none without boxes). valid
-    is a boolean mask of the rows, or the ascending indices of the valid
-    rows.
-
-    Boxes are half-open, so every box's mask is False off these rows:
-    ``valid & box.mask(uv)`` is True exactly on ``rows[box.mask(uv[rows])]``.
-    """
-    if not boxes:
-        return np.empty(0, dtype=np.intp)
-    hull = replace(boxes[0],
-                   u_min=min(b.u_min for b in boxes),
-                   v_min=min(b.v_min for b in boxes),
-                   u_max=max(b.u_max for b in boxes),
-                   v_max=max(b.v_max for b in boxes))
-    if valid.dtype == bool:
-        return np.flatnonzero(valid & hull.mask(uv))
-    return valid[hull.mask(uv[valid])]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import re
 import sys
-import warnings
 from pathlib import Path
 
 import click
@@ -26,7 +25,8 @@ from .errors import ConfigError, FusionError, check_numbers
 from .io import (read_frame_rate, read_ground_truth, read_json_object,
                  read_trajectory_csv, write_report)
 from .metrics import align_to_ground_truth, mae_axis
-from .shape import BenchmarkShapeRegistry, build_benchmark, compute_descriptor
+from .shape import (MIN_BENCHMARK_SAMPLES, BenchmarkShapeRegistry,
+                    build_benchmark, compute_descriptor)
 from . import sim as simmod
 from .pipeline import run_sequence
 
@@ -123,13 +123,11 @@ def benchmark_shapes(cluster_files, out):
             raise ValueError(f"bad cluster file {path}: {exc}") from None
     shapes = {}
     for cls, descs in by_class.items():
-        # A class with fewer samples than recommended gets one stderr
-        # line naming it, not Python's warning with a source line.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shapes[cls] = build_benchmark(descs)
-        for warning in caught:
-            click.echo(f"warning: {cls}: {warning.message}", err=True)
+        if len(descs) < MIN_BENCHMARK_SAMPLES:
+            click.echo(f"warning: {cls}: benchmark built from only "
+                       f"{len(descs)} samples (recommended minimum "
+                       f"{MIN_BENCHMARK_SAMPLES})", err=True)
+        shapes[cls] = build_benchmark(descs)
     registry = BenchmarkShapeRegistry(
         shapes=shapes,
         sample_counts={cls: len(descs) for cls, descs in by_class.items()})

@@ -37,14 +37,12 @@ class RangeHistogram:
     bin_centers: np.ndarray  # ascending, meters
     counts: np.ndarray       # per bin
     assignments: np.ndarray  # point index -> bin index
-    anchor_mask: np.ndarray  # True where a bin came from a K-Means center
 
 
 @dataclass(frozen=True)
 class CandidateCluster:
     member_indices: np.ndarray  # indices into the AOI point list
     center_range: float
-    count: int
 
 
 def planar_ranges(xyz: np.ndarray) -> np.ndarray:
@@ -214,7 +212,6 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
     lo, hi = float(values.min()), float(values.max())
 
     bin_centers: list[float] = []
-    anchor_flags: list[bool] = []
 
     # Extend to the left of the first anchor.
     left = []
@@ -223,7 +220,6 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
         left.append(c)
         c -= g
     bin_centers.extend(reversed(left))
-    anchor_flags.extend([False] * len(left))
 
     for j, a in enumerate(anchors):
         if j > 0:
@@ -233,16 +229,13 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
             c = anchors[j - 1] + g
             while c < a - g / 2.0:
                 bin_centers.append(c)
-                anchor_flags.append(False)
                 c += g
         bin_centers.append(a)
-        anchor_flags.append(True)
 
     # Extend to the right of the last anchor.
     c = anchors[-1] + g
     while c - g / 2.0 < hi:
         bin_centers.append(c)
-        anchor_flags.append(False)
         c += g
 
     centers_arr = np.array(bin_centers)
@@ -250,8 +243,7 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
     counts = np.bincount(assignments, minlength=len(centers_arr))
     return RangeHistogram(bin_centers=centers_arr,
                           counts=counts,
-                          assignments=assignments,
-                          anchor_mask=np.array(anchor_flags))
+                          assignments=assignments)
 
 
 def select_candidate_clusters(hist: RangeHistogram,
@@ -277,11 +269,10 @@ def select_candidate_clusters(hist: RangeHistogram,
             continue
         members = np.nonzero(hist.assignments == i)[0]
         clusters.append(CandidateCluster(member_indices=members,
-                                         center_range=float(hist.bin_centers[i]),
-                                         count=c))
+                                         center_range=float(hist.bin_centers[i])))
     if not clusters:
         raise NoQualifiedCluster(
             f"no peak met count >= {cfg.min_peak_count} "
             f"and ratio >= {cfg.peak_ratio}")
-    clusters.sort(key=lambda cl: (-cl.count, cl.center_range))
+    clusters.sort(key=lambda cl: (-len(cl.member_indices), cl.center_range))
     return clusters

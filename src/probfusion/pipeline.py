@@ -2,36 +2,37 @@
 
 Stage order per frame: projection -> crop -> ground fit/removal
 (skipped gracefully when no acceptable plane exists) -> enlarge AOI ->
-per detection: box mask on the kept rows -> mode clustering -> shape
-selection (skipped for a single candidate) -> localization. Per-object
-failures are soft: they are recorded in diagnostics and become
-trajectory gaps.
+box members of the kept rows -> per detection: mode clustering -> shape
+selection (skipped for a single candidate) -> localization. A detection
+without a qualified cluster is a soft failure: it is recorded in the
+diagnostics and becomes a trajectory gap.
 
 The baseline that the evaluation compares the fusion with (the raw
 mapping in the original boxes, baseline_ranges) is not part of the
 fusion: run_sequence takes it per frame only for a sequence with
-ground truth.
+ground truth. Both take box members in one pass, _box_members: the
+fusion of the kept rows in the enlarged boxes, the baseline of the
+valid rows in the original ones.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import ground
-from .aoi import candidate_rows, enlarge_aoi
+from .aoi import BoundingBox, enlarge_aoi
 from .calib import CalibrationPair, load_calibration, project_xyz
 from .classes import CLASSES
 from .cluster import (build_range_histogram, planar_ranges,
                       seed_bin_centers, select_candidate_clusters)
 from .config import PipelineConfig
-from .errors import (EmptyCluster, EmptyInput, InsufficientPoints,
-                     NoAcceptablePlane, NoQualifiedCluster, TooFewInliers,
-                     TooFewSamples)
+from .errors import (InsufficientPoints, NoAcceptablePlane,
+                     NoQualifiedCluster, TooFewInliers, TooFewSamples)
 from .io import (FrameRecord, load_sequence, write_report,
                  write_trajectory_csv)
 from .localize import ObjectLocalization, localize
@@ -79,18 +80,48 @@ def _pixels(frame, calib: CalibrationPair):
     return cloud, uv, uv_valid
 
 
-def baseline_ranges(frame, calib: CalibrationPair) -> list[list]:
-    """The baseline the evaluation compares the fusion with, one list
-    per detection: the planar ranges of the valid points in the
-    detection's original box, in cloud order, with the raw mapping and
-    no preprocessing."""
-    cloud, uv, uv_valid = _pixels(frame, calib)
-    rows = candidate_rows(uv, uv_valid, frame.detections)
+def _box_members(cloud, uv, rows,
+                 boxes: list[Optional[BoundingBox]]) -> list[tuple]:
+    """Per box, the cloud indices and planar ranges of the given rows
+    that lie in it, in cloud order. rows are ascending cloud indices; a
+    None box (an enlarged AOI with no area inside the image) holds no
+    point.
+
+    Only the rows inside the rectangle around the boxes are gathered:
+    boxes are half-open, so no box holds a row outside it.
+    """
+    real = [box for box in boxes if box is not None]
+    if real:
+        hull = replace(real[0],
+                       u_min=min(b.u_min for b in real),
+                       v_min=min(b.v_min for b in real),
+                       u_max=max(b.u_max for b in real),
+                       v_max=max(b.v_max for b in real))
+        rows = rows[hull.mask(uv[rows])]
+    else:
+        rows = rows[:0]
     # np.take gathers rows about twice as fast as uv[rows]. Column-major,
     # so that a box mask reads u and v contiguously.
     rows_uv = np.asfortranarray(np.take(uv, rows, axis=0))
     ranges = planar_ranges(np.take(cloud, rows, axis=0))
-    return [ranges[det.mask(rows_uv)].tolist() for det in frame.detections]
+    members = []
+    for box in boxes:
+        inside = (box.mask(rows_uv) if box is not None
+                  else np.zeros(len(rows), dtype=bool))
+        members.append((rows[inside], ranges[inside]))
+    return members
+
+
+def baseline_ranges(frame, calib: CalibrationPair) -> dict:
+    """The baseline the evaluation compares the fusion with, by object
+    id: the planar ranges of the valid points in the detection's
+    original box, in cloud order, with the raw mapping and no
+    preprocessing."""
+    cloud, uv, uv_valid = _pixels(frame, calib)
+    members = _box_members(cloud, uv, np.flatnonzero(uv_valid),
+                           frame.detections)
+    return {det.object_id: ranges.tolist()
+            for det, (_, ranges) in zip(frame.detections, members)}
 
 
 def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
@@ -132,28 +163,14 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
     kept = np.flatnonzero(keep & uv_valid)
     diag.projected_count = len(kept)
 
-    # Member masks, ranges and indices are taken on the kept rows
-    # inside the rectangle around the enlarged boxes, which hold
-    # every member of every enlarged box; rows is ascending, so every
-    # index list keeps cloud order.
     bigs = [enlarge_aoi(det, cfg.ratios_for(det.class_label),
                         calib.intrinsics) for det in frame.detections]
-    rows = candidate_rows(uv, kept, [big for big in bigs
-                                     if big is not None])
-    rows_uv = np.asfortranarray(np.take(uv, rows, axis=0))
-    rows_ranges = planar_ranges(np.take(cloud, rows, axis=0))
-
     localizations = []
-    for det, big in zip(frame.detections, bigs):
+    for det, (member_idx, member_ranges) in zip(
+            frame.detections, _box_members(cloud, uv, kept, bigs)):
         odiag = ObjectDiagnostics(object_id=det.object_id,
                                   class_label=det.class_label)
         diag.objects[det.object_id] = odiag
-
-        # An enlarged AOI with no area inside the image holds no point.
-        members = (np.flatnonzero(big.mask(rows_uv))
-                   if big is not None else np.empty(0, dtype=np.intp))
-        member_idx = rows[members]
-        member_ranges = rows_ranges[members]
         odiag.aoi_point_count = len(member_idx)
         try:
             if len(member_idx) == 0:
@@ -174,11 +191,11 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
                                                 benchmark, cfg.shape_filter)
                 odiag.candidate_scores = [
                     {"pre_rotation_score": s.pre_rotation_score,
-                     "distance_m": s.distance_m,
+                     "distance_m": s.cluster.center_range,
                      "post_rotation_score": s.post_rotation_score,
                      "rotation_deg": s.rotation_deg,
                      "rotation_rejected": s.rotation_rejected,
-                     "count": s.cluster.count}
+                     "count": len(s.cluster.member_indices)}
                     for s in scores]
             else:
                 chosen = candidates[0]
@@ -189,7 +206,7 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
                 chosen.member_indices].tolist()
             localizations.append(localize(det.object_id,
                                           cloud[chosen_cloud_idx]))
-        except (EmptyInput, NoQualifiedCluster, EmptyCluster) as exc:
+        except NoQualifiedCluster as exc:
             odiag.status = type(exc).__name__
     return localizations, diag
 
@@ -239,8 +256,6 @@ def _evaluate(frames, gt, cfg, frame_diags, frame_baselines,
     for frame, diag, frame_baseline in zip(frames, frame_diags,
                                            frame_baselines):
         gt_frame = gt.get(frame.frame_id, {})
-        baselines = dict(zip([det.object_id for det in frame.detections],
-                             frame_baseline))
         for obj_id, odiag in diag.objects.items():
             gt_obj = gt_frame.get(obj_id)
             if gt_obj is None:
@@ -251,11 +266,11 @@ def _evaluate(frames, gt, cfg, frame_diags, frame_baselines,
             entry["frames"] += 1
             entry["guarantee_frames"].append(
                 (odiag.selected_indices, gt_obj["members"]))
-            if baselines[obj_id] and odiag.selected_ranges:
+            if frame_baseline[obj_id] and odiag.selected_ranges:
                 entry["pairs"].append(tuple(
                     tpr(ranges, gt_obj["range"], odiag.class_label,
                         cfg.tolerance).rate
-                    for ranges in (baselines[obj_id],
+                    for ranges in (frame_baseline[obj_id],
                                    odiag.selected_ranges)))
 
     frame_times = {frame.frame_id: frame.t for frame in frames}

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -21,6 +20,9 @@ from .errors import DegenerateCluster, EmptyInput, check_number, check_numbers
 from .io import read_json_object
 
 MAX_ROTATION_DEG = 40.0
+# Fewer sample descriptors than this make a benchmark that benchmark-shapes
+# warns about.
+MIN_BENCHMARK_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -189,15 +191,10 @@ def similarity_score(d_kl: float, k: float = 1.0) -> float:
         return 0.0
 
 
-def build_benchmark(descriptors: Sequence[ShapeDescriptor],
-                    min_samples: int = 10) -> ShapeDescriptor:
+def build_benchmark(descriptors: Sequence[ShapeDescriptor]) -> ShapeDescriptor:
     """Per-bin mean of sample descriptors, renormalized."""
     if not descriptors:
         raise EmptyInput("no descriptors to average")
-    if len(descriptors) < min_samples:
-        warnings.warn(
-            f"benchmark built from only {len(descriptors)} samples "
-            f"(recommended minimum {min_samples})", stacklevel=2)
     mean = np.mean([d.weights for d in descriptors], axis=0)
     return ShapeDescriptor(weights=mean / mean.sum())
 
@@ -207,15 +204,13 @@ class CandidateScore:
     cluster: CandidateCluster
     pre_rotation_score: float
     post_rotation_score: float
-    distance_m: float
     rotation_deg: float
     rotation_rejected: bool
-    degenerate: bool
 
 
-def score_candidate(points_2d: np.ndarray, center_range: float,
-                    benchmark: ShapeDescriptor, cfg: ShapeFilterConfig,
-                    cluster: CandidateCluster) -> CandidateScore:
+def score_candidate(points_2d: np.ndarray, cluster: CandidateCluster,
+                    benchmark: ShapeDescriptor,
+                    cfg: ShapeFilterConfig) -> CandidateScore:
     """Similarity to the benchmark before and after de-rotation.
 
     A candidate without 2 distinct points is degenerate and scores 0.
@@ -225,9 +220,8 @@ def score_candidate(points_2d: np.ndarray, center_range: float,
     pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
     if _all_coincide(pts):
         return CandidateScore(cluster=cluster, pre_rotation_score=0.0,
-                              post_rotation_score=0.0, distance_m=center_range,
-                              rotation_deg=0.0, rotation_rejected=False,
-                              degenerate=True)
+                              post_rotation_score=0.0, rotation_deg=0.0,
+                              rotation_rejected=False)
     qw = _smoothed(benchmark.weights, cfg.kl_smoothing)
 
     def score(weights):
@@ -246,10 +240,8 @@ def score_candidate(points_2d: np.ndarray, center_range: float,
         cluster=cluster,
         pre_rotation_score=pre_score,
         post_rotation_score=post_score,
-        distance_m=center_range,
         rotation_deg=est.angle_deg,
         rotation_rejected=est.rejected,
-        degenerate=False,
     )
 
 
@@ -265,9 +257,9 @@ def select_cluster(candidates: Sequence[CandidateCluster],
     """
     if not candidates:
         raise EmptyInput("no candidate clusters")
-    scores = [score_candidate(pts, cand.center_range, benchmark, cfg, cand)
+    scores = [score_candidate(pts, cand, benchmark, cfg)
               for cand, pts in zip(candidates, points_2d_per_candidate)]
     best = min(range(len(scores)),
                key=lambda i: (-scores[i].post_rotation_score,
-                              scores[i].distance_m))
+                              candidates[i].center_range))
     return candidates[best], scores

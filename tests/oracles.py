@@ -121,7 +121,6 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
     g = float(granularity)
 
     bin_centers: list[float] = []
-    anchor_flags: list[bool] = []
     lo, hi = values.min(), values.max()
 
     # Extend to the left of the first anchor.
@@ -131,7 +130,6 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
         left.append(c)
         c -= g
     bin_centers.extend(reversed(left))
-    anchor_flags.extend([False] * len(left))
 
     for j, a in enumerate(anchors):
         if j > 0:
@@ -141,16 +139,13 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
             c = anchors[j - 1] + g
             while c < a - g / 2.0:
                 bin_centers.append(c)
-                anchor_flags.append(False)
                 c += g
         bin_centers.append(float(a))
-        anchor_flags.append(True)
 
     # Extend to the right of the last anchor.
     c = anchors[-1] + g
     while c - g / 2.0 < hi:
         bin_centers.append(c)
-        anchor_flags.append(False)
         c += g
 
     centers_arr = np.asarray(bin_centers)
@@ -159,8 +154,7 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
     counts = np.bincount(assignments, minlength=len(centers_arr))
     return RangeHistogram(bin_centers=centers_arr,
                           counts=counts,
-                          assignments=assignments,
-                          anchor_mask=np.asarray(anchor_flags))
+                          assignments=assignments)
 
 
 
@@ -222,18 +216,17 @@ def kl_divergence(p: ShapeDescriptor, q: ShapeDescriptor,
 
 
 
-def score_candidate(points_2d: np.ndarray, center_range: float,
-                    benchmark: ShapeDescriptor, cfg: ShapeFilterConfig,
-                    cluster) -> CandidateScore:
+def score_candidate(points_2d: np.ndarray, cluster,
+                    benchmark: ShapeDescriptor,
+                    cfg: ShapeFilterConfig) -> CandidateScore:
     try:
         pre = compute_descriptor(points_2d)
         est = principal_axis_angle(points_2d)
         post = compute_descriptor(derotate(points_2d, est))
     except DegenerateCluster:
         return CandidateScore(cluster=cluster, pre_rotation_score=0.0,
-                              post_rotation_score=0.0, distance_m=center_range,
-                              rotation_deg=0.0, rotation_rejected=False,
-                              degenerate=True)
+                              post_rotation_score=0.0, rotation_deg=0.0,
+                              rotation_rejected=False)
     k = cfg.sigmoid_gain
     return CandidateScore(
         cluster=cluster,
@@ -241,10 +234,8 @@ def score_candidate(points_2d: np.ndarray, center_range: float,
             kl_divergence(pre, benchmark, cfg.kl_smoothing), k),
         post_rotation_score=similarity_score(
             kl_divergence(post, benchmark, cfg.kl_smoothing), k),
-        distance_m=center_range,
         rotation_deg=est.angle_deg,
         rotation_rejected=est.rejected,
-        degenerate=False,
     )
 
 

@@ -67,8 +67,7 @@ def run_hypothesis_trials(seeds):
             odiag = diag.objects.get(1)
             if odiag is None:
                 continue
-            baseline = dict(zip([det.object_id for det in fr.detections],
-                                baseline_ranges(fr, calib)))[1]
+            baseline = baseline_ranges(fr, calib)[1]
             gt_range = fr.gt_poses[1]["range"]
             if baseline and odiag.selected_ranges:
                 b_list.append(tpr(baseline, gt_range, "car", tol).rate)
@@ -155,7 +154,7 @@ def test_criterion_03_shape_selection():
             ab = _sample_silhouette(cls, width, height, n, rng)
             uv = np.column_stack([ab[:, 0], -ab[:, 1]]) * (700.0 / r)
             cands.append(CandidateCluster(member_indices=np.arange(n),
-                                          center_range=r, count=n))
+                                          center_range=r))
             pts.append(uv)
         winners = []
         for k in (0.5, 1.0, 2.0):

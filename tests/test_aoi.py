@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probfusion.aoi import (BoundingBox, EnlargeRatios, candidate_rows,
-                            enlarge_aoi)
+from probfusion.aoi import BoundingBox, EnlargeRatios, enlarge_aoi
+from probfusion.pipeline import _box_members
 
 from conftest import make_box
 
@@ -121,43 +121,49 @@ class TestCollectAoiPoints:
         assert not (small & ~big).any()
 
 
-class TestCandidateRows:
-    """Box membership taken on the candidate rows equals the whole-frame
-    membership, for boxes in and beyond a 640 x 480 image."""
+class TestBoxMembers:
+    """Box membership taken in one pass over the rows in the rectangle
+    around the boxes equals the whole-frame membership, for boxes in and
+    beyond a 640 x 480 image, None boxes and no rows at all."""
 
     @given(data=st.data(), n_boxes=st.integers(0, 4), n=st.integers(0, 40))
     @settings(max_examples=150, deadline=None)
-    def test_members_from_candidate_rows(self, data, n_boxes, n):
+    def test_members_equal_whole_frame_masks(self, data, n_boxes, n):
         boxes = []
         for _ in range(n_boxes):
+            if data.draw(st.booleans()):
+                boxes.append(None)
+                continue
             u0 = data.draw(st.floats(-200, 700))
             v0 = data.draw(st.floats(-200, 540))
             du = data.draw(st.floats(0.5, 400))
             dv = data.draw(st.floats(0.5, 300))
             boxes.append(make_box(u0, v0, u0 + du, v0 + dv))
+        real = [box for box in boxes if box is not None]
         coord = st.floats(-300, 800) | st.just(np.nan)
         uv = np.array(data.draw(st.lists(st.tuples(coord, coord),
                                          min_size=n, max_size=n)),
                       dtype=float).reshape(n, 2)
         # Every pairing of box edges, the floats just below them and
         # NaN tests the half-open bounds; NaN rows are never members.
-        edges_u = [x for b in boxes for e in (b.u_min, b.u_max)
+        edges_u = [x for b in real for e in (b.u_min, b.u_max)
                    for x in (e, np.nextafter(e, -np.inf))] + [np.nan]
-        edges_v = [x for b in boxes for e in (b.v_min, b.v_max)
+        edges_v = [x for b in real for e in (b.v_min, b.v_max)
                    for x in (e, np.nextafter(e, -np.inf))] + [np.nan]
         grid = np.array([(a, b) for a in edges_u for b in edges_v])
         uv = np.vstack([uv, grid])
         valid = np.array(data.draw(st.lists(st.booleans(), min_size=n,
                                             max_size=n)) + [True] * len(grid),
                          dtype=bool)
-        rows = candidate_rows(uv, valid, boxes)
-        assert np.all(np.diff(rows) > 0)
-        # The valid rows given as indices select the same rows.
-        assert np.array_equal(
-            candidate_rows(uv, np.flatnonzero(valid), boxes), rows)
-        if not boxes:
-            assert len(rows) == 0
-        for box in boxes:
-            members = np.zeros(len(uv), dtype=bool)
-            members[rows[box.mask(uv[rows])]] = True
-            assert np.array_equal(members, valid & box.mask(uv))
+        if data.draw(st.booleans(), label="no rows"):
+            valid[:] = False
+        cloud = np.random.default_rng(n).uniform(-100, 100, (len(uv), 3))
+        members = _box_members(cloud, uv, np.flatnonzero(valid), boxes)
+        assert len(members) == len(boxes)
+        for box, (idx, ranges) in zip(boxes, members):
+            inside = (valid & box.mask(uv) if box is not None
+                      else np.zeros(len(uv), dtype=bool))
+            assert idx.dtype.kind == "i"
+            assert np.array_equal(idx, np.flatnonzero(inside))
+            assert ranges.tobytes() == np.hypot(cloud[inside, 0],
+                                                cloud[inside, 1]).tobytes()

@@ -19,8 +19,7 @@ def make_hist(counts, spacing=2.0, start=10.0):
     centers = start + spacing * np.arange(len(counts))
     assignments = np.repeat(np.arange(len(counts)), counts)
     return RangeHistogram(bin_centers=centers, counts=counts,
-                          assignments=assignments,
-                          anchor_mask=np.ones(len(counts), dtype=bool))
+                          assignments=assignments)
 
 
 class TestPlanarRanges:
@@ -116,8 +115,15 @@ class TestBuildRangeHistogram:
         hist = build_range_histogram(ranges, centers, cfg, g)
         diffs = np.diff(hist.bin_centers)
         assert np.all(diffs > g / 2.0 - 1e-9)
-        # Away from the bins adjacent to anchors the spacing is exact.
-        anchor_adjacent = hist.anchor_mask[:-1] | hist.anchor_mask[1:]
+        # Away from the bins adjacent to anchors (the K-Means centers,
+        # merged as build_range_histogram merges them) the spacing is
+        # exact.
+        weights = np.bincount(_nearest_center(centers, ranges),
+                              minlength=len(centers)) + 1.0
+        anchors = merge_close_centers(centers, g, weights)
+        is_anchor = np.isin(hist.bin_centers, anchors)
+        assert is_anchor.sum() == len(anchors)
+        anchor_adjacent = is_anchor[:-1] | is_anchor[1:]
         assert np.allclose(diffs[~anchor_adjacent], g, atol=1e-9)
 
     def test_span_covers_all_points(self):
@@ -141,14 +147,14 @@ class TestSelectCandidateClusters:
         hist = make_hist([40])
         clusters = select_candidate_clusters(hist, ClusteringConfig())
         assert len(clusters) == 1
-        assert clusters[0].count == 40
+        assert len(clusters[0].member_indices) == 40
         assert np.array_equal(clusters[0].member_indices, np.arange(40))
 
     def test_ratio_threshold(self):
         # Local maxima 100, 80, 10; 10 < 0.3 * 100 so it is dropped.
         hist = make_hist([100, 5, 80, 5, 10])
         clusters = select_candidate_clusters(hist, ClusteringConfig())
-        assert [c.count for c in clusters] == [100, 80]
+        assert [len(c.member_indices) for c in clusters] == [100, 80]
 
     def test_min_count_threshold(self):
         hist = make_hist([2, 2, 2])
@@ -158,7 +164,7 @@ class TestSelectCandidateClusters:
     def test_ordering_and_tie_break(self):
         hist = make_hist([50, 5, 50, 5, 70])
         clusters = select_candidate_clusters(hist, ClusteringConfig())
-        assert [c.count for c in clusters] == [70, 50, 50]
+        assert [len(c.member_indices) for c in clusters] == [70, 50, 50]
         assert clusters[1].center_range < clusters[2].center_range
 
     def test_clusters_partition_points(self):
@@ -167,7 +173,9 @@ class TestSelectCandidateClusters:
         all_members = np.concatenate([c.member_indices for c in clusters])
         assert len(all_members) == len(np.unique(all_members))
         for c in clusters:
-            assert c.count == len(c.member_indices)
+            bins = hist.assignments[c.member_indices]
+            assert np.all(bins == bins[0])
+            assert len(bins) == hist.counts[bins[0]]
 
     @given(counts=st.lists(st.integers(0, 200), min_size=1, max_size=12))
     @settings(max_examples=80, deadline=None)
@@ -181,13 +189,13 @@ class TestSelectCandidateClusters:
         max_count = max(counts)
         seen = set()
         for c in clusters:
-            assert c.count >= cfg.min_peak_count
-            assert c.count >= cfg.peak_ratio * max_count
+            assert len(c.member_indices) >= cfg.min_peak_count
+            assert len(c.member_indices) >= cfg.peak_ratio * max_count
             idx = set(c.member_indices.tolist())
             assert not (idx & seen)
             seen |= idx
-        assert [c.count for c in clusters] == \
-            sorted([c.count for c in clusters], reverse=True)
+        sizes = [len(c.member_indices) for c in clusters]
+        assert sizes == sorted(sizes, reverse=True)
 
 
 class TestConfigValidation:
@@ -318,7 +326,7 @@ class TestMatchesOracle:
         cfg = ClusteringConfig()
         hist = build_range_histogram(values, centers, cfg, g)
         ref = oracles.build_range_histogram(values, centers, cfg, g)
-        for name in ("bin_centers", "counts", "assignments", "anchor_mask"):
+        for name in ("bin_centers", "counts", "assignments"):
             assert same_array(getattr(hist, name), getattr(ref, name)), name
 
     @settings(deadline=None, max_examples=100)
@@ -333,7 +341,7 @@ class TestMatchesOracle:
         assert same_array(seed_bin_centers(values, cfg, seed), centers)
         hist = build_range_histogram(values, centers, cfg, g)
         ref = oracles.build_range_histogram(values, centers, cfg, g)
-        for name in ("bin_centers", "counts", "assignments", "anchor_mask"):
+        for name in ("bin_centers", "counts", "assignments"):
             assert same_array(getattr(hist, name), getattr(ref, name)), name
 
     @settings(deadline=None, max_examples=200)

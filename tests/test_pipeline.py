@@ -44,7 +44,8 @@ from probfusion.pipeline import (baseline_ranges, run_fusion_frame,
                                  run_sequence)
 from probfusion.shape import BenchmarkShapeRegistry
 from probfusion.sim import (DEFAULT_ERROR_MODEL, SIMULATED_GUARANTEE,
-                            SIMULATED_RATIOS, ErrorModel, default_calibration,
+                            SIMULATED_RATIOS, ErrorModel, ObjectSpec,
+                            Trajectory, default_calibration,
                             overtaking_scene, reference_benchmarks,
                             save_scene_spec, scene_spec_to_json,
                             simulate_sequence, write_sequence_dir)
@@ -686,12 +687,14 @@ class TestBaselineRanges:
         if variant == "box outside the image":
             assert diag.objects[99].status == "NoQualifiedCluster"
         baselines = baseline_ranges(frame, calib)
-        assert len(baselines) == len(frame.detections)
-        for det, baseline in zip(frame.detections, baselines):
+        assert list(baselines) == [det.object_id
+                                   for det in frame.detections]
+        for det in frame.detections:
             inside = frame.uv_valid & det.mask(frame.observed_uv)
-            assert baseline == np.hypot(*frame.cloud[inside, :2].T).tolist()
+            assert baselines[det.object_id] == \
+                np.hypot(*frame.cloud[inside, :2].T).tolist()
         if variant == "box outside the image":
-            assert baselines[-1] == []
+            assert baselines[99] == []
 
     def test_sequence_without_ground_truth(self, monkeypatch, tmp_path):
         # One baseline per frame with ground truth, none without; the
@@ -720,6 +723,65 @@ class TestBaselineRanges:
                     for path in (tmp_path / out / "trajectories").iterdir()}
                    for out in ("out_gt", "out")]
         assert written[0] and written[0] == written[1]
+
+
+# Two cars the crop drops: one 10 m behind the sensor, whose points
+# have no pixel, and one 85 m ahead, past the 70 m crop, which is
+# detected.
+CROPPED_CARS = (
+    ObjectSpec(object_id=90, class_label="car",
+               trajectory=Trajectory(x_coeffs=(-10.0,), y_coeffs=(0.0,))),
+    ObjectSpec(object_id=91, class_label="car",
+               trajectory=Trajectory(x_coeffs=(85.0,), y_coeffs=(0.0,))))
+
+
+class TestCropDrop:
+    """A real 360-degree sweep holds points the crop drops, so the frame
+    stage compresses the cloud and measures the ground plane on it.
+    Points the crop drops change nothing for the other objects: their
+    localizations and diagnostics, and the frame's counts, are those of
+    the frame fused without the two cropped cars."""
+
+    @pytest.mark.parametrize("spec", [
+        overtaking_scene(rng_seed=3),
+        dataclasses.replace(overtaking_scene(rng_seed=1),
+                            n_ground_points=120_000, frame_rate=1.0)],
+        ids=["overtaking", "dense"])
+    def test_cropped_objects_change_nothing(self, monkeypatch, spec):
+        calib = default_calibration()
+        registry = BenchmarkShapeRegistry(shapes=reference_benchmarks(),
+                                          sample_counts={})
+        cfg = conftest.in_memory_config()
+        plain = simulate_sequence(spec, calib, DEFAULT_ERROR_MODEL)
+        wider = simulate_sequence(
+            dataclasses.replace(spec, objects=spec.objects + CROPPED_CARS),
+            calib, DEFAULT_ERROR_MODEL)
+        measured = []  # rows of each cloud a ground plane is measured on
+        real_ground_mask = ground_module.ground_mask
+
+        def spy(cloud, *args):
+            measured.append(len(cloud))
+            return real_ground_mask(cloud, *args)
+
+        monkeypatch.setattr(ground_module, "ground_mask", spy)
+        for fr, wide in zip(plain, wider, strict=True):
+            # The behind car's points have no pixel; the far car is
+            # detected.
+            assert not wide.uv_valid[wide.labels == 90].any()
+            assert 91 in [det.object_id for det in wide.detections]
+            locs, diag = run_fusion_frame(fr, calib, cfg, registry)
+            assert measured == []
+            wide_locs, wide_diag = run_fusion_frame(wide, calib, cfg,
+                                                    registry)
+            assert measured.pop() == len(wide.cloud) and measured == []
+            assert wide_diag.cropped_count < len(wide.cloud)
+            assert repr(locs) == repr([loc for loc in wide_locs
+                                       if loc.object_id not in (90, 91)])
+            wide_objects = wide_diag.objects.copy()
+            del wide_objects[91]
+            assert repr(dataclasses.replace(diag, objects=None)) == \
+                repr(dataclasses.replace(wide_diag, objects=None))
+            assert repr(diag.objects) == repr(wide_objects)
 
 
 class TestStageOracles:

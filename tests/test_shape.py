@@ -206,12 +206,11 @@ class TestKlDivergence:
         pts = np.array([[0, 3], [2, 2], [0, 3], [1, 3], [0, 0], [3, 2],
                         [1, 3]], dtype=float)
         d = compute_descriptor(pts)
-        with pytest.warns(UserWarning):
-            bench = build_benchmark([d])
+        bench = build_benchmark([d])
         assert kl_divergence(d, bench) == 0.0
         cand = CandidateCluster(member_indices=np.arange(7),
-                                center_range=10.0, count=7)
-        score = score_candidate(pts, 10.0, bench, ShapeFilterConfig(), cand)
+                                center_range=10.0)
+        score = score_candidate(pts, cand, bench, ShapeFilterConfig())
         assert score.pre_rotation_score == 1.0
 
 
@@ -245,7 +244,7 @@ class TestBuildBenchmark:
         assert np.allclose(out.weights, d.weights)
 
     def test_mean_of_one_hots(self):
-        out = build_benchmark([one_hot(0), one_hot(1)], min_samples=2)
+        out = build_benchmark([one_hot(0), one_hot(1)])
         expected = np.zeros(9)
         expected[:2] = 0.5
         assert np.allclose(out.weights, expected)
@@ -254,15 +253,11 @@ class TestBuildBenchmark:
         with pytest.raises(EmptyInput):
             build_benchmark([])
 
-    def test_warns_below_minimum(self):
-        with pytest.warns(UserWarning):
-            build_benchmark([one_hot(0)] * 3, min_samples=10)
-
 
 class TestSelectCluster:
     def _candidate(self, n, rng_range):
         return CandidateCluster(member_indices=np.arange(n),
-                                center_range=rng_range, count=n)
+                                center_range=rng_range)
 
     def _ped_benchmark(self):
         return build_benchmark([compute_descriptor(pedestrian_like(seed=s))
@@ -331,7 +326,7 @@ class TestSelectCluster:
             [bad, good], [np.tile([[1.0, 1.0]], (5, 1)), pedestrian_like()],
             bench, cfg)
         assert chosen is good
-        assert scores[0].degenerate
+        assert scores[0].pre_rotation_score == 0.0
         assert scores[0].post_rotation_score == 0.0
 
     def test_empty_candidates_raise(self):
@@ -382,8 +377,7 @@ class TestDescriptorValidation:
 
 def score_fields(score):
     return repr((score.pre_rotation_score, score.post_rotation_score,
-                 score.distance_m, score.rotation_deg,
-                 score.rotation_rejected, score.degenerate))
+                 score.rotation_deg, score.rotation_rejected))
 
 
 @st.composite
@@ -424,8 +418,8 @@ class TestScoreCandidateMatchesOracle:
         bench = ShapeDescriptor(weights=w / w.sum())
         cfg = ShapeFilterConfig(sigmoid_gain=gain)
         cand = CandidateCluster(member_indices=np.arange(len(pts)),
-                                center_range=12.5, count=len(pts))
-        got = score_candidate(pts, 12.5, bench, cfg, cand)
-        ref = oracles.score_candidate(pts, 12.5, bench, cfg, cand)
+                                center_range=12.5)
+        got = score_candidate(pts, cand, bench, cfg)
+        ref = oracles.score_candidate(pts, cand, bench, cfg)
         assert score_fields(got) == score_fields(ref)
         assert got.cluster is cand
