@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,11 +37,16 @@ class BoundingBox:
         return self.v_max - self.v_min
 
     def mask(self, uv: np.ndarray) -> np.ndarray:
-        """Rows of an (N, 2) pixel array inside [u_min, u_max) x
-        [v_min, v_max); NaN rows are outside."""
-        u, v = uv[:, 0], uv[:, 1]
-        return ((u >= self.u_min) & (u < self.u_max)
-                & (v >= self.v_min) & (v < self.v_max))
+        """Rows of an (N, 2) pixel array inside the box (rect_mask)."""
+        return rect_mask(uv, self.u_min, self.v_min, self.u_max, self.v_max)
+
+
+def rect_mask(uv: np.ndarray, u_min: float, v_min: float, u_max: float,
+              v_max: float) -> np.ndarray:
+    """Rows of an (N, 2) pixel array inside [u_min, u_max) x
+    [v_min, v_max); NaN rows are outside."""
+    u, v = uv[:, 0], uv[:, 1]
+    return (u >= u_min) & (u < u_max) & (v >= v_min) & (v < v_max)
 
 
 @dataclass(frozen=True)
@@ -68,5 +73,7 @@ def enlarge_aoi(box: BoundingBox, ratios: EnlargeRatios,
     v_max = min(float(intr.height), box.v_max + ratios.down * h)
     if not (u_min < u_max and v_min < v_max):
         return None
-    return replace(box, u_min=u_min, u_max=u_max, v_min=v_min, v_max=v_max)
+    return BoundingBox(frame_id=box.frame_id, object_id=box.object_id,
+                       class_label=box.class_label, u_min=u_min,
+                       v_min=v_min, u_max=u_max, v_max=v_max)
 

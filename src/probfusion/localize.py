@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import planar_ranges
 from .errors import EmptyCluster
 
 
@@ -32,10 +31,15 @@ def representative_point(ranges: np.ndarray) -> int:
     return int(order[(len(ranges) - 1) // 2])
 
 
-def localize(object_id: int, cluster_xyz: np.ndarray) -> ObjectLocalization:
-    """Localize an object from its cluster's 3-D points."""
+def localize(object_id: int, cluster_xyz: np.ndarray,
+             ranges: np.ndarray) -> ObjectLocalization:
+    """Localize an object from its cluster's 3-D points and their planar
+    ranges (cluster.planar_ranges), which the caller has already taken;
+    a range count other than the point count is a ValueError."""
     xyz = np.asarray(cluster_xyz, dtype=float).reshape(-1, 3)
-    ranges = planar_ranges(xyz)
+    ranges = np.asarray(ranges, dtype=float).ravel()
+    if len(ranges) != len(xyz):
+        raise ValueError(f"{len(ranges)} ranges for {len(xyz)} points")
     rep = representative_point(ranges)
     return ObjectLocalization(object_id=object_id,
                               range_m=float(ranges[rep]),

@@ -5,7 +5,9 @@ Stage order per frame: projection -> crop -> ground fit/removal
 box members of the kept rows -> per detection: mode clustering -> shape
 selection (skipped for a single candidate) -> localization. A detection
 without a qualified cluster is a soft failure: it is recorded in the
-diagnostics and becomes a trajectory gap.
+diagnostics and becomes a trajectory gap. A detection with fewer member
+points than min_peak_count (or none) is that soft failure before
+clustering, since no histogram bin can hold more points than the box.
 
 The baseline that the evaluation compares the fusion with (the raw
 mapping in the original boxes, baseline_ranges) is not part of the
@@ -18,14 +20,14 @@ valid rows in the original ones.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import ground
-from .aoi import BoundingBox, enlarge_aoi
+from .aoi import BoundingBox, enlarge_aoi, rect_mask
 from .calib import CalibrationPair, load_calibration, project_xyz
 from .classes import CLASSES
 from .cluster import (build_range_histogram, planar_ranges,
@@ -92,12 +94,11 @@ def _box_members(cloud, uv, rows,
     """
     real = [box for box in boxes if box is not None]
     if real:
-        hull = replace(real[0],
-                       u_min=min(b.u_min for b in real),
-                       v_min=min(b.v_min for b in real),
-                       u_max=max(b.u_max for b in real),
-                       v_max=max(b.v_max for b in real))
-        rows = rows[hull.mask(uv[rows])]
+        rows = rows[rect_mask(uv[rows],
+                              min(b.u_min for b in real),
+                              min(b.v_min for b in real),
+                              max(b.u_max for b in real),
+                              max(b.v_max for b in real))]
     else:
         rows = rows[:0]
     # np.take gathers rows about twice as fast as uv[rows]. Column-major,
@@ -173,8 +174,11 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
         diag.objects[det.object_id] = odiag
         odiag.aoi_point_count = len(member_idx)
         try:
-            if len(member_idx) == 0:
-                raise NoQualifiedCluster("no point in the enlarged AOI")
+            # No histogram bin can hold more points than the box does.
+            if len(member_idx) < max(1, cfg.clustering.min_peak_count):
+                raise NoQualifiedCluster(
+                    f"{len(member_idx)} points in the enlarged AOI, fewer "
+                    f"than min_peak_count {cfg.clustering.min_peak_count}")
             centers = seed_bin_centers(member_ranges, cfg.clustering,
                                        cfg.rng_seed)
             hist = build_range_histogram(
@@ -201,11 +205,12 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
                 chosen = candidates[0]
 
             chosen_cloud_idx = member_idx[chosen.member_indices]
+            chosen_ranges = member_ranges[chosen.member_indices]
             odiag.selected_indices = chosen_cloud_idx.tolist()
-            odiag.selected_ranges = member_ranges[
-                chosen.member_indices].tolist()
+            odiag.selected_ranges = chosen_ranges.tolist()
             localizations.append(localize(det.object_id,
-                                          cloud[chosen_cloud_idx]))
+                                          cloud[chosen_cloud_idx],
+                                          chosen_ranges))
         except NoQualifiedCluster as exc:
             odiag.status = type(exc).__name__
     return localizations, diag

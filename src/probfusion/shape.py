@@ -94,14 +94,23 @@ def principal_axis_angle(points_2d: np.ndarray) -> RotationEstimate:
     rejected and no rotation is applied downstream.
     """
     pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
-    if _all_coincide(pts):
+    if _distinct_bounds(pts) is None:
         raise DegenerateCluster("need at least 2 distinct points for PCA")
     return _axis_estimate(pts, pts.mean(axis=0))
 
 
-def _all_coincide(pts: np.ndarray) -> bool:
-    """True when the (n, 2) points hold fewer than 2 distinct rows."""
-    return len(pts) == 0 or not (pts != pts[0]).any()
+def _distinct_bounds(pts: np.ndarray):
+    """The column minima and maxima of the (n, 2) points, their bounding
+    rectangle; None when the points hold fewer than 2 distinct rows.
+
+    Those are the points whose minima equal their maxima in both
+    columns. A NaN makes its column's bounds NaN, which are unequal, as
+    a NaN row is distinct from every row.
+    """
+    if len(pts) == 0:
+        return None
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    return None if (lo == hi).all() else (lo, hi)
 
 
 def _axis_estimate(pts: np.ndarray, centroid: np.ndarray) -> RotationEstimate:
@@ -139,12 +148,13 @@ def _rotate_about(pts: np.ndarray, angle_deg: float,
     return (pts - centroid) @ rot.T + centroid
 
 
-def _cell_weights(pts: np.ndarray) -> np.ndarray:
-    """compute_descriptor's 9 weights of n >= 1 points, unvalidated."""
-    lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
-    scaled = np.zeros(pts.shape)
-    np.divide(3 * (pts - lo), span, out=scaled, where=span > 0)
+def _cell_weights(pts: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+    """compute_descriptor's 9 weights of n >= 1 points with column
+    minima lo and maxima hi, unvalidated. A column of span 0 has
+    pts - lo == 0, which any divisor leaves in the first cell."""
+    span = hi - lo
+    scaled = 3 * (pts - lo) / np.where(span > 0, span, 1.0)
     idx = np.minimum(scaled.astype(int), 2)
     cells = idx[:, 1] * 3 + idx[:, 0]  # row from v, column from u
     return np.bincount(cells, minlength=9) / len(pts)
@@ -159,7 +169,8 @@ def compute_descriptor(points_2d: np.ndarray) -> ShapeDescriptor:
     pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         raise DegenerateCluster("cannot describe an empty point set")
-    return ShapeDescriptor(weights=_cell_weights(pts))
+    return ShapeDescriptor(weights=_cell_weights(pts, pts.min(axis=0),
+                                                 pts.max(axis=0)))
 
 
 def _smoothed(weights: np.ndarray, smoothing: float) -> np.ndarray:
@@ -214,11 +225,14 @@ def score_candidate(points_2d: np.ndarray, cluster: CandidateCluster,
     """Similarity to the benchmark before and after de-rotation.
 
     A candidate without 2 distinct points is degenerate and scores 0.
-    One centroid serves the axis estimate and the de-rotation; when the
-    rotation is skipped, the post-rotation score is the pre-rotation one.
+    The bounding rectangle that tells it (_distinct_bounds) also gives
+    the pre-rotation cells. One centroid serves the axis estimate and
+    the de-rotation; when the rotation is skipped, the post-rotation
+    score is the pre-rotation one.
     """
     pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
-    if _all_coincide(pts):
+    bounds = _distinct_bounds(pts)
+    if bounds is None:
         return CandidateScore(cluster=cluster, pre_rotation_score=0.0,
                               post_rotation_score=0.0, rotation_deg=0.0,
                               rotation_rejected=False)
@@ -228,14 +242,16 @@ def score_candidate(points_2d: np.ndarray, cluster: CandidateCluster,
         return similarity_score(_kl(_smoothed(weights, cfg.kl_smoothing),
                                     qw), cfg.sigmoid_gain)
 
-    centroid = pts.mean(axis=0)
+    # The bits of pts.mean(axis=0), without np.mean's Python wrapper.
+    centroid = pts.sum(axis=0) / len(pts)
     est = _axis_estimate(pts, centroid)
-    pre_score = score(_cell_weights(pts))
+    pre_score = score(_cell_weights(pts, *bounds))
     if est.rejected or est.angle_deg == 0.0:
         post_score = pre_score  # derotate would return the points unchanged
     else:
-        post_score = score(_cell_weights(
-            _rotate_about(pts, -est.angle_deg, centroid)))
+        rotated = _rotate_about(pts, -est.angle_deg, centroid)
+        post_score = score(_cell_weights(rotated, rotated.min(axis=0),
+                                         rotated.max(axis=0)))
     return CandidateScore(
         cluster=cluster,
         pre_rotation_score=pre_score,

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import oracles
 from probfusion.classes import CLASSES
-from probfusion.cluster import (ClusteringConfig, RangeHistogram,
-                                _nearest_center, build_range_histogram,
-                                merge_close_centers, planar_ranges,
-                                seed_bin_centers, select_candidate_clusters)
+from probfusion.cluster import (ARGMIN_TABLE_MAX, ClusteringConfig,
+                                RangeHistogram, _nearest_center,
+                                build_range_histogram, merge_close_centers,
+                                planar_ranges, seed_bin_centers,
+                                select_candidate_clusters)
 from probfusion.errors import EmptyInput, NoQualifiedCluster
 
 
@@ -344,16 +345,36 @@ class TestMatchesOracle:
         for name in ("bin_centers", "counts", "assignments"):
             assert same_array(getattr(hist, name), getattr(ref, name)), name
 
-    @settings(deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=400)
     @given(centers=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
            copies=st.integers(1, 3),
-           values=st.lists(st.floats(-2e3, 2e3), min_size=1, max_size=40))
-    @example(centers=[1.0, 1.0 + 2 ** -40], copies=2, values=[3e4, -3e4])
-    def test_nearest_center(self, centers, copies, values):
+           values=st.lists(st.floats(-2e3, 2e3), min_size=1, max_size=40),
+           large=st.booleans())
+    # Repeated centers and distances that round to the same value, on
+    # both sides of the size rule.
+    @example(centers=[1.0, 1.0 + 2 ** -40], copies=2, values=[3e4, -3e4],
+             large=False)
+    @example(centers=[1.0, 1.0 + 2 ** -40], copies=2, values=[3e4, -3e4],
+             large=True)
+    # Exactly ARGMIN_TABLE_MAX entries (32 centers x 128 values), one
+    # more (17 x 241, center 0 listed twice) and one more row (32 x
+    # 129), with every center repeated and values halfway between them.
+    @example(centers=[float(i) for i in range(16)], copies=2,
+             values=[i / 4 for i in range(-8, 88)], large=False)
+    @example(centers=[0.0] + [float(i) for i in range(16)], copies=1,
+             values=[i / 4 for i in range(-16, 208)], large=True)
+    @example(centers=[float(i) for i in range(16)], copies=2,
+             values=[i / 4 for i in range(-8, 89)], large=True)
+    def test_nearest_center(self, centers, copies, values, large):
         # Repeated centers, and centers so close that distances to them
         # round to the same value, tie: the lowest index wins, as in
-        # np.argmin.
+        # np.argmin. Tables of up to ARGMIN_TABLE_MAX entries take that
+        # argmin; large ones, the values cycled past that size, search.
         centers = np.sort(np.repeat(centers, copies))
         values = np.array(values + centers.tolist())
+        if large:
+            values = np.resize(values, max(
+                len(values), ARGMIN_TABLE_MAX // len(centers) + 1))
+        assert (len(values) * len(centers) > ARGMIN_TABLE_MAX) == large
         expected = np.argmin(np.abs(values[:, None] - centers), axis=1)
         assert same_array(_nearest_center(centers, values), expected)

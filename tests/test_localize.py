@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probfusion.cluster import planar_ranges
 from probfusion.errors import EmptyCluster
-from probfusion.localize import localize, representative_point
+from probfusion.localize import localize as localize_with_ranges
+from probfusion.localize import representative_point
+
+
+def localize(object_id, cluster_xyz):
+    """localize with the cluster's planar ranges, as the pipeline passes
+    them."""
+    return localize_with_ranges(object_id, cluster_xyz,
+                                planar_ranges(cluster_xyz))
 
 
 class TestRepresentativePoint:
@@ -92,3 +101,20 @@ class TestLocalize:
         assert loc.range_m == pytest.approx(np.hypot(loc.x_m, loc.y_m),
                                             abs=1e-9)
         assert np.any(np.all(cluster[:, :2] == [loc.x_m, loc.y_m], axis=1))
+
+    def test_given_ranges_pick_the_point(self):
+        # The ranges the caller passes pick the representative and give
+        # range_m; localize does not take them again from the points.
+        cluster = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                            [3.0, 0.0, 0.0]])
+        loc = localize_with_ranges(4, cluster, [30.0, 10.0, 20.0])
+        assert (loc.x_m, loc.y_m, loc.range_m) == (3.0, 0.0, 20.0)
+
+    @pytest.mark.parametrize("n_ranges", [0, 2, 4])
+    def test_range_count_must_match(self, n_ranges):
+        # One range per point, or the representative would index another
+        # point than the one its range belongs to.
+        cluster = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                            [3.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=f"{n_ranges} ranges for 3"):
+            localize_with_ranges(4, cluster, np.arange(n_ranges, dtype=float))

@@ -481,6 +481,54 @@ class TestRunFusionFrame:
             assert {obj_id: odiag for obj_id, odiag in diag.objects.items()
                     if obj_id != 99} == full.objects
 
+    @pytest.mark.parametrize("n_points", [1, 4])
+    def test_fewer_points_than_a_peak_skip_clustering(self, tmp_path,
+                                                      monkeypatch, n_points):
+        # A detection over a few points above the ground in the image's
+        # top-left corner, where no other point maps: no histogram bin
+        # can reach min_peak_count (5), so it fails before K-Means runs.
+        loaded, gt, cfg, calib, benchmarks = self._setup(tmp_path)
+        frame = loaded[0]
+        extra_xyz = np.column_stack([np.full(n_points, 20.0),
+                                     np.linspace(-0.3, 0.3, n_points),
+                                     np.zeros(n_points)])
+        extra_uv = 10.0 + np.arange(n_points)[:, None] * [1.0, 1.0]
+        ghost = BoundingBox(frame.frame_id, 99, "pedestrian",
+                            5.0, 5.0, 20.0, 20.0)
+        empty = BoundingBox(frame.frame_id, 98, "pedestrian",
+                            0.0, 0.0, 4.0, 4.0)
+        edited = dataclasses.replace(
+            frame, cloud=np.vstack([frame.cloud, extra_xyz]),
+            observed_uv=np.vstack([frame.observed_uv, extra_uv]),
+            uv_valid=np.concatenate([frame.uv_valid,
+                                     np.ones(n_points, dtype=bool)]),
+            detections=[ghost, empty])
+        calls = []
+        seed_bin_centers = pipeline_module.seed_bin_centers
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return seed_bin_centers(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "seed_bin_centers", counting)
+        assert cfg.clustering.min_peak_count == 5
+        _, diag = run_fusion_frame(edited, calib, cfg, benchmarks)
+        odiag = diag.objects[99]
+        assert odiag.aoi_point_count == n_points
+        assert odiag.status == "NoQualifiedCluster"
+        assert odiag.candidate_count == 0
+        assert calls == []
+        # Without a count floor the same detection clusters, and one
+        # without points still fails before K-Means.
+        no_floor = dataclasses.replace(cfg, clustering=dataclasses.replace(
+            cfg.clustering, min_peak_count=0))
+        locs, diag = run_fusion_frame(edited, calib, no_floor, benchmarks)
+        assert diag.objects[98].aoi_point_count == 0
+        assert diag.objects[98].status == "NoQualifiedCluster"
+        assert diag.objects[99].status == "ok"
+        assert diag.objects[99].candidate_count >= 1
+        assert len(calls) == 1 and [loc.object_id for loc in locs] == [99]
+
     def test_frame_without_detections(self, tmp_path):
         loaded, gt, cfg, calib, benchmarks = self._setup(tmp_path)
         frame = dataclasses.replace(loaded[0], detections=[])

@@ -423,3 +423,39 @@ class TestScoreCandidateMatchesOracle:
         ref = oracles.score_candidate(pts, cand, bench, cfg)
         assert score_fields(got) == score_fields(ref)
         assert got.cluster is cand
+
+    @pytest.mark.parametrize("pts", [
+        np.zeros((0, 2)),
+        np.array([[3.0, 7.0]]),
+        np.array([[3.0, 7.0]] * 4),
+        np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0], [5.0, 2.5]]),
+        np.array([[1.0, 5.0], [2.0, 5.0], [4.0, 5.0], [2.5, 5.0]]),
+    ], ids=["empty", "one point", "coincident", "constant u", "constant v"])
+    def test_bounding_rectangle_edges(self, pts):
+        # The degenerate test and the pre-rotation cells both read the
+        # points' bounding rectangle; a span of 0 in one or both columns
+        # scores as the oracle does.
+        bench = ShapeDescriptor(weights=np.full(9, 1 / 9))
+        cand = CandidateCluster(member_indices=np.arange(len(pts)),
+                                center_range=12.5)
+        cfg = ShapeFilterConfig()
+        got = score_candidate(pts, cand, bench, cfg)
+        ref = oracles.score_candidate(pts, cand, bench, cfg)
+        assert score_fields(got) == score_fields(ref)
+
+    @pytest.mark.parametrize("pts", [
+        np.array([[np.inf, 0.0]] * 3),
+        np.array([[-np.inf, np.inf]] * 2),
+    ], ids=["at +inf", "at -inf, +inf"])
+    def test_coincident_at_infinity_is_degenerate(self, pts):
+        # score_candidate and principal_axis_angle share one test for
+        # fewer than 2 distinct rows; rows that coincide at infinity are
+        # equal, though their span inf - inf is NaN.
+        cand = CandidateCluster(member_indices=np.arange(len(pts)),
+                                center_range=12.5)
+        got = score_candidate(pts, cand,
+                              ShapeDescriptor(weights=np.full(9, 1 / 9)),
+                              ShapeFilterConfig())
+        assert score_fields(got) == repr((0.0, 0.0, 0.0, False))
+        with pytest.raises(DegenerateCluster):
+            principal_axis_angle(pts)
