@@ -2,12 +2,20 @@
 
 Stage order per frame: projection -> crop -> ground fit/removal
 (skipped gracefully when no acceptable plane exists) -> enlarge AOI ->
-box members of the kept rows -> per detection: mode clustering -> shape
-selection (skipped for a single candidate) -> localization. A detection
-without a qualified cluster is a soft failure: it is recorded in the
-diagnostics and becomes a trajectory gap. A detection with fewer member
-points than min_peak_count (or none) is that soft failure before
-clustering, since no histogram bin can hold more points than the box.
+box members of the kept rows, then three passes over the detections:
+
+1. per detection, mode clustering into candidate clusters;
+2. one shape scoring of every candidate of every detection that has
+   more than one candidate and a class benchmark, all of the frame's
+   candidates as one stack;
+3. per detection, in detection order, shape selection (the first
+   candidate where pass 2 scored none) and localization.
+
+A detection without a qualified cluster is a soft failure: it is
+recorded in the diagnostics and becomes a trajectory gap. A detection
+with fewer member points than min_peak_count (or none) is that soft
+failure before clustering, since no histogram bin can hold more points
+than the box.
 
 The baseline that the evaluation compares the fusion with (the raw
 mapping in the original boxes, baseline_ranges) is not part of the
@@ -41,7 +49,8 @@ from .localize import ObjectLocalization, localize
 from .metrics import (align_to_ground_truth, mae_axis,
                       one_sample_right_tail_t_test, paired_t_test,
                       selection_completeness, tpr)
-from .shape import BenchmarkShapeRegistry, select_cluster
+from .shape import (BenchmarkShapeRegistry, score_candidates,
+                    select_cluster)
 from .smoother import TrackSample, smooth_and_interpolate, detect_outliers
 
 log = logging.getLogger(__name__)
@@ -166,7 +175,10 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
 
     bigs = [enlarge_aoi(det, cfg.ratios_for(det.class_label),
                         calib.intrinsics) for det in frame.detections]
-    localizations = []
+    # Pass 1: each detection's candidate clusters, or its soft failure.
+    # (detection, its diagnostics, member rows, their ranges, candidates,
+    # the benchmark to score them against or None)
+    clustered = []
     for det, (member_idx, member_ranges) in zip(
             frame.detections, _box_members(cloud, uv, kept, bigs)):
         odiag = ObjectDiagnostics(object_id=det.object_id,
@@ -185,34 +197,55 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
                 member_ranges, centers, cfg.clustering,
                 CLASSES[det.class_label].granularity_m)
             candidates = select_candidate_clusters(hist, cfg.clustering)
-            odiag.candidate_count = len(candidates)
-
-            benchmark = benchmarks.get(det.class_label) if benchmarks else None
-            if len(candidates) > 1 and benchmark is not None:
-                pts_per_cand = [uv[member_idx[c.member_indices]]
-                                for c in candidates]
-                chosen, scores = select_cluster(candidates, pts_per_cand,
-                                                benchmark, cfg.shape_filter)
-                odiag.candidate_scores = [
-                    {"pre_rotation_score": s.pre_rotation_score,
-                     "distance_m": s.cluster.center_range,
-                     "post_rotation_score": s.post_rotation_score,
-                     "rotation_deg": s.rotation_deg,
-                     "rotation_rejected": s.rotation_rejected,
-                     "count": len(s.cluster.member_indices)}
-                    for s in scores]
-            else:
-                chosen = candidates[0]
-
-            chosen_cloud_idx = member_idx[chosen.member_indices]
-            chosen_ranges = member_ranges[chosen.member_indices]
-            odiag.selected_indices = chosen_cloud_idx.tolist()
-            odiag.selected_ranges = chosen_ranges.tolist()
-            localizations.append(localize(det.object_id,
-                                          cloud[chosen_cloud_idx],
-                                          chosen_ranges))
         except NoQualifiedCluster as exc:
             odiag.status = type(exc).__name__
+            continue
+        odiag.candidate_count = len(candidates)
+        # A single candidate is chosen unscored.
+        benchmark = (benchmarks.get(det.class_label)
+                     if benchmarks and len(candidates) > 1 else None)
+        clustered.append((det, odiag, member_idx, member_ranges, candidates,
+                          benchmark))
+
+    # Pass 2: every candidate of every detection with a benchmark, scored
+    # as one stack, its pixels taken by one gather.
+    rows, to_score, to_score_benchmarks = [], [], []
+    for _, _, member_idx, _, candidates, benchmark in clustered:
+        if benchmark is not None:
+            rows += [member_idx[c.member_indices] for c in candidates]
+            to_score += candidates
+            to_score_benchmarks += [benchmark] * len(candidates)
+    scores = iter(())
+    if to_score:
+        pixels = np.take(uv, np.concatenate(rows), axis=0)
+        scores = iter(score_candidates(
+            np.split(pixels, np.cumsum([len(r) for r in rows[:-1]])),
+            to_score, to_score_benchmarks, cfg.shape_filter))
+
+    # Pass 3: per detection, in detection order, the choice and its
+    # localization.
+    localizations = []
+    for det, odiag, member_idx, member_ranges, candidates, benchmark in (
+            clustered):
+        if benchmark is not None:
+            det_scores = [next(scores) for _ in candidates]
+            chosen = select_cluster(det_scores)
+            odiag.candidate_scores = [
+                {"pre_rotation_score": s.pre_rotation_score,
+                 "distance_m": s.cluster.center_range,
+                 "post_rotation_score": s.post_rotation_score,
+                 "rotation_deg": s.rotation_deg,
+                 "rotation_rejected": s.rotation_rejected,
+                 "count": len(s.cluster.member_indices)}
+                for s in det_scores]
+        else:
+            chosen = candidates[0]
+        chosen_cloud_idx = member_idx[chosen.member_indices]
+        chosen_ranges = member_ranges[chosen.member_indices]
+        odiag.selected_indices = chosen_cloud_idx.tolist()
+        odiag.selected_ranges = chosen_ranges.tolist()
+        localizations.append(localize(det.object_id, cloud[chosen_cloud_idx],
+                                      chosen_ranges))
     return localizations, diag
 
 

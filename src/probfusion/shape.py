@@ -4,6 +4,13 @@ A cluster's 2-D projection is summarized by a 3x3 occupancy grid over
 its bounding rectangle; candidates are de-rotated with a constrained
 PCA, compared to a per-class benchmark with KL divergence, and ranked
 by a sigmoid similarity score.
+
+Scoring takes one stack per frame: score_candidates scores every
+candidate of a frame, of all its detections, in one call, with bounds,
+cells, KL sums and eigendecompositions over the stacked rows; each
+candidate keeps the bits that scoring it alone gives. score_candidate
+is a stack of one, and select_cluster picks among one detection's
+scores.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -94,41 +102,70 @@ def principal_axis_angle(points_2d: np.ndarray) -> RotationEstimate:
     rejected and no rotation is applied downstream.
     """
     pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
-    if _distinct_bounds(pts) is None:
+    counts = np.array([len(pts)])
+    if len(pts) == 0 or not _distinct(*_bounds(pts, counts))[0]:
         raise DegenerateCluster("need at least 2 distinct points for PCA")
-    return _axis_estimate(pts, pts.mean(axis=0))
+    return _principal_axes(pts, counts)[2][0]
 
 
-def _distinct_bounds(pts: np.ndarray):
-    """The column minima and maxima of the (n, 2) points, their bounding
-    rectangle; None when the points hold fewer than 2 distinct rows.
+# The helpers below take m segments of stacked (N, 2) rows: segment k
+# is the next counts[k] >= 1 rows. Each gives the bits of its
+# one-segment form on every segment.
 
-    Those are the points whose minima equal their maxima in both
-    columns. A NaN makes its column's bounds NaN, which are unequal, as
-    a NaN row is distinct from every row.
+def _bounds(stack: np.ndarray, counts: np.ndarray):
+    """Each segment's column minima and maxima, its bounding rectangle:
+    two (m, 2) arrays."""
+    starts = np.cumsum(counts) - counts
+    return (np.minimum.reduceat(stack, starts, axis=0),
+            np.maximum.reduceat(stack, starts, axis=0))
+
+
+def _distinct(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each segment with bounds lo and hi holds at least 2
+    distinct rows: its minima differ from its maxima in some column. A
+    NaN makes its column's bounds NaN, which are unequal, as a NaN row
+    is distinct from every row."""
+    return ~(lo == hi).all(axis=1)
+
+
+def _segments(stack: np.ndarray, counts: np.ndarray) -> list:
+    """The segments of the stacked rows, as views."""
+    ends = np.cumsum(counts).tolist()
+    return [stack[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def _principal_axes(stack: np.ndarray, counts: np.ndarray):
+    """Each segment's centroid (m, 2), its rows less its centroid (a
+    list of views) and its RotationEstimate.
+
+    A segment's centroid is its own sum over its count, and its
+    covariance is its own product: np.add.reduceat and a stacked
+    product add in other orders, which change bits. The (m, 2, 2)
+    covariances take one eigh call, which equals per-matrix calls.
     """
-    if len(pts) == 0:
-        return None
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    return None if (lo == hi).all() else (lo, hi)
-
-
-def _axis_estimate(pts: np.ndarray, centroid: np.ndarray) -> RotationEstimate:
-    centered = pts - centroid
-    cov = centered.T @ centered / len(pts)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    major = eigvecs[:, np.argmax(eigvals)]  # (e_u, e_v)
-    # Counter-clockwise rotation (in u-v) that tilted the axis off vertical;
-    # the eigenvector's sign ambiguity cancels under the mod-180 mapping.
-    angle = math.degrees(math.atan2(-major[0], major[1]))
-    if angle <= -90.0:
-        angle += 180.0
-    elif angle > 90.0:
-        angle -= 180.0
-    # Tiny epsilon keeps an exactly-40-degree tilt on the accepted side
-    # despite eigensolver rounding.
-    return RotationEstimate(angle_deg=angle,
-                            rejected=abs(angle) > MAX_ROTATION_DEG + 1e-9)
+    sums = [seg.sum(axis=0) for seg in _segments(stack, counts)]
+    centroids = np.array(sums) / counts[:, None]
+    centered = _segments(stack - np.repeat(centroids, counts, axis=0), counts)
+    covs = np.array([c.T @ c for c in centered]) / counts[:, None, None]
+    eigvals, eigvecs = np.linalg.eigh(covs)
+    # Per segment the eigenvector (e_u, e_v) of the larger eigenvalue.
+    majors = eigvecs[np.arange(len(counts)), :, np.argmax(eigvals, axis=1)]
+    estimates = []
+    for e_u, e_v in majors.tolist():
+        # Counter-clockwise rotation (in u-v) that tilted the axis off
+        # vertical; the eigenvector's sign ambiguity cancels under the
+        # mod-180 mapping. Scalar math.atan2: numpy's arctan2 over the
+        # stack differs from it in the last bit on some inputs.
+        angle = math.degrees(math.atan2(-e_u, e_v))
+        if angle <= -90.0:
+            angle += 180.0
+        elif angle > 90.0:
+            angle -= 180.0
+        # Tiny epsilon keeps an exactly-40-degree tilt on the accepted
+        # side despite eigensolver rounding.
+        estimates.append(RotationEstimate(
+            angle_deg=angle, rejected=abs(angle) > MAX_ROTATION_DEG + 1e-9))
+    return centroids, centered, estimates
 
 
 def derotate(points_2d: np.ndarray, est: RotationEstimate) -> np.ndarray:
@@ -136,28 +173,30 @@ def derotate(points_2d: np.ndarray, est: RotationEstimate) -> np.ndarray:
     pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
     if est.rejected or est.angle_deg == 0.0:
         return pts.copy()
-    return _rotate_about(pts, -est.angle_deg, pts.mean(axis=0))
+    centroid = pts.mean(axis=0)
+    return (pts - centroid) @ _rotation(-est.angle_deg).T + centroid
 
 
-def _rotate_about(pts: np.ndarray, angle_deg: float,
-                  centroid: np.ndarray) -> np.ndarray:
-    """pts rotated counter-clockwise by angle_deg about centroid."""
+def _rotation(angle_deg: float) -> np.ndarray:
+    """The 2x2 counter-clockwise rotation by angle_deg."""
     theta = math.radians(angle_deg)
     c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    return (pts - centroid) @ rot.T + centroid
+    return np.array([[c, -s], [s, c]])
 
 
-def _cell_weights(pts: np.ndarray, lo: np.ndarray,
+def _cell_weights(stack: np.ndarray, counts: np.ndarray, lo: np.ndarray,
                   hi: np.ndarray) -> np.ndarray:
-    """compute_descriptor's 9 weights of n >= 1 points with column
-    minima lo and maxima hi, unvalidated. A column of span 0 has
-    pts - lo == 0, which any divisor leaves in the first cell."""
+    """compute_descriptor's 9 weights of each segment with bounds lo and
+    hi, unvalidated: (m, 9). A column of span 0 has rows - lo == 0,
+    which any divisor leaves in the first cell."""
     span = hi - lo
-    scaled = 3 * (pts - lo) / np.where(span > 0, span, 1.0)
+    scaled = (3 * (stack - np.repeat(lo, counts, axis=0))
+              / np.repeat(np.where(span > 0, span, 1.0), counts, axis=0))
     idx = np.minimum(scaled.astype(int), 2)
     cells = idx[:, 1] * 3 + idx[:, 0]  # row from v, column from u
-    return np.bincount(cells, minlength=9) / len(pts)
+    cells += 9 * np.repeat(np.arange(len(counts)), counts)
+    return (np.bincount(cells, minlength=9 * len(counts)).reshape(-1, 9)
+            / counts[:, None])
 
 
 def compute_descriptor(points_2d: np.ndarray) -> ShapeDescriptor:
@@ -169,26 +208,29 @@ def compute_descriptor(points_2d: np.ndarray) -> ShapeDescriptor:
     pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         raise DegenerateCluster("cannot describe an empty point set")
-    return ShapeDescriptor(weights=_cell_weights(pts, pts.min(axis=0),
-                                                 pts.max(axis=0)))
+    counts = np.array([len(pts)])
+    return ShapeDescriptor(
+        weights=_cell_weights(pts, counts, *_bounds(pts, counts))[0])
 
 
 def _smoothed(weights: np.ndarray, smoothing: float) -> np.ndarray:
+    """Weights, or rows of weights, plus smoothing, renormalized."""
     w = weights + smoothing
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def _kl(pw: np.ndarray, qw: np.ndarray) -> float:
+def _kl(pw: np.ndarray, qw: np.ndarray) -> np.ndarray:
+    """KL(P || Q) of smoothed weights, or of each row of them."""
     # The sum rounds to just below 0 when pw equals qw or nearly so;
     # KL is never negative.
-    return max(float(np.sum(pw * np.log(pw / qw))), 0.0)
+    return np.maximum(np.sum(pw * np.log(pw / qw), axis=-1), 0.0)
 
 
 def kl_divergence(p: ShapeDescriptor, q: ShapeDescriptor,
                   smoothing: float = 1e-6) -> float:
     """KL(P || Q) in nats after additive smoothing of both distributions."""
-    return _kl(_smoothed(p.weights, smoothing),
-               _smoothed(q.weights, smoothing))
+    return float(_kl(_smoothed(p.weights, smoothing),
+                     _smoothed(q.weights, smoothing)))
 
 
 def similarity_score(d_kl: float, k: float = 1.0) -> float:
@@ -222,60 +264,97 @@ class CandidateScore:
 def score_candidate(points_2d: np.ndarray, cluster: CandidateCluster,
                     benchmark: ShapeDescriptor,
                     cfg: ShapeFilterConfig) -> CandidateScore:
-    """Similarity to the benchmark before and after de-rotation.
+    """Similarity to the benchmark before and after de-rotation: the
+    score of score_candidates for a stack of one."""
+    return score_candidates([points_2d], [cluster], [benchmark], cfg)[0]
+
+
+def score_candidates(points_2d_per_candidate: Sequence[np.ndarray],
+                     clusters: Sequence[CandidateCluster],
+                     benchmarks: Sequence[ShapeDescriptor],
+                     cfg: ShapeFilterConfig) -> list[CandidateScore]:
+    """Each candidate's similarity to its benchmark before and after
+    de-rotation, in input order; the candidates are scored as one stack.
 
     A candidate without 2 distinct points is degenerate and scores 0.
-    The bounding rectangle that tells it (_distinct_bounds) also gives
-    the pre-rotation cells. One centroid serves the axis estimate and
-    the de-rotation; when the rotation is skipped, the post-rotation
-    score is the pre-rotation one.
+    The bounding rectangle that tells it also gives the pre-rotation
+    cells.
     """
-    pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
-    bounds = _distinct_bounds(pts)
-    if bounds is None:
-        return CandidateScore(cluster=cluster, pre_rotation_score=0.0,
-                              post_rotation_score=0.0, rotation_deg=0.0,
-                              rotation_rejected=False)
-    qw = _smoothed(benchmark.weights, cfg.kl_smoothing)
-
-    def score(weights):
-        return similarity_score(_kl(_smoothed(weights, cfg.kl_smoothing),
-                                    qw), cfg.sigmoid_gain)
-
-    # The bits of pts.mean(axis=0), without np.mean's Python wrapper.
-    centroid = pts.sum(axis=0) / len(pts)
-    est = _axis_estimate(pts, centroid)
-    pre_score = score(_cell_weights(pts, *bounds))
-    if est.rejected or est.angle_deg == 0.0:
-        post_score = pre_score  # derotate would return the points unchanged
-    else:
-        rotated = _rotate_about(pts, -est.angle_deg, centroid)
-        post_score = score(_cell_weights(rotated, rotated.min(axis=0),
-                                         rotated.max(axis=0)))
-    return CandidateScore(
-        cluster=cluster,
-        pre_rotation_score=pre_score,
-        post_rotation_score=post_score,
-        rotation_deg=est.angle_deg,
-        rotation_rejected=est.rejected,
-    )
+    pts = [np.asarray(p, dtype=float).reshape(-1, 2)
+           for p in points_2d_per_candidate]
+    live = [k for k, p in enumerate(pts) if len(p)]
+    if live:
+        counts = np.array([len(pts[k]) for k in live])
+        stack = np.concatenate([pts[k] for k in live])
+        lo, hi = _bounds(stack, counts)
+        distinct = _distinct(lo, hi)
+        if not distinct.all():
+            stack = stack[np.repeat(distinct, counts)]
+            live = list(compress(live, distinct))
+            counts, lo, hi = counts[distinct], lo[distinct], hi[distinct]
+    fields = {}
+    if live:
+        fields = dict(zip(live, _stack_scores(
+            stack, counts, lo, hi, [benchmarks[k] for k in live], cfg)))
+    return [CandidateScore(cluster, *fields.get(k, (0.0, 0.0, 0.0, False)))
+            for k, cluster in enumerate(clusters)]
 
 
-def select_cluster(candidates: Sequence[CandidateCluster],
-                   points_2d_per_candidate: Sequence[np.ndarray],
-                   benchmark: ShapeDescriptor,
-                   cfg: ShapeFilterConfig) -> tuple[CandidateCluster, list[CandidateScore]]:
-    """Pick the candidate most similar to the class benchmark.
+def _stack_scores(stack: np.ndarray, counts: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray, benchmarks: Sequence[ShapeDescriptor],
+                  cfg: ShapeFilterConfig) -> list[tuple]:
+    """(pre-rotation score, post-rotation score, rotation_deg,
+    rotation_rejected) of each segment of at least 2 distinct rows, with
+    bounds lo and hi, against its benchmark.
 
-    Ties (including degenerate candidates scoring 0) break toward smaller
-    center range. Returns the winner plus all per-candidate scores for
-    diagnostics.
+    One centroid serves the axis estimate and the de-rotation; when the
+    rotation is skipped, the post-rotation score is the pre-rotation
+    one. A benchmark listed for several segments is smoothed once.
     """
-    if not candidates:
+    firsts = list({id(b): b for b in benchmarks}.values())
+    row = {id(b): i for i, b in enumerate(firsts)}
+    qw = _smoothed(np.array([b.weights for b in firsts]),
+                   cfg.kl_smoothing)[[row[id(b)] for b in benchmarks]]
+
+    centroids, centered, estimates = _principal_axes(stack, counts)
+    kl_pre = _kl(_smoothed(_cell_weights(stack, counts, lo, hi),
+                           cfg.kl_smoothing), qw)
+    # derotate would return the points of the others unchanged.
+    turned = [i for i, est in enumerate(estimates)
+              if not (est.rejected or est.angle_deg == 0.0)]
+    kl_post = {}
+    if turned:
+        turned_counts = counts[turned]
+        # Each rotation product on its own rows, like the covariance.
+        rotated = (np.concatenate([
+            centered[i] @ _rotation(-estimates[i].angle_deg).T
+            for i in turned])
+            + np.repeat(centroids[turned], turned_counts, axis=0))
+        kl_post = dict(zip(turned, _kl(_smoothed(
+            _cell_weights(rotated, turned_counts,
+                          *_bounds(rotated, turned_counts)),
+            cfg.kl_smoothing), qw[turned]).tolist()))
+
+    # Scalar math.exp on Python floats: numpy's exp over the stack
+    # differs in the last bit on some inputs, and a numpy float's
+    # k * d warns where it overflows.
+    out = []
+    for i, (est, d_pre) in enumerate(zip(estimates, kl_pre.tolist())):
+        pre = similarity_score(d_pre, cfg.sigmoid_gain)
+        post = (similarity_score(kl_post[i], cfg.sigmoid_gain)
+                if i in kl_post else pre)
+        out.append((pre, post, est.angle_deg, est.rejected))
+    return out
+
+
+def select_cluster(scores: Sequence[CandidateScore]) -> CandidateCluster:
+    """The candidate most similar to its class benchmark, of one
+    detection's scores: the highest post-rotation score.
+
+    Ties (including degenerate candidates scoring 0) break toward the
+    smaller center range.
+    """
+    if not scores:
         raise EmptyInput("no candidate clusters")
-    scores = [score_candidate(pts, cand, benchmark, cfg)
-              for cand, pts in zip(candidates, points_2d_per_candidate)]
-    best = min(range(len(scores)),
-               key=lambda i: (-scores[i].post_rotation_score,
-                              candidates[i].center_range))
-    return candidates[best], scores
+    return min(scores, key=lambda s: (-s.post_rotation_score,
+                                      s.cluster.center_range)).cluster

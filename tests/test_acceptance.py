@@ -26,7 +26,8 @@ from probfusion.metrics import (ToleranceConfig, one_sample_right_tail_t_test,
 from probfusion.pipeline import (baseline_ranges, run_fusion_frame,
                                  run_sequence)
 from probfusion.shape import (ShapeFilterConfig, compute_descriptor, derotate,
-                              principal_axis_angle, select_cluster)
+                              principal_axis_angle, score_candidates,
+                              select_cluster)
 from probfusion.sim import (DEFAULT_ERROR_MODEL, SIMULATED_GUARANTEE,
                             ErrorModel, _sample_silhouette,
                             default_calibration, overtaking_scene,
@@ -158,8 +159,8 @@ def test_criterion_03_shape_selection():
             pts.append(uv)
         winners = []
         for k in (0.5, 1.0, 2.0):
-            chosen, _ = select_cluster(cands, pts, bench,
-                                       ShapeFilterConfig(sigmoid_gain=k))
+            chosen = select_cluster(score_candidates(
+                pts, cands, [bench] * 3, ShapeFilterConfig(sigmoid_gain=k)))
             winners.append(next(i for i, c in enumerate(cands)
                                 if c is chosen))
         wins += winners[1] == 1

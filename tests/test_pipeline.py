@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from probfusion.aoi import BoundingBox, EnlargeRatios
 from probfusion.calib import CalibrationPair, save_calibration
 from probfusion.classes import CLASSES
+from probfusion.cluster import ClusteringConfig
 from probfusion.cli import main as cli_main
 from probfusion.config import (PipelineConfig, load_pipeline_config,
                                write_pipeline_config)
@@ -38,7 +39,6 @@ import oracles
 from probfusion import ground as ground_module
 from probfusion import io as io_module
 from probfusion import pipeline as pipeline_module
-from probfusion import shape as shape_module
 from probfusion import smoother as smoother_module
 from probfusion.pipeline import (baseline_ranges, run_fusion_frame,
                                  run_sequence)
@@ -832,6 +832,15 @@ class TestCropDrop:
             assert repr(diag.objects) == repr(wide_objects)
 
 
+def oracle_score_candidates(points_2d_per_candidate, clusters, benchmarks,
+                            cfg):
+    """The frame-wide scorer as the reference version scores each
+    candidate on its own."""
+    return [oracles.score_candidate(pts, cluster, benchmark, cfg)
+            for pts, cluster, benchmark in zip(points_2d_per_candidate,
+                                               clusters, benchmarks)]
+
+
 class TestStageOracles:
     """Fusing with the library's stages gives what fusing with the
     reference versions in oracles.py gives: the same localizations and
@@ -845,8 +854,8 @@ class TestStageOracles:
                             oracles.seed_bin_centers)
         monkeypatch.setattr(pipeline_module, "build_range_histogram",
                             oracles.build_range_histogram)
-        monkeypatch.setattr(shape_module, "score_candidate",
-                            oracles.score_candidate)
+        monkeypatch.setattr(pipeline_module, "score_candidates",
+                            oracle_score_candidates)
         monkeypatch.setattr(smoother_module, "_ransac_best_fit",
                             oracles._ransac_best_fit)
 
@@ -899,6 +908,93 @@ class TestStageOracles:
         ref = {p.relative_to(tmp_path / "ref"): p.read_bytes()
                for p in (tmp_path / "ref").rglob("*") if p.is_file()}
         assert got == ref
+
+
+class TestFrameWideScoring:
+    """A detection's candidates are scored only when it has more than
+    one and its class has a benchmark; a frame scores all of those in one
+    score_candidates call, or in none, and fuses as the stage oracles
+    fuse it."""
+
+    @staticmethod
+    def fuse_with_spy(frames, cfg, registry, monkeypatch):
+        """The frames fused, and per frame the stack sizes score_candidates
+        was called with."""
+        calls = []
+        library = pipeline_module.score_candidates
+
+        def spy(points_2d_per_candidate, clusters, benchmarks, shape_cfg):
+            calls[-1].append(len(clusters))
+            return library(points_2d_per_candidate, clusters, benchmarks,
+                           shape_cfg)
+
+        fused = []
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline_module, "score_candidates", spy)
+            for fr in frames:
+                calls.append([])
+                fused.append(run_fusion_frame(fr, default_calibration(), cfg,
+                                              registry))
+        return fused, calls
+
+    @pytest.mark.parametrize("classes, peak_ratio", [
+        (None, 0.3), (("pedestrian",), 0.3), (("car", "pedestrian"), 0.8),
+        (("car", "pedestrian"), 0.3)],
+        ids=["no registry", "pedestrian only", "mostly one candidate",
+             "both classes"])
+    def test_scored_detections(self, classes, peak_ratio, monkeypatch):
+        calib = default_calibration()
+        frames = simulate_sequence(conftest.crowd_scene(duration=1.0), calib,
+                                   DEFAULT_ERROR_MODEL)
+        shapes = reference_benchmarks()
+        registry = (None if classes is None else BenchmarkShapeRegistry(
+            shapes={c: shapes[c] for c in classes}, sample_counts={}))
+        cfg = dataclasses.replace(
+            conftest.in_memory_config(),
+            clustering=ClusteringConfig(peak_ratio=peak_ratio))
+        got, calls = self.fuse_with_spy(frames, cfg, registry, monkeypatch)
+        unscored, _ = self.fuse_with_spy(frames, cfg, None, monkeypatch)
+        TestStageOracles.use_oracles(monkeypatch)
+        ref = [run_fusion_frame(fr, calib, cfg, registry) for fr in frames]
+        n_single = n_car_choices = 0
+        for (locs, diag), (ref_locs, ref_diag), (_, unscored_diag), sizes \
+                in zip(got, ref, unscored, calls):
+            assert repr(locs) == repr(ref_locs)
+            assert repr(diag) == repr(ref_diag)
+            # Localizations in detection order, one per ok detection.
+            assert [loc.object_id for loc in locs] == [
+                oid for oid, o in diag.objects.items() if o.status == "ok"]
+            scored = [o for o in diag.objects.values()
+                      if o.status == "ok" and o.candidate_count > 1
+                      and o.class_label in (classes or ())]
+            assert [o for o in diag.objects.values()
+                    if o.candidate_scores] == scored
+            assert all(len(o.candidate_scores) == o.candidate_count
+                       for o in scored)
+            # One call per frame with a scored detection, none without,
+            # never on an empty stack.
+            assert sizes == ([sum(o.candidate_count for o in scored)]
+                             if scored else [])
+            # A detection left unscored takes its first candidate, as it
+            # does without a registry.
+            for oid, o in diag.objects.items():
+                if not any(o is s for s in scored):
+                    assert o.selected_indices == \
+                        unscored_diag.objects[oid].selected_indices
+            n_single += sum(o.candidate_count == 1
+                            for o in diag.objects.values())
+            n_car_choices += sum(o.class_label == "car"
+                                 and o.candidate_count > 1
+                                 for o in diag.objects.values())
+        # The frames hold every case: one-candidate detections, frames
+        # with a call and, where few detections have a choice, without.
+        assert n_single > 0
+        called = [bool(sizes) for sizes in calls]
+        assert any(called) == (classes is not None)
+        if peak_ratio > 0.3:
+            assert not all(called)
+        if classes == ("pedestrian",):
+            assert n_car_choices > 0
 
 
 class TestCli:

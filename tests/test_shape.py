@@ -14,8 +14,8 @@ from probfusion.shape import (BenchmarkShapeRegistry, RotationEstimate,
                               ShapeDescriptor, ShapeFilterConfig,
                               build_benchmark, compute_descriptor, derotate,
                               kl_divergence, principal_axis_angle,
-                              score_candidate, select_cluster,
-                              similarity_score)
+                              score_candidate, score_candidates,
+                              select_cluster, similarity_score)
 
 
 def one_hot(i):
@@ -254,6 +254,12 @@ class TestBuildBenchmark:
             build_benchmark([])
 
 
+def select(candidates, pts, bench, cfg):
+    """One detection's choice among its candidates and their scores."""
+    scores = score_candidates(pts, candidates, [bench] * len(candidates), cfg)
+    return select_cluster(scores), scores
+
+
 class TestSelectCluster:
     def _candidate(self, n, rng_range):
         return CandidateCluster(member_indices=np.arange(n),
@@ -266,8 +272,8 @@ class TestSelectCluster:
     def test_single_candidate_wins(self):
         cfg = ShapeFilterConfig()
         cand = self._candidate(10, 15.0)
-        chosen, scores = select_cluster([cand], [car_like()],
-                                        self._ped_benchmark(), cfg)
+        chosen, scores = select([cand], [car_like()],
+                                self._ped_benchmark(), cfg)
         assert chosen is cand
         assert len(scores) == 1
 
@@ -281,7 +287,7 @@ class TestSelectCluster:
                      self._candidate(300, 30.0)]
             pts = [car_like(seed=100 + s), pedestrian_like(seed=200 + s),
                    car_like(seed=300 + s)]
-            chosen, _ = select_cluster(cands, pts, bench, cfg)
+            chosen, _ = select(cands, pts, bench, cfg)
             wins += chosen is cands[1]
         assert wins == trials
 
@@ -291,7 +297,7 @@ class TestSelectCluster:
         pts = pedestrian_like(seed=1)
         near = self._candidate(300, 12.0)
         far = self._candidate(300, 24.0)
-        chosen, _ = select_cluster([far, near], [pts, pts], bench, cfg)
+        chosen, _ = select([far, near], [pts, pts], bench, cfg)
         assert chosen is near
 
     def test_gain_invariance(self):
@@ -300,8 +306,8 @@ class TestSelectCluster:
         pts = [car_like(seed=4), pedestrian_like(seed=4)]
         winners = set()
         for k in (0.5, 1.0, 2.0):
-            chosen, _ = select_cluster(cands, pts, bench,
-                                       ShapeFilterConfig(sigmoid_gain=k))
+            chosen, _ = select(cands, pts, bench,
+                               ShapeFilterConfig(sigmoid_gain=k))
             winners.add(id(chosen))
         assert len(winners) == 1
 
@@ -312,7 +318,7 @@ class TestSelectCluster:
         bench = self._ped_benchmark()
         cands = [self._candidate(300, 10.0), self._candidate(300, 20.0)]
         pts = [car_like(seed=4), pedestrian_like(seed=4)]
-        chosen, scores = select_cluster(
+        chosen, scores = select(
             cands, pts, bench, ShapeFilterConfig(sigmoid_gain=10_000))
         assert chosen is cands[1]
         assert scores[0].post_rotation_score == 0.0
@@ -322,7 +328,7 @@ class TestSelectCluster:
         cfg = ShapeFilterConfig()
         good = self._candidate(300, 30.0)
         bad = self._candidate(5, 10.0)
-        chosen, scores = select_cluster(
+        chosen, scores = select(
             [bad, good], [np.tile([[1.0, 1.0]], (5, 1)), pedestrian_like()],
             bench, cfg)
         assert chosen is good
@@ -331,7 +337,7 @@ class TestSelectCluster:
 
     def test_empty_candidates_raise(self):
         with pytest.raises(EmptyInput):
-            select_cluster([], [], self._ped_benchmark(), ShapeFilterConfig())
+            select_cluster([])
 
 
 class TestRegistry:
@@ -401,6 +407,83 @@ def pixel_sets(draw):
     return 300.0 + 20.0 * rotate(pts, draw(st.floats(-80.0, 80.0)))
 
 
+# Point sets on the edges of the bounding-rectangle and degeneracy tests.
+RECTANGLE_EDGES = {
+    "empty": np.zeros((0, 2)),
+    "one point": np.array([[3.0, 7.0]]),
+    "coincident": np.array([[3.0, 7.0]] * 4),
+    "constant u": np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0], [5.0, 2.5]]),
+    "constant v": np.array([[1.0, 5.0], [2.0, 5.0], [4.0, 5.0], [2.5, 5.0]]),
+}
+AT_INFINITY = {
+    "at +inf": np.array([[np.inf, 0.0]] * 3),
+    "at -inf, +inf": np.array([[-np.inf, np.inf]] * 2),
+}
+
+
+def oracle_scores(sets, clusters, benchmarks, cfg):
+    # The reference's own bounding rectangle of points at infinity
+    # subtracts inf - inf, which warns; its score is still 0.
+    with np.errstate(invalid="ignore"):
+        return [oracles.score_candidate(pts, cluster, bench, cfg)
+                for pts, cluster, bench in zip(sets, clusters, benchmarks)]
+
+
+class TestScoreCandidatesMatchOracle:
+    """score_candidates scores a stack of candidates as the reference
+    version in oracles.py scores each one alone, float for float.
+
+    Stacking keeps those bits only as follows (each rule was found by a
+    stacked version that broke it):
+
+    - a candidate's centroid is its own pts.sum(axis=0) / n: that sum
+      adds the rows in order, and np.add.reduceat over the stack adds
+      them in another order; over 1,000 random stacks of 1-24 segments
+      of 2-299 rows, 11,312 of 12,145 segment sums differed;
+    - c.T @ c / n runs per candidate on its contiguous slice of the
+      stacked centered rows;
+    - the angle is scalar math.atan2 and the sigmoid scalar math.exp:
+      numpy's arctan2 and exp over the stack differ in the last bit on
+      some crowd candidates (CHANGES.md);
+    - the rotation product runs per candidate;
+    - one np.linalg.eigh call on the (m, 2, 2) covariances equals one
+      call per matrix.
+
+    Bounds (minima and maxima), cells, smoothing and the KL terms and
+    row sums are exact or elementwise, so they run over the stack.
+    """
+
+    @settings(deadline=None, max_examples=200)
+    @given(sets=st.lists(
+               pixel_sets() | st.sampled_from([*RECTANGLE_EDGES.values(),
+                                               *AT_INFINITY.values()]),
+               max_size=25),
+           weights=st.lists(st.lists(st.floats(0.0, 1.0), min_size=9,
+                                     max_size=9), min_size=2, max_size=2),
+           second=st.lists(st.booleans(), min_size=25, max_size=25),
+           gain=st.sampled_from([0.5, 1.0, 2.0]))
+    @example(sets=[*RECTANGLE_EDGES.values(), *AT_INFINITY.values(),
+                   100.0 + 3.0 * np.array([[0, 0], [1, 4], [2, 6]])],
+             weights=[[1.0] * 9, [0.0] * 8 + [1.0]], second=[False, True] * 12
+             + [False], gain=1.0)
+    def test_matches_oracle(self, sets, weights, second, gain):
+        benches = []
+        for w in weights:
+            w = np.array(w) + 1e-3
+            benches.append(ShapeDescriptor(weights=w / w.sum()))
+        per_candidate = [benches[b] for b in second[:len(sets)]]
+        clusters = [CandidateCluster(member_indices=np.arange(len(pts)),
+                                     center_range=10.0 + k)
+                    for k, pts in enumerate(sets)]
+        cfg = ShapeFilterConfig(sigmoid_gain=gain)
+        got = score_candidates(sets, clusters, per_candidate, cfg)
+        ref = oracle_scores(sets, clusters, per_candidate, cfg)
+        assert [score_fields(s) for s in got] == \
+            [score_fields(s) for s in ref]
+        assert all(s.cluster is c for s, c in zip(got, clusters))
+        assert len(got) == len(clusters)
+
+
 class TestScoreCandidateMatchesOracle:
     """score_candidate equals the reference version in oracles.py, float
     for float, including degenerate and rejected candidates."""
@@ -424,13 +507,8 @@ class TestScoreCandidateMatchesOracle:
         assert score_fields(got) == score_fields(ref)
         assert got.cluster is cand
 
-    @pytest.mark.parametrize("pts", [
-        np.zeros((0, 2)),
-        np.array([[3.0, 7.0]]),
-        np.array([[3.0, 7.0]] * 4),
-        np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0], [5.0, 2.5]]),
-        np.array([[1.0, 5.0], [2.0, 5.0], [4.0, 5.0], [2.5, 5.0]]),
-    ], ids=["empty", "one point", "coincident", "constant u", "constant v"])
+    @pytest.mark.parametrize("pts", RECTANGLE_EDGES.values(),
+                             ids=RECTANGLE_EDGES.keys())
     def test_bounding_rectangle_edges(self, pts):
         # The degenerate test and the pre-rotation cells both read the
         # points' bounding rectangle; a span of 0 in one or both columns
@@ -443,10 +521,8 @@ class TestScoreCandidateMatchesOracle:
         ref = oracles.score_candidate(pts, cand, bench, cfg)
         assert score_fields(got) == score_fields(ref)
 
-    @pytest.mark.parametrize("pts", [
-        np.array([[np.inf, 0.0]] * 3),
-        np.array([[-np.inf, np.inf]] * 2),
-    ], ids=["at +inf", "at -inf, +inf"])
+    @pytest.mark.parametrize("pts", AT_INFINITY.values(),
+                             ids=AT_INFINITY.keys())
     def test_coincident_at_infinity_is_degenerate(self, pts):
         # score_candidate and principal_axis_angle share one test for
         # fewer than 2 distinct rows; rows that coincide at infinity are
