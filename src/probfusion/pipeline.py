@@ -4,7 +4,11 @@ Stage order per frame: projection -> crop -> ground fit/removal
 (skipped gracefully when no acceptable plane exists) -> enlarge AOI ->
 box members of the kept rows, then three passes over the detections:
 
-1. per detection, mode clustering into candidate clusters;
+1. mode clustering into candidate clusters, in three steps:
+   a. per detection, its members and their K-Means centers;
+   b. one range histogram of every detection that reached K-Means,
+      as one stack;
+   c. one selection of each of those detections' candidate clusters;
 2. one shape scoring of every candidate of every detection that has
    more than one candidate and a class benchmark, all of the frame's
    candidates as one stack;
@@ -14,7 +18,7 @@ box members of the kept rows, then three passes over the detections:
 A detection without a qualified cluster is a soft failure: it is
 recorded in the diagnostics and becomes a trajectory gap. A detection
 with fewer member points than min_peak_count (or none) is that soft
-failure before clustering, since no histogram bin can hold more points
+failure before K-Means, since no histogram bin can hold more points
 than the box.
 
 The baseline that the evaluation compares the fusion with (the raw
@@ -175,30 +179,37 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
 
     bigs = [enlarge_aoi(det, cfg.ratios_for(det.class_label),
                         calib.intrinsics) for det in frame.detections]
-    # Pass 1: each detection's candidate clusters, or its soft failure.
-    # (detection, its diagnostics, member rows, their ranges, candidates,
-    # the benchmark to score them against or None)
-    clustered = []
+    # Pass 1a: per detection, its members and K-Means centers, or its
+    # soft failure. (detection, its diagnostics, member rows, their
+    # ranges, centers)
+    no_cluster = NoQualifiedCluster.__name__
+    seeded = []
     for det, (member_idx, member_ranges) in zip(
             frame.detections, _box_members(cloud, uv, kept, bigs)):
         odiag = ObjectDiagnostics(object_id=det.object_id,
                                   class_label=det.class_label)
         diag.objects[det.object_id] = odiag
         odiag.aoi_point_count = len(member_idx)
-        try:
-            # No histogram bin can hold more points than the box does.
-            if len(member_idx) < max(1, cfg.clustering.min_peak_count):
-                raise NoQualifiedCluster(
-                    f"{len(member_idx)} points in the enlarged AOI, fewer "
-                    f"than min_peak_count {cfg.clustering.min_peak_count}")
-            centers = seed_bin_centers(member_ranges, cfg.clustering,
-                                       cfg.rng_seed)
-            hist = build_range_histogram(
-                member_ranges, centers, cfg.clustering,
-                CLASSES[det.class_label].granularity_m)
-            candidates = select_candidate_clusters(hist, cfg.clustering)
-        except NoQualifiedCluster as exc:
-            odiag.status = type(exc).__name__
+        # No histogram bin can hold more points than the box does.
+        if len(member_idx) < max(1, cfg.clustering.min_peak_count):
+            odiag.status = no_cluster
+            continue
+        seeded.append((det, odiag, member_idx, member_ranges,
+                       seed_bin_centers(member_ranges, cfg.clustering,
+                                        cfg.rng_seed)))
+    # Pass 1b and 1c: one histogram of them all, then each one's
+    # candidates; none is the soft failure. (detection, its diagnostics,
+    # member rows, their ranges, candidates, the benchmark to score them
+    # against or None)
+    hist = build_range_histogram(
+        [ranges for _, _, _, ranges, _ in seeded],
+        [centers for *_, centers in seeded], cfg.clustering,
+        [CLASSES[det.class_label].granularity_m for det, *_ in seeded])
+    clustered = []
+    for (det, odiag, member_idx, member_ranges, _), candidates in zip(
+            seeded, select_candidate_clusters(hist, cfg.clustering)):
+        if not candidates:
+            odiag.status = no_cluster
             continue
         odiag.candidate_count = len(candidates)
         # A single candidate is chosen unscored.
@@ -217,10 +228,10 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
             to_score_benchmarks += [benchmark] * len(candidates)
     scores = iter(())
     if to_score:
-        pixels = np.take(uv, np.concatenate(rows), axis=0)
         scores = iter(score_candidates(
-            np.split(pixels, np.cumsum([len(r) for r in rows[:-1]])),
-            to_score, to_score_benchmarks, cfg.shape_filter))
+            np.take(uv, np.concatenate(rows), axis=0),
+            np.array([len(r) for r in rows]), to_score, to_score_benchmarks,
+            cfg.shape_filter))
 
     # Pass 3: per detection, in detection order, the choice and its
     # localization.

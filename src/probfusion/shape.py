@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -266,36 +265,40 @@ def score_candidate(points_2d: np.ndarray, cluster: CandidateCluster,
                     cfg: ShapeFilterConfig) -> CandidateScore:
     """Similarity to the benchmark before and after de-rotation: the
     score of score_candidates for a stack of one."""
-    return score_candidates([points_2d], [cluster], [benchmark], cfg)[0]
+    pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
+    return score_candidates(pts, [len(pts)], [cluster], [benchmark], cfg)[0]
 
 
-def score_candidates(points_2d_per_candidate: Sequence[np.ndarray],
+def score_candidates(points_2d: np.ndarray, counts: Sequence[int],
                      clusters: Sequence[CandidateCluster],
                      benchmarks: Sequence[ShapeDescriptor],
                      cfg: ShapeFilterConfig) -> list[CandidateScore]:
     """Each candidate's similarity to its benchmark before and after
     de-rotation, in input order; the candidates are scored as one stack.
+    points_2d stacks their points: candidate k has the next counts[k]
+    rows.
 
     A candidate without 2 distinct points is degenerate and scores 0.
     The bounding rectangle that tells it also gives the pre-rotation
     cells.
     """
-    pts = [np.asarray(p, dtype=float).reshape(-1, 2)
-           for p in points_2d_per_candidate]
-    live = [k for k, p in enumerate(pts) if len(p)]
-    if live:
-        counts = np.array([len(pts[k]) for k in live])
-        stack = np.concatenate([pts[k] for k in live])
+    stack = np.ascontiguousarray(points_2d, dtype=float).reshape(-1, 2)
+    counts = np.asarray(counts, dtype=int)
+    # Empty candidates hold no rows, so the stack is the others' rows.
+    live = np.flatnonzero(counts)
+    fields = {}
+    if len(live):
+        counts = counts[live]
         lo, hi = _bounds(stack, counts)
         distinct = _distinct(lo, hi)
         if not distinct.all():
             stack = stack[np.repeat(distinct, counts)]
-            live = list(compress(live, distinct))
-            counts, lo, hi = counts[distinct], lo[distinct], hi[distinct]
-    fields = {}
-    if live:
-        fields = dict(zip(live, _stack_scores(
-            stack, counts, lo, hi, [benchmarks[k] for k in live], cfg)))
+            live, counts = live[distinct], counts[distinct]
+            lo, hi = lo[distinct], hi[distinct]
+        live = live.tolist()
+        if live:
+            fields = dict(zip(live, _stack_scores(
+                stack, counts, lo, hi, [benchmarks[k] for k in live], cfg)))
     return [CandidateScore(cluster, *fields.get(k, (0.0, 0.0, 0.0, False)))
             for k, cluster in enumerate(clusters)]
 

@@ -9,6 +9,7 @@ from hypothesis import settings
 from probfusion.aoi import BoundingBox
 from probfusion.calib import (CameraIntrinsics, ExtrinsicTransform,
                               default_extrinsic)
+from probfusion.cluster import RangeHistogram
 from probfusion.config import PipelineConfig
 from probfusion.sim import (SIMULATED_GUARANTEE, SIMULATED_RATIOS, ObjectSpec,
                             SceneSpec, Trajectory)
@@ -82,3 +83,36 @@ def crowd_scene(seed=3, n_objects=15, duration=2.0):
                                             vy))))
     return SceneSpec(duration=duration, frame_rate=10.0,
                      objects=tuple(objects), rng_seed=seed)
+
+
+def stack_histograms(hists):
+    """One detection's histogram after another, as the stack that
+    cluster.build_range_histogram returns."""
+    n_bins = np.array([len(h.bin_centers) for h in hists], dtype=int)
+    bin_first = np.cumsum(n_bins) - n_bins
+    return RangeHistogram(
+        bin_centers=np.concatenate([np.empty(0)]
+                                   + [h.bin_centers for h in hists]),
+        counts=np.concatenate([np.zeros(0, dtype=int)]
+                              + [h.counts for h in hists]),
+        assignments=np.concatenate(
+            [np.zeros(0, dtype=int)]
+            + [h.assignments + first for h, first in zip(hists, bin_first)]),
+        n_bins=n_bins,
+        n_values=np.array([len(h.assignments) for h in hists], dtype=int))
+
+
+def split_histogram(hist):
+    """Each detection's histogram of a stack, its assignments counted
+    from its own first bin."""
+    hists = []
+    bin_first = value_first = 0
+    for n_bins, n_values in zip(hist.n_bins.tolist(), hist.n_values.tolist()):
+        hists.append(RangeHistogram(
+            bin_centers=hist.bin_centers[bin_first:bin_first + n_bins],
+            counts=hist.counts[bin_first:bin_first + n_bins],
+            assignments=(hist.assignments[value_first:value_first + n_values]
+                         - bin_first)))
+        bin_first += n_bins
+        value_first += n_values
+    return hists

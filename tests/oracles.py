@@ -21,10 +21,11 @@ from numpy.polynomial import Polynomial
 from probfusion.aoi import BoundingBox
 from probfusion.calib import (DEPTH_EPSILON, CalibrationPair,
                               CameraIntrinsics, ExtrinsicTransform)
-from probfusion.cluster import ClusteringConfig, RangeHistogram
+from probfusion.cluster import (CandidateCluster, ClusteringConfig,
+                                RangeHistogram)
 from probfusion.errors import (DegenerateCluster, EmptyInput,
                                InsufficientPoints, NoAcceptablePlane,
-                               TooFewSamples)
+                               NoQualifiedCluster, TooFewSamples)
 from probfusion.ground import (GroundPlaneModel, RansacPlaneConfig,
                                min_inlier_count, required_trials)
 from probfusion.sim import (CLUTTER_LABEL, GROUND_LABEL, ErrorModel,
@@ -155,6 +156,35 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
     return RangeHistogram(bin_centers=centers_arr,
                           counts=counts,
                           assignments=assignments)
+
+
+def select_candidate_clusters(hist: RangeHistogram,
+                              cfg: ClusteringConfig) -> list[CandidateCluster]:
+    """Qualified peaks of the histogram, ordered by descending count.
+
+    Peaks are local maxima of the counts; they qualify when the count
+    reaches min_peak_count and peak_ratio of the highest count. Ties in
+    count are broken toward smaller range.
+    """
+    counts = hist.counts
+    padded = np.concatenate(([0], counts, [0]))
+    is_peak = (padded[1:-1] >= padded[:-2]) & (padded[1:-1] >= padded[2:]) \
+        & (padded[1:-1] > 0)
+    max_count = int(counts.max(initial=0))
+    clusters = []
+    for i in np.flatnonzero(is_peak).tolist():
+        c = int(counts[i])
+        if c < cfg.min_peak_count or c < cfg.peak_ratio * max_count:
+            continue
+        members = np.nonzero(hist.assignments == i)[0]
+        clusters.append(CandidateCluster(member_indices=members,
+                                         center_range=float(hist.bin_centers[i])))
+    if not clusters:
+        raise NoQualifiedCluster(
+            f"no peak met count >= {cfg.min_peak_count} "
+            f"and ratio >= {cfg.peak_ratio}")
+    clusters.sort(key=lambda cl: (-len(cl.member_indices), cl.center_range))
+    return clusters
 
 
 

@@ -160,7 +160,8 @@ def test_criterion_03_shape_selection():
         winners = []
         for k in (0.5, 1.0, 2.0):
             chosen = select_cluster(score_candidates(
-                pts, cands, [bench] * 3, ShapeFilterConfig(sigmoid_gain=k)))
+                np.concatenate(pts), [len(p) for p in pts], cands,
+                [bench] * 3, ShapeFilterConfig(sigmoid_gain=k)))
             winners.append(next(i for i, c in enumerate(cands)
                                 if c is chosen))
         wins += winners[1] == 1

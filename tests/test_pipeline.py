@@ -25,7 +25,8 @@ from probfusion.cluster import ClusteringConfig
 from probfusion.cli import main as cli_main
 from probfusion.config import (PipelineConfig, load_pipeline_config,
                                write_pipeline_config)
-from probfusion.errors import ConfigError, EmptySequence, FusionError
+from probfusion.errors import (ConfigError, EmptySequence, FusionError,
+                               NoQualifiedCluster)
 from probfusion.ground import RansacPlaneConfig
 from probfusion.io import (WRITE_BLOCK_ROWS, FrameRecord, _map_frames,
                            cloud_csv_path, load_sequence,
@@ -832,13 +833,34 @@ class TestCropDrop:
             assert repr(diag.objects) == repr(wide_objects)
 
 
-def oracle_score_candidates(points_2d_per_candidate, clusters, benchmarks,
-                            cfg):
+def oracle_build_range_histogram(ranges, centers, cfg, granularities):
+    """The frame-wide histogram as the reference version builds each
+    detection's on its own."""
+    return conftest.stack_histograms([
+        oracles.build_range_histogram(r, c, cfg, g)
+        for r, c, g in zip(ranges, centers, granularities, strict=True)])
+
+
+def oracle_select_candidate_clusters(hist, cfg):
+    """The frame-wide selection as the reference version selects each
+    detection's candidates on its own; none where it raises."""
+    selected = []
+    for one in conftest.split_histogram(hist):
+        try:
+            selected.append(oracles.select_candidate_clusters(one, cfg))
+        except NoQualifiedCluster:
+            selected.append([])
+    return selected
+
+
+def oracle_score_candidates(points_2d, counts, clusters, benchmarks, cfg):
     """The frame-wide scorer as the reference version scores each
     candidate on its own."""
-    return [oracles.score_candidate(pts, cluster, benchmark, cfg)
-            for pts, cluster, benchmark in zip(points_2d_per_candidate,
-                                               clusters, benchmarks)]
+    ends = np.cumsum(counts)
+    return [oracles.score_candidate(points_2d[end - n:end], cluster,
+                                    benchmark, cfg)
+            for end, n, cluster, benchmark in zip(ends, counts, clusters,
+                                                  benchmarks, strict=True)]
 
 
 class TestStageOracles:
@@ -853,7 +875,9 @@ class TestStageOracles:
         monkeypatch.setattr(pipeline_module, "seed_bin_centers",
                             oracles.seed_bin_centers)
         monkeypatch.setattr(pipeline_module, "build_range_histogram",
-                            oracles.build_range_histogram)
+                            oracle_build_range_histogram)
+        monkeypatch.setattr(pipeline_module, "select_candidate_clusters",
+                            oracle_select_candidate_clusters)
         monkeypatch.setattr(pipeline_module, "score_candidates",
                             oracle_score_candidates)
         monkeypatch.setattr(smoother_module, "_ransac_best_fit",
@@ -923,9 +947,9 @@ class TestFrameWideScoring:
         calls = []
         library = pipeline_module.score_candidates
 
-        def spy(points_2d_per_candidate, clusters, benchmarks, shape_cfg):
+        def spy(points_2d, counts, clusters, benchmarks, shape_cfg):
             calls[-1].append(len(clusters))
-            return library(points_2d_per_candidate, clusters, benchmarks,
+            return library(points_2d, counts, clusters, benchmarks,
                            shape_cfg)
 
         fused = []

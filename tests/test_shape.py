@@ -254,9 +254,17 @@ class TestBuildBenchmark:
             build_benchmark([])
 
 
+def stacked(sets):
+    """Point sets as score_candidates takes them: one stack of all their
+    rows, and each set's count."""
+    pts = [np.asarray(p, dtype=float).reshape(-1, 2) for p in sets]
+    return np.concatenate([np.empty((0, 2)), *pts]), [len(p) for p in pts]
+
+
 def select(candidates, pts, bench, cfg):
     """One detection's choice among its candidates and their scores."""
-    scores = score_candidates(pts, candidates, [bench] * len(candidates), cfg)
+    scores = score_candidates(*stacked(pts), candidates,
+                              [bench] * len(candidates), cfg)
     return select_cluster(scores), scores
 
 
@@ -476,7 +484,8 @@ class TestScoreCandidatesMatchOracle:
                                      center_range=10.0 + k)
                     for k, pts in enumerate(sets)]
         cfg = ShapeFilterConfig(sigmoid_gain=gain)
-        got = score_candidates(sets, clusters, per_candidate, cfg)
+        got = score_candidates(*stacked(sets), clusters, per_candidate,
+                               cfg)
         ref = oracle_scores(sets, clusters, per_candidate, cfg)
         assert [score_fields(s) for s in got] == \
             [score_fields(s) for s in ref]
