@@ -14,8 +14,8 @@ stack of one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -42,20 +42,12 @@ class ClusteringConfig:
 class RangeHistogram:
     """The range histograms of a stack of detections, one after another:
     detection i has the next n_bins[i] entries of bin_centers and counts
-    and the next n_values[i] entries of assignments. Without n_bins and
-    n_values the stack is of one detection."""
+    and the next n_values[i] entries of assignments."""
     bin_centers: np.ndarray  # meters, ascending within a detection
     counts: np.ndarray       # per bin
     assignments: np.ndarray  # value -> index of its bin in the stack
-    n_bins: Optional[np.ndarray] = field(default=None)    # per detection
-    n_values: Optional[np.ndarray] = field(default=None)  # per detection
-
-    def __post_init__(self):
-        if self.n_bins is None:
-            object.__setattr__(self, "n_bins",
-                               np.array([len(self.bin_centers)]))
-            object.__setattr__(self, "n_values",
-                               np.array([len(self.assignments)]))
+    n_bins: np.ndarray       # per detection
+    n_values: np.ndarray     # per detection
 
 
 @dataclass(frozen=True)
@@ -156,9 +148,10 @@ def seed_bin_centers(ranges: np.ndarray, cfg: ClusteringConfig,
     return np.sort(centers)
 
 
-def merge_close_centers(centers: np.ndarray, granularity: float,
-                        weights: np.ndarray) -> np.ndarray:
-    """Collapse anchor centers closer than one bin width.
+def merge_close_centers(centers: list, granularity: float,
+                        weights: list) -> list:
+    """Collapse anchor centers closer than one bin width: centers are
+    ascending floats, weights theirs.
 
     Two anchors inside the same granularity window would split a single
     object's points across bins; they are replaced by their weighted
@@ -166,13 +159,8 @@ def merge_close_centers(centers: np.ndarray, granularity: float,
     current group when it lies less than one granularity above the
     group's mean.
     """
-    centers = np.asarray(centers, dtype=float).ravel()
-    order = np.argsort(centers)
-    centers = centers[order]
-    weights = np.asarray(weights, dtype=float).ravel()[order]
-    cs, ws = centers.tolist(), weights.tolist()
     means: list[float] = []  # the last one is the open group's
-    for i, (c, w) in enumerate(zip(cs, ws)):
+    for i, (c, w) in enumerate(zip(centers, weights)):
         if means and c - means[-1] < granularity:
             means.pop()
         else:
@@ -184,7 +172,7 @@ def merge_close_centers(centers: np.ndarray, granularity: float,
         means.append(sum_cw / sum_w if i - start < 7 else
                      float(np.average(centers[start:i + 1],
                                       weights=weights[start:i + 1])))
-    return np.array(means)
+    return means
 
 
 # Above this many values x centers (of the stack's widest detection),
@@ -259,9 +247,10 @@ def build_range_histogram(ranges: Sequence[np.ndarray],
 
     A detection's anchors closer than one granularity are merged first.
     Every value is assigned to exactly one of its detection's bins: the
-    nearest center, ties to the lower bin index. Only the merge and the
-    filler bins are taken per detection; the nearest centers, the
-    value spans and the counts are taken once for the stack.
+    nearest center, ties to the lower bin index. Only the merge (on
+    slices of the stack's anchors and weights as lists) and the filler
+    bins are taken per detection; the nearest centers, the value spans
+    and the counts are taken once for the stack.
     """
     values = [np.asarray(r, dtype=float).ravel() for r in ranges]
     n_values = np.array([len(v) for v in values], dtype=int)
@@ -279,12 +268,14 @@ def build_range_histogram(ranges: Sequence[np.ndarray],
     spans = zip(np.minimum.reduceat(stack, value_first).tolist(),
                 np.maximum.reduceat(stack, value_first).tolist())
 
+    anchor_list, weight_list = anchor_stack.tolist(), anchor_weights.tolist()
+
     bin_centers: list[float] = []
     n_bins = []
-    for raw, at, g, (lo, hi) in zip(raw_anchors, _starts(n_anchors).tolist(),
-                                    granularities, spans):
-        anchors = merge_close_centers(
-            raw, g, anchor_weights[at:at + len(raw)]).tolist()
+    for at, n, g, (lo, hi) in zip(_starts(n_anchors).tolist(),
+                                  n_anchors.tolist(), granularities, spans):
+        anchors = merge_close_centers(anchor_list[at:at + n], g,
+                                      weight_list[at:at + n])
         g = float(g)
         start = len(bin_centers)
 

@@ -1,8 +1,12 @@
 """Frame- and sequence-level orchestration of the fusion pipeline.
 
-Stage order per frame: projection -> crop -> ground fit/removal
-(skipped gracefully when no acceptable plane exists) -> enlarge AOI ->
-box members of the kept rows, then three passes over the detections:
+A frame is fused in two stages. The cloud stage, run_fusion_frame:
+projection -> crop -> ground fit/removal (skipped gracefully when no
+acceptable plane exists) -> the kept rows, those with a valid pixel.
+The detection stage, _fuse_detections, reads only the detections, the
+cloud, its pixels and the kept rows, so it can run again on other
+pixels: enlarge AOI -> box members of the kept rows, then three
+passes over the detections:
 
 1. mode clustering into candidate clusters, in three steps:
    a. per detection, its members and their K-Means centers;
@@ -176,70 +180,78 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
                  frame.frame_id, exc)
     kept = np.flatnonzero(keep & uv_valid)
     diag.projected_count = len(kept)
+    return _fuse_detections(frame.detections, cloud, uv, kept, calib, cfg,
+                            benchmarks, diag), diag
 
+
+def _fuse_detections(detections, cloud, uv, kept, calib: CalibrationPair,
+                     cfg: PipelineConfig,
+                     benchmarks: Optional[BenchmarkShapeRegistry],
+                     diag: FrameDiagnostics) -> list[ObjectLocalization]:
+    """The detection stage: the localizations of the detections from the
+    kept rows of the cloud and their pixels uv, in detection order.
+    It sets one diag.objects entry per detection, in place of any entry
+    of an earlier call, and no other field of diag."""
     bigs = [enlarge_aoi(det, cfg.ratios_for(det.class_label),
-                        calib.intrinsics) for det in frame.detections]
-    # Pass 1a: per detection, its members and K-Means centers, or its
-    # soft failure. (detection, its diagnostics, member rows, their
-    # ranges, centers)
+                        calib.intrinsics) for det in detections]
+    # Pass 1a: per detection, its members, or its soft failure; the
+    # K-Means centers of the others are taken in detection order below.
+    # (its diagnostics, member rows, their ranges)
     no_cluster = NoQualifiedCluster.__name__
-    seeded = []
-    for det, (member_idx, member_ranges) in zip(
-            frame.detections, _box_members(cloud, uv, kept, bigs)):
+    to_cluster = []
+    for det, (rows, ranges) in zip(detections,
+                                   _box_members(cloud, uv, kept, bigs)):
         odiag = ObjectDiagnostics(object_id=det.object_id,
-                                  class_label=det.class_label)
+                                  class_label=det.class_label,
+                                  aoi_point_count=len(rows))
         diag.objects[det.object_id] = odiag
-        odiag.aoi_point_count = len(member_idx)
         # No histogram bin can hold more points than the box does.
-        if len(member_idx) < max(1, cfg.clustering.min_peak_count):
+        if len(rows) < max(1, cfg.clustering.min_peak_count):
             odiag.status = no_cluster
-            continue
-        seeded.append((det, odiag, member_idx, member_ranges,
-                       seed_bin_centers(member_ranges, cfg.clustering,
-                                        cfg.rng_seed)))
+        else:
+            to_cluster.append((odiag, rows, ranges))
     # Pass 1b and 1c: one histogram of them all, then each one's
-    # candidates; none is the soft failure. (detection, its diagnostics,
-    # member rows, their ranges, candidates, the benchmark to score them
+    # candidates; none is the soft failure. (its diagnostics, member
+    # rows, their ranges, candidates, the benchmark to score them
     # against or None)
     hist = build_range_histogram(
-        [ranges for _, _, _, ranges, _ in seeded],
-        [centers for *_, centers in seeded], cfg.clustering,
-        [CLASSES[det.class_label].granularity_m for det, *_ in seeded])
+        [ranges for _, _, ranges in to_cluster],
+        [seed_bin_centers(ranges, cfg.clustering, cfg.rng_seed)
+         for _, _, ranges in to_cluster], cfg.clustering,
+        [CLASSES[odiag.class_label].granularity_m
+         for odiag, _, _ in to_cluster])
     clustered = []
-    for (det, odiag, member_idx, member_ranges, _), candidates in zip(
-            seeded, select_candidate_clusters(hist, cfg.clustering)):
+    for (odiag, rows, ranges), candidates in zip(
+            to_cluster, select_candidate_clusters(hist, cfg.clustering)):
         if not candidates:
             odiag.status = no_cluster
             continue
         odiag.candidate_count = len(candidates)
         # A single candidate is chosen unscored.
-        benchmark = (benchmarks.get(det.class_label)
+        benchmark = (benchmarks.get(odiag.class_label)
                      if benchmarks and len(candidates) > 1 else None)
-        clustered.append((det, odiag, member_idx, member_ranges, candidates,
-                          benchmark))
+        clustered.append((odiag, rows, ranges, candidates, benchmark))
 
     # Pass 2: every candidate of every detection with a benchmark, scored
     # as one stack, its pixels taken by one gather.
-    rows, to_score, to_score_benchmarks = [], [], []
-    for _, _, member_idx, _, candidates, benchmark in clustered:
-        if benchmark is not None:
-            rows += [member_idx[c.member_indices] for c in candidates]
-            to_score += candidates
-            to_score_benchmarks += [benchmark] * len(candidates)
-    scores = iter(())
+    to_score = [(rows[c.member_indices], c, benchmark)
+                for _, rows, _, candidates, benchmark in clustered
+                if benchmark is not None for c in candidates]
+    scores = []
     if to_score:
-        scores = iter(score_candidates(
-            np.take(uv, np.concatenate(rows), axis=0),
-            np.array([len(r) for r in rows]), to_score, to_score_benchmarks,
-            cfg.shape_filter))
+        member_rows, clusters, to_score_benchmarks = zip(*to_score)
+        scores = score_candidates(
+            np.take(uv, np.concatenate(member_rows), axis=0),
+            [len(r) for r in member_rows], clusters, to_score_benchmarks,
+            cfg.shape_filter)
 
     # Pass 3: per detection, in detection order, the choice and its
-    # localization.
+    # localization; a scored detection takes the next of the scores.
     localizations = []
-    for det, odiag, member_idx, member_ranges, candidates, benchmark in (
-            clustered):
+    for odiag, rows, ranges, candidates, benchmark in clustered:
         if benchmark is not None:
-            det_scores = [next(scores) for _ in candidates]
+            det_scores = scores[:len(candidates)]
+            scores = scores[len(candidates):]
             chosen = select_cluster(det_scores)
             odiag.candidate_scores = [
                 {"pre_rotation_score": s.pre_rotation_score,
@@ -251,13 +263,13 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
                 for s in det_scores]
         else:
             chosen = candidates[0]
-        chosen_cloud_idx = member_idx[chosen.member_indices]
-        chosen_ranges = member_ranges[chosen.member_indices]
-        odiag.selected_indices = chosen_cloud_idx.tolist()
+        chosen_rows = rows[chosen.member_indices]
+        chosen_ranges = ranges[chosen.member_indices]
+        odiag.selected_indices = chosen_rows.tolist()
         odiag.selected_ranges = chosen_ranges.tolist()
-        localizations.append(localize(det.object_id, cloud[chosen_cloud_idx],
+        localizations.append(localize(odiag.object_id, cloud[chosen_rows],
                                       chosen_ranges))
-    return localizations, diag
+    return localizations
 
 
 def _t_block(t_stat, p_val, n) -> dict:

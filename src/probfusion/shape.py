@@ -8,9 +8,8 @@ by a sigmoid similarity score.
 Scoring takes one stack per frame: score_candidates scores every
 candidate of a frame, of all its detections, in one call, with bounds,
 cells, KL sums and eigendecompositions over the stacked rows; each
-candidate keeps the bits that scoring it alone gives. score_candidate
-is a stack of one, and select_cluster picks among one detection's
-scores.
+candidate keeps the bits that scoring it alone gives. select_cluster
+picks among one detection's scores.
 """
 
 from __future__ import annotations
@@ -260,15 +259,6 @@ class CandidateScore:
     rotation_rejected: bool
 
 
-def score_candidate(points_2d: np.ndarray, cluster: CandidateCluster,
-                    benchmark: ShapeDescriptor,
-                    cfg: ShapeFilterConfig) -> CandidateScore:
-    """Similarity to the benchmark before and after de-rotation: the
-    score of score_candidates for a stack of one."""
-    pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
-    return score_candidates(pts, [len(pts)], [cluster], [benchmark], cfg)[0]
-
-
 def score_candidates(points_2d: np.ndarray, counts: Sequence[int],
                      clusters: Sequence[CandidateCluster],
                      benchmarks: Sequence[ShapeDescriptor],
@@ -312,12 +302,11 @@ def _stack_scores(stack: np.ndarray, counts: np.ndarray, lo: np.ndarray,
 
     One centroid serves the axis estimate and the de-rotation; when the
     rotation is skipped, the post-rotation score is the pre-rotation
-    one. A benchmark listed for several segments is smoothed once.
+    one. Smoothing works row by row, so each segment's benchmark row
+    keeps the bits of smoothing it alone.
     """
-    firsts = list({id(b): b for b in benchmarks}.values())
-    row = {id(b): i for i, b in enumerate(firsts)}
-    qw = _smoothed(np.array([b.weights for b in firsts]),
-                   cfg.kl_smoothing)[[row[id(b)] for b in benchmarks]]
+    qw = _smoothed(np.array([b.weights for b in benchmarks]),
+                   cfg.kl_smoothing)
 
     centroids, centered, estimates = _principal_axes(stack, counts)
     kl_pre = _kl(_smoothed(_cell_weights(stack, counts, lo, hi),

@@ -112,7 +112,8 @@ def split_histogram(hist):
             bin_centers=hist.bin_centers[bin_first:bin_first + n_bins],
             counts=hist.counts[bin_first:bin_first + n_bins],
             assignments=(hist.assignments[value_first:value_first + n_values]
-                         - bin_first)))
+                         - bin_first),
+            n_bins=np.array([n_bins]), n_values=np.array([n_values])))
         bin_first += n_bins
         value_first += n_values
     return hists

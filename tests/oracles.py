@@ -155,7 +155,9 @@ def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
     counts = np.bincount(assignments, minlength=len(centers_arr))
     return RangeHistogram(bin_centers=centers_arr,
                           counts=counts,
-                          assignments=assignments)
+                          assignments=assignments,
+                          n_bins=np.array([len(centers_arr)]),
+                          n_values=np.array([len(values)]))
 
 
 def select_candidate_clusters(hist: RangeHistogram,

@@ -551,6 +551,40 @@ class TestRunFusionFrame:
             if odiag.status == "ok":
                 assert odiag.aoi_point_count >= len(odiag.selected_indices) > 0
 
+    def test_detection_stage_runs_again(self, monkeypatch):
+        # The detection stage of a crowd frame, called again on the cloud
+        # stage's own outputs, fuses as the frame did; on pixels shifted
+        # 20 px it reads the shifted ones, and its entries replace those
+        # of the first call in the same diagnostics.
+        calib = default_calibration()
+        frame = simulate_sequence(conftest.crowd_scene(duration=0.1), calib,
+                                  DEFAULT_ERROR_MODEL)[0]
+        registry = BenchmarkShapeRegistry(shapes=reference_benchmarks(),
+                                          sample_counts={})
+        cfg = conftest.in_memory_config()
+        calls = []
+        stage = pipeline_module._fuse_detections
+
+        def spy(*args):
+            calls.append(args)
+            return stage(*args)
+
+        monkeypatch.setattr(pipeline_module, "_fuse_detections", spy)
+        locs, diag = run_fusion_frame(frame, calib, cfg, registry)
+        first = repr(diag)
+        (detections, cloud, uv, kept, *rest, _), = calls
+        assert repr(stage(detections, cloud, uv, kept, *rest, diag)) == \
+            repr(locs)
+        assert repr(diag) == first
+        ids = [d.object_id for d in frame.detections]
+        assert list(diag.objects) == ids
+        before = {oid: odiag.selected_indices
+                  for oid, odiag in diag.objects.items()}
+        stage(detections, cloud, uv + 20.0, kept, *rest, diag)
+        assert list(diag.objects) == ids
+        assert any(diag.objects[oid].selected_indices != selected
+                   for oid, selected in before.items())
+
 
 class TestRunSequence:
     def test_report_and_trajectories(self, tmp_path):

@@ -14,8 +14,13 @@ from probfusion.shape import (BenchmarkShapeRegistry, RotationEstimate,
                               ShapeDescriptor, ShapeFilterConfig,
                               build_benchmark, compute_descriptor, derotate,
                               kl_divergence, principal_axis_angle,
-                              score_candidate, score_candidates,
-                              select_cluster, similarity_score)
+                              score_candidates, select_cluster,
+                              similarity_score)
+
+
+def score_one(pts, cand, bench, cfg):
+    """The score of one candidate: score_candidates of a stack of one."""
+    return score_candidates(pts, [len(pts)], [cand], [bench], cfg)[0]
 
 
 def one_hot(i):
@@ -210,7 +215,7 @@ class TestKlDivergence:
         assert kl_divergence(d, bench) == 0.0
         cand = CandidateCluster(member_indices=np.arange(7),
                                 center_range=10.0)
-        score = score_candidate(pts, cand, bench, ShapeFilterConfig())
+        score = score_one(pts, cand, bench, ShapeFilterConfig())
         assert score.pre_rotation_score == 1.0
 
 
@@ -494,8 +499,9 @@ class TestScoreCandidatesMatchOracle:
 
 
 class TestScoreCandidateMatchesOracle:
-    """score_candidate equals the reference version in oracles.py, float
-    for float, including degenerate and rejected candidates."""
+    """A stack of one candidate scores as the reference version in
+    oracles.py scores it, float for float, including degenerate and
+    rejected candidates."""
 
     @settings(deadline=None, max_examples=300)
     @given(pts=pixel_sets(),
@@ -511,7 +517,7 @@ class TestScoreCandidateMatchesOracle:
         cfg = ShapeFilterConfig(sigmoid_gain=gain)
         cand = CandidateCluster(member_indices=np.arange(len(pts)),
                                 center_range=12.5)
-        got = score_candidate(pts, cand, bench, cfg)
+        got = score_one(pts, cand, bench, cfg)
         ref = oracles.score_candidate(pts, cand, bench, cfg)
         assert score_fields(got) == score_fields(ref)
         assert got.cluster is cand
@@ -526,21 +532,20 @@ class TestScoreCandidateMatchesOracle:
         cand = CandidateCluster(member_indices=np.arange(len(pts)),
                                 center_range=12.5)
         cfg = ShapeFilterConfig()
-        got = score_candidate(pts, cand, bench, cfg)
+        got = score_one(pts, cand, bench, cfg)
         ref = oracles.score_candidate(pts, cand, bench, cfg)
         assert score_fields(got) == score_fields(ref)
 
     @pytest.mark.parametrize("pts", AT_INFINITY.values(),
                              ids=AT_INFINITY.keys())
     def test_coincident_at_infinity_is_degenerate(self, pts):
-        # score_candidate and principal_axis_angle share one test for
+        # score_candidates and principal_axis_angle share one test for
         # fewer than 2 distinct rows; rows that coincide at infinity are
         # equal, though their span inf - inf is NaN.
         cand = CandidateCluster(member_indices=np.arange(len(pts)),
                                 center_range=12.5)
-        got = score_candidate(pts, cand,
-                              ShapeDescriptor(weights=np.full(9, 1 / 9)),
-                              ShapeFilterConfig())
+        got = score_one(pts, cand, ShapeDescriptor(weights=np.full(9, 1 / 9)),
+                        ShapeFilterConfig())
         assert score_fields(got) == repr((0.0, 0.0, 0.0, False))
         with pytest.raises(DegenerateCluster):
             principal_axis_angle(pts)
