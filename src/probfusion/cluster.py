@@ -239,7 +239,6 @@ def _nearest_center(centers: np.ndarray, n_centers: np.ndarray,
 
 def build_range_histogram(ranges: Sequence[np.ndarray],
                           centers: Sequence[np.ndarray],
-                          cfg: ClusteringConfig,
                           granularities: Sequence[float]) -> RangeHistogram:
     """The histograms of a stack of detections: each detection's range
     values, its K-Means centers and its granularity. Bins are anchored

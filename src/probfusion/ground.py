@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -40,11 +39,9 @@ class RansacPlaneConfig:
 class GroundPlaneModel:
     normal: np.ndarray   # unit 3-vector
     offset: float        # plane is normal . x = offset
-    inlier_count: int
-    # Mask over the fitted cloud of the points within delta of the plane,
-    # which is what ground_mask returns for that cloud; None when unknown.
-    inliers: Optional[np.ndarray] = field(default=None, repr=False,
-                                          compare=False)
+    # Mask over the fitted cloud of the points within delta of the plane:
+    # the ground, which the pipeline removes.
+    inliers: np.ndarray = field(repr=False)
 
 
 def crop_mask(cloud: np.ndarray, cfg: RansacPlaneConfig) -> np.ndarray:
@@ -246,13 +243,15 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
     if final_count < floor:
         raise NoAcceptablePlane(
             f"refit inlier count {final_count} below floor {floor}")
-    return GroundPlaneModel(normal=normal, offset=offset,
-                            inlier_count=final_count, inliers=inliers)
+    return GroundPlaneModel(normal=normal, offset=offset, inliers=inliers)
 
 
 def ground_mask(cloud: np.ndarray, model: GroundPlaneModel,
                 delta: float) -> np.ndarray:
-    """Boolean mask of points within delta of the plane (the removed set)."""
+    """Boolean mask of the points of cloud within delta of the plane. On
+    the fitted cloud, with the fit's delta, it equals model.inliers, the
+    ground the pipeline removes; this measures the plane on other
+    clouds."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
     dist = np.empty(len(cloud))
     _plane_distances(cloud, model.normal, model.offset, out=dist)

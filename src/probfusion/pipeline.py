@@ -1,8 +1,9 @@
 """Frame- and sequence-level orchestration of the fusion pipeline.
 
 A frame is fused in two stages. The cloud stage, run_fusion_frame:
-projection -> crop -> ground fit/removal (skipped gracefully when no
-acceptable plane exists) -> the kept rows, those with a valid pixel.
+projection -> crop -> RANSAC ground fit of the cropped rows, whose
+inliers are removed (skipped gracefully when no acceptable plane
+exists) -> the kept rows, those with a valid pixel.
 The detection stage, _fuse_detections, reads only the detections, the
 cloud, its pixels and the kept rows, so it can run again on other
 pixels: enlarge AOI -> box members of the kept rows, then three
@@ -90,7 +91,7 @@ def _pixels(frame, calib: CalibrationPair):
     """The frame's cloud and its pixel mapping: the observed one, which
     carries any upstream mapping error, or, where the sequence provides
     none, the one recomputed from geometry."""
-    cloud = np.asarray(frame.cloud, dtype=float).reshape(-1, 3)
+    cloud = np.ascontiguousarray(frame.cloud, dtype=float).reshape(-1, 3)
     if frame.observed_uv is not None:
         uv = np.asarray(frame.observed_uv, dtype=float).reshape(-1, 2)
         uv_valid = np.asarray(frame.uv_valid, dtype=bool)
@@ -152,28 +153,23 @@ def run_fusion_frame(frame: FrameRecord, calib: CalibrationPair,
 
     crop = ground.crop_mask(cloud, cfg.ransac_ground)
     diag.cropped_count = int(np.count_nonzero(crop))
-
-    # A crop that keeps every point of a contiguous cloud would copy
-    # it unchanged; the fit then reads the cloud itself.
-    if diag.cropped_count == len(cloud) and cloud.flags.c_contiguous:
-        cropped = cloud
-    else:
-        cropped = np.compress(crop, cloud, axis=0)
-    keep = crop.copy()
+    # The fit reads the cloud itself where the crop keeps every row.
+    cropped = (cloud if diag.cropped_count == len(cloud)
+               else np.compress(crop, cloud, axis=0))
+    keep = crop
     try:
         model = ground.fit_ground_plane(cropped, cfg.ransac_ground,
                                         cfg.rng_seed)
-        # A fit of the cloud itself has already marked the points
-        # within delta of its plane; any other fit is measured on the
-        # cloud.
-        if cropped is cloud and model.inliers is not None:
-            removed = model.inliers
+        diag.ground_removed_count = int(np.count_nonzero(model.inliers))
+        # The rows the fit marked as ground are removed; where the crop
+        # dropped any row, they are the crop's rows at the fit's inliers.
+        # (An index scatter costs the same in any row order; a boolean
+        # one, keep[crop] = ..., is ~10x slower on a shuffled cloud.)
+        if cropped is cloud:
+            keep = ~model.inliers
         else:
-            removed = ground.ground_mask(cloud, model,
-                                         cfg.ransac_ground.delta)
-        keep &= ~removed
-        diag.ground_removed_count = (diag.cropped_count
-                                     - int(np.count_nonzero(keep)))
+            keep = crop.copy()
+            keep[np.flatnonzero(crop)[model.inliers]] = False
     except (InsufficientPoints, NoAcceptablePlane) as exc:
         diag.ground_skipped = True
         log.info("frame %d: ground removal skipped (%s)",
@@ -217,7 +213,7 @@ def _fuse_detections(detections, cloud, uv, kept, calib: CalibrationPair,
     hist = build_range_histogram(
         [ranges for _, _, ranges in to_cluster],
         [seed_bin_centers(ranges, cfg.clustering, cfg.rng_seed)
-         for _, _, ranges in to_cluster], cfg.clustering,
+         for _, _, ranges in to_cluster],
         [CLASSES[odiag.class_label].granularity_m
          for odiag, _, _ in to_cluster])
     clustered = []

@@ -33,7 +33,7 @@ from probfusion.sim import (CLUTTER_LABEL, GROUND_LABEL, ErrorModel,
                             _object_points, generate_scene)
 from probfusion.shape import (MAX_ROTATION_DEG, CandidateScore,
                               RotationEstimate, ShapeDescriptor,
-                              ShapeFilterConfig, derotate, similarity_score)
+                              ShapeFilterConfig)
 from probfusion.smoother import DETECT_ORDER, SmootherConfig
 
 
@@ -104,7 +104,6 @@ def merge_close_centers(centers: np.ndarray, granularity: float,
 
 
 def build_range_histogram(ranges: np.ndarray, centers: np.ndarray,
-                          cfg: ClusteringConfig,
                           granularity: float) -> RangeHistogram:
     """Bins anchored at K-Means centers, filled outward at fixed width.
 
@@ -248,6 +247,27 @@ def kl_divergence(p: ShapeDescriptor, q: ShapeDescriptor,
 
 
 
+def derotate(points_2d: np.ndarray, est: RotationEstimate) -> np.ndarray:
+    """Rotate by -angle about the centroid; identity for rejected estimates."""
+    pts = np.asarray(points_2d, dtype=float).reshape(-1, 2)
+    if est.rejected or est.angle_deg == 0.0:
+        return pts.copy()
+    theta = math.radians(est.angle_deg)
+    c, s = math.cos(theta), math.sin(theta)
+    # Row vectors times the transpose of the clockwise rotation by theta.
+    clockwise_t = np.array([[c, -s], [s, c]])
+    centroid = pts.mean(axis=0)
+    return (pts - centroid) @ clockwise_t + centroid
+
+
+def similarity_score(d_kl: float, k: float) -> float:
+    """2 / (1 + exp(k * d)), which is 0 where exp(k * d) overflows."""
+    try:
+        return 2.0 / (1.0 + math.exp(k * d_kl))
+    except OverflowError:
+        return 0.0
+
+
 def score_candidate(points_2d: np.ndarray, cluster,
                     benchmark: ShapeDescriptor,
                     cfg: ShapeFilterConfig) -> CandidateScore:
@@ -374,11 +394,12 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RansacPlaneConfig,
     if normal[2] < cos_cone:
         raise NoAcceptablePlane("refit normal left the allowed cone")
     _plane_distances(cloud, normal, offset, out=dist)
-    final_count = int(np.count_nonzero(dist <= cfg.delta))
+    inliers = dist <= cfg.delta
+    final_count = int(np.count_nonzero(inliers))
     if final_count < floor:
         raise NoAcceptablePlane(
             f"refit inlier count {final_count} below floor {floor}")
-    return GroundPlaneModel(normal=normal, offset=offset, inlier_count=final_count)
+    return GroundPlaneModel(normal=normal, offset=offset, inliers=inliers)
 
 
 def project_xyz(intr: CameraIntrinsics, extr: ExtrinsicTransform,

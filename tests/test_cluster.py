@@ -150,16 +150,14 @@ class TestMergeCloseCenters:
 
 class TestBuildRangeHistogram:
     def test_single_bin_holds_all(self):
-        cfg = ClusteringConfig()
         hist = build_range_histogram([np.array([10.0, 10.1, 9.9])],
-                                     [np.array([10.0])], cfg, [0.5])
+                                     [np.array([10.0])], [0.5])
         assert len(hist.bin_centers) == 1
         assert hist.counts[0] == 3
 
     def test_nearest_anchor_assignment(self):
-        cfg = ClusteringConfig()
         ranges = np.array([10.2, 30.0])
-        hist = build_range_histogram([ranges], [np.array([10.0, 30.0])], cfg,
+        hist = build_range_histogram([ranges], [np.array([10.0, 30.0])],
                                      [0.5])
         bin_of_point = hist.assignments[0]
         assert hist.bin_centers[bin_of_point] == pytest.approx(10.0)
@@ -169,7 +167,7 @@ class TestBuildRangeHistogram:
         ranges = rng.uniform(5, 50, 300)
         cfg = ClusteringConfig()
         centers = seed_bin_centers(ranges, cfg)
-        hist = build_range_histogram([ranges], [centers], cfg, [2.0])
+        hist = build_range_histogram([ranges], [centers], [2.0])
         assert hist.counts.sum() == len(ranges)
         assert np.array_equal(
             hist.counts, np.bincount(hist.assignments,
@@ -182,7 +180,7 @@ class TestBuildRangeHistogram:
         cfg = ClusteringConfig(kmeans_k=2)
         centers = seed_bin_centers(ranges, cfg)
         g = 2.0
-        hist = build_range_histogram([ranges], [centers], cfg, [g])
+        hist = build_range_histogram([ranges], [centers], [g])
         diffs = np.diff(hist.bin_centers)
         assert np.all(diffs > g / 2.0 - 1e-9)
         # Away from the bins adjacent to anchors (the K-Means centers,
@@ -202,7 +200,7 @@ class TestBuildRangeHistogram:
         ranges = rng.uniform(8, 55, 150)
         cfg = ClusteringConfig()
         centers = seed_bin_centers(ranges, cfg)
-        hist = build_range_histogram([ranges], [centers], cfg, [2.0])
+        hist = build_range_histogram([ranges], [centers], [2.0])
         # Assignment locality: every point within one bin width of its bin.
         assigned_centers = hist.bin_centers[hist.assignments]
         assert np.all(np.abs(ranges - assigned_centers) <= 2.0)
@@ -210,7 +208,7 @@ class TestBuildRangeHistogram:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             build_range_histogram([np.array([])], [np.array([10.0])],
-                                  ClusteringConfig(), [0.5])
+                                  [0.5])
 
 
 class TestSelectCandidateClusters:
@@ -431,9 +429,8 @@ class TestMatchesOracle:
         # anchors.
         g, values = data
         centers = values[[i % len(values) for i in picks]] + shift * g
-        cfg = ClusteringConfig()
-        hist = build_range_histogram([values], [centers], cfg, [g])
-        ref = oracles.build_range_histogram(values, centers, cfg, g)
+        hist = build_range_histogram([values], [centers], [g])
+        ref = oracles.build_range_histogram(values, centers, g)
         for name in ("bin_centers", "counts", "assignments"):
             assert same_array(getattr(hist, name), getattr(ref, name)), name
 
@@ -447,8 +444,8 @@ class TestMatchesOracle:
         g = CLASSES[label].granularity_m
         centers = oracles.seed_bin_centers(values, cfg, seed)
         assert same_array(seed_bin_centers(values, cfg, seed), centers)
-        hist = build_range_histogram([values], [centers], cfg, [g])
-        ref = oracles.build_range_histogram(values, centers, cfg, g)
+        hist = build_range_histogram([values], [centers], [g])
+        ref = oracles.build_range_histogram(values, centers, g)
         for name in ("bin_centers", "counts", "assignments"):
             assert same_array(getattr(hist, name), getattr(ref, name)), name
 
@@ -476,8 +473,8 @@ class TestMatchesOracle:
         values = [v for v, _, _ in detections]
         centers = [c for _, c, _ in detections]
         granularities = [g for _, _, g in detections]
-        hist = build_range_histogram(values, centers, cfg, granularities)
-        refs = [oracles.build_range_histogram(v, c, cfg, g)
+        hist = build_range_histogram(values, centers, granularities)
+        refs = [oracles.build_range_histogram(v, c, g)
                 for v, c, g in detections]
         got = conftest.split_histogram(hist)
         assert len(got) == len(refs)

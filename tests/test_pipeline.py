@@ -820,10 +820,10 @@ CROPPED_CARS = (
 
 class TestCropDrop:
     """A real 360-degree sweep holds points the crop drops, so the frame
-    stage compresses the cloud and measures the ground plane on it.
-    Points the crop drops change nothing for the other objects: their
-    localizations and diagnostics, and the frame's counts, are those of
-    the frame fused without the two cropped cars."""
+    stage compresses the cloud and fits the ground plane to the cropped
+    rows. Points the crop drops change nothing for the other objects:
+    their localizations and diagnostics, and the frame's counts, are
+    those of the frame fused without the two cropped cars."""
 
     @pytest.mark.parametrize("spec", [
         overtaking_scene(rng_seed=3),
@@ -839,24 +839,24 @@ class TestCropDrop:
         wider = simulate_sequence(
             dataclasses.replace(spec, objects=spec.objects + CROPPED_CARS),
             calib, DEFAULT_ERROR_MODEL)
-        measured = []  # rows of each cloud a ground plane is measured on
-        real_ground_mask = ground_module.ground_mask
+        fitted = []  # rows of each cloud a ground plane is fitted to
+        real_fit = ground_module.fit_ground_plane
 
         def spy(cloud, *args):
-            measured.append(len(cloud))
-            return real_ground_mask(cloud, *args)
+            fitted.append(len(cloud))
+            return real_fit(cloud, *args)
 
-        monkeypatch.setattr(ground_module, "ground_mask", spy)
+        monkeypatch.setattr(ground_module, "fit_ground_plane", spy)
         for fr, wide in zip(plain, wider, strict=True):
             # The behind car's points have no pixel; the far car is
             # detected.
             assert not wide.uv_valid[wide.labels == 90].any()
             assert 91 in [det.object_id for det in wide.detections]
             locs, diag = run_fusion_frame(fr, calib, cfg, registry)
-            assert measured == []
+            assert fitted.pop() == diag.cropped_count and fitted == []
             wide_locs, wide_diag = run_fusion_frame(wide, calib, cfg,
                                                     registry)
-            assert measured.pop() == len(wide.cloud) and measured == []
+            assert fitted.pop() == wide_diag.cropped_count and fitted == []
             assert wide_diag.cropped_count < len(wide.cloud)
             assert repr(locs) == repr([loc for loc in wide_locs
                                        if loc.object_id not in (90, 91)])
@@ -866,12 +866,67 @@ class TestCropDrop:
                 repr(dataclasses.replace(wide_diag, objects=None))
             assert repr(diag.objects) == repr(wide_objects)
 
+    def test_half_behind_sweep_matches_whole_cloud_mask(self):
+        # 120k-point frames, half of their rows behind the sensor
+        # without a pixel and most of those on the ground plane,
+        # shuffled among the frame's own rows. The rows the fit of the
+        # cropped rows marks, scattered back, are the crop's rows within
+        # delta of its plane measured on the whole cloud.
+        calib = default_calibration()
+        registry = BenchmarkShapeRegistry(shapes=reference_benchmarks(),
+                                          sample_counts={})
+        cfg = conftest.in_memory_config()
+        spec = dataclasses.replace(overtaking_scene(rng_seed=5, duration=4.0),
+                                   n_ground_points=60_000, frame_rate=1.0)
+        rng = np.random.default_rng(11)
+        frames = simulate_sequence(spec, calib, DEFAULT_ERROR_MODEL)
+        assert len(frames) >= 4
+        for fr in frames:
+            n_behind = 120_000 - len(fr.cloud)
+            behind = np.column_stack([
+                rng.uniform(-70.0, -1.0, n_behind),
+                rng.uniform(-35.0, 35.0, n_behind),
+                np.where(rng.uniform(size=n_behind) < 0.8,
+                         rng.normal(-spec.sensor_height,
+                                    spec.ground_noise_sigma, n_behind),
+                         rng.uniform(-1.0, 1.0, n_behind))])
+            order = rng.permutation(120_000)
+            sweep = dataclasses.replace(
+                fr, cloud=np.vstack([fr.cloud, behind])[order],
+                observed_uv=np.vstack([fr.observed_uv,
+                                       np.full((n_behind, 2), np.nan)])[order],
+                uv_valid=np.concatenate([fr.uv_valid, np.zeros(
+                    n_behind, dtype=bool)])[order])
+            locs, diag = run_fusion_frame(sweep, calib, cfg, registry)
 
-def oracle_build_range_histogram(ranges, centers, cfg, granularities):
+            cloud, uv, uv_valid = pipeline_module._pixels(sweep, calib)
+            ref = pipeline_module.FrameDiagnostics(frame_id=fr.frame_id)
+            crop = ground_module.crop_mask(cloud, cfg.ransac_ground)
+            ref.cropped_count = int(np.count_nonzero(crop))
+            model = ground_module.fit_ground_plane(
+                cloud[crop], cfg.ransac_ground, cfg.rng_seed)
+            on_plane = ground_module.ground_mask(cloud, model,
+                                                 cfg.ransac_ground.delta)
+            keep = crop & ~on_plane
+            ref.ground_removed_count = (ref.cropped_count
+                                        - int(np.count_nonzero(keep)))
+            kept = np.flatnonzero(keep & uv_valid)
+            ref.projected_count = len(kept)
+            ref_locs = pipeline_module._fuse_detections(
+                sweep.detections, cloud, uv, kept, calib, cfg, registry, ref)
+            # The whole-cloud mask marks ground behind the sensor too.
+            assert 0.4 < ref.cropped_count / len(cloud) < 0.6
+            assert np.count_nonzero(on_plane & ~crop) > 20_000
+            assert ref.ground_removed_count > 0 and not diag.ground_skipped
+            assert repr(locs) == repr(ref_locs) and locs
+            assert repr(diag) == repr(ref)
+
+
+def oracle_build_range_histogram(ranges, centers, granularities):
     """The frame-wide histogram as the reference version builds each
     detection's on its own."""
     return conftest.stack_histograms([
-        oracles.build_range_histogram(r, c, cfg, g)
+        oracles.build_range_histogram(r, c, g)
         for r, c, g in zip(ranges, centers, granularities, strict=True)])
 
 
